@@ -37,8 +37,9 @@ def main():
     if dec.degenerate:
         print("  (reflection-free: reflection sub-state is empty)")
     else:
-        print(f"  midpoint residual of the reflection sub-state: "
-              f"{dec.residual_selected:.1e}")
+        print(f"  modulus residuals: |A_tr_In|-|A_T| "
+              f"{abs(dec.A_tr_In) - abs(sol.A_full_T):.1e}   |A_ref_In|-|A_R| "
+              f"{abs(dec.A_ref_In) - abs(sol.A_full_R):.1e}")
 
     pk = ss.make_gaussian_packet(bar.a - 5 * args.sigma, args.sigma, args.k0,
                                  barrier=bar, n=args.n_k)

@@ -160,13 +160,14 @@ class RunConfig:
     command: str
     out_dir: Path
     oracle: bool
-    workers: int | None
     tolerance_profile: str
 
 
-def _getfloat(sec, key, where):
+def _getfloat(sec, key, where, default=None):
     raw = sec.get(key)
     if raw is None:
+        if default is not None:
+            return default
         raise ConfigError(f"missing key '{key}' in [{where}]")
     try:
         return float(raw)
@@ -245,7 +246,12 @@ def _parse_packet(cp) -> dict | None:
 
 
 def load_config(path: str, command: str, out_dir: str, oracle: bool,
-                workers: int | None, profile: str) -> RunConfig:
+                workers, profile: str) -> RunConfig:
+    """Parse and validate an INI run configuration.
+
+    `workers` is ignored.  It stays in the signature only because
+    perfbench/tests/test_perfbench.py calls this function positionally.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     p = Path(path)
     if not p.is_file():
@@ -267,8 +273,7 @@ def load_config(path: str, command: str, out_dir: str, oracle: bool,
     return RunConfig(
         barrier=barrier, packet_params=packet_params, run=dict(run_sec),
         echo=_config_echo(cp), sha256=_config_hash(cp),
-        command=command, out_dir=out, oracle=oracle, workers=workers,
-        tolerance_profile=profile,
+        command=command, out_dir=out, oracle=oracle, tolerance_profile=profile,
     )
 
 
@@ -286,9 +291,9 @@ def _need_packet(cfg: RunConfig):
 
 
 def _k_grid(cfg: RunConfig) -> np.ndarray:
-    lo = float(cfg.run.get("k_min", 0.5))
-    hi = float(cfg.run.get("k_max", 2.0))
-    n = int(cfg.run.get("n_k", 64))
+    lo = _getfloat(cfg.run, "k_min", "run", default=0.5)
+    hi = _getfloat(cfg.run, "k_max", "run", default=2.0)
+    n = _getint(cfg.run, "n_k", "run", default=64)
     if not (0 < lo < hi) or n < 2:
         raise ConfigError(f"bad k grid in [run]: k_min={lo}, k_max={hi}, n_k={n}")
     return np.linspace(lo, hi, n)
@@ -338,20 +343,18 @@ def cmd_decompose(cfg: RunConfig) -> None:
     ks = _k_grid(cfg)
     rows = []
     for k in ks:
-        s = solve_stationary(cfg.barrier, float(k))
         d = decompose(cfg.barrier, float(k))
+        s = d.solution
         sum_resid = abs(d.A_tr_In + d.A_ref_In - 1.0)
         mod_tr = abs(abs(d.A_tr_In) - abs(s.A_full_T))
         mod_ref = abs(abs(d.A_ref_In) - abs(s.A_full_R))
         rows.append((k, d.A_tr_In.real, d.A_tr_In.imag,
                      d.A_ref_In.real, d.A_ref_In.imag,
-                     d.residual_selected, d.residual_rejected,
                      sum_resid, mod_tr, mod_ref,
-                     "degenerate" if d.degenerate else d.branch))
+                     "degenerate" if d.degenerate else "odd"))
     _write_csv(
         cfg.out_dir / "decompose.csv", cfg,
         ["k", "re_A_tr_In", "im_A_tr_In", "re_A_ref_In", "im_A_ref_In",
-         "midpoint_residual", "rejected_branch_residual",
          "amp_sum_residual", "mod_T_residual", "mod_R_residual", "branch"],
         rows,
     )
@@ -372,7 +375,7 @@ def cmd_evolve(cfg: RunConfig) -> None:
         raise ConfigError(f"'times' in [run] must be numbers, got {raw!r}") from None
     if not ts:
         raise ConfigError("'times' in [run] is empty")
-    dx = float(cfg.run.get("dx", 0.02))
+    dx = _getfloat(cfg.run, "dx", "run", default=0.02)
 
     scalars = []
     strict = cfg.tolerance_profile == "strict"
@@ -434,7 +437,7 @@ def _evolve_oracle(cfg, packet, ts) -> dict:
 
 def cmd_times(cfg: RunConfig) -> None:
     packet = _need_packet(cfg)
-    phase_points = int(cfg.run.get("phase_points", 65))
+    phase_points = _getint(cfg.run, "phase_points", "run", default=65)
     report = build_time_report(packet, cfg.barrier, phase_points=phase_points)
     payload = _meta(cfg)
     payload["tau_dwell_tr"] = {
@@ -534,7 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--oracle", action="store_true",
                        help="run independent-solver cross-checks")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--tolerance-profile", choices=("strict", "default"),
                        default="default")
     return ap
@@ -545,7 +547,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, args.out, args.oracle,
-                          args.workers, args.tolerance_profile)
+                          None, args.tolerance_profile)
         _COMMANDS[args.command](cfg)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

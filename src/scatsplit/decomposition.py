@@ -7,15 +7,22 @@ share the left-incidence structure:
     Psi_ref: A_ref_In exp(ikx) incoming, A_full_R exp(-ikx) reflected, nothing transmitted
 
 with A_tr_In + A_ref_In = 1 and |A_tr_In| = |A_full_T|, |A_ref_In| = |A_full_R|.
-Those moduli constraints admit exactly two solutions
 
-    A_ref_In = R_coef +/- i sqrt(T_coef R_coef),
+The reflection sub-state is the part of Psi_full that is odd about the barrier
+midpoint x_c (it never crosses the midpoint).  Every barrier here is mirror
+symmetric, so Psi_full(2 x_c - x) solves the same equation and
 
-one of which makes Psi_ref antisymmetric about the barrier midpoint x_c (the
-physically selected branch: the reflection sub-state never crosses the
-midpoint); the other makes it even.  Selection is numerical: propagate each
-candidate's left asymptotic form into the barrier and keep the one that
-vanishes at x_c.
+    Psi_ref(x) = z [Psi_full(x) - Psi_full(2 x_c - x)]
+
+is odd about x_c on the whole line.  Left of a the mirrored term is the purely
+left-moving A_full_T exp(ik(2 x_c - x)), so requiring the reflected amplitude
+of Psi_ref to be A_full_R fixes
+
+    z = A_ref_In = A_full_R / (A_full_R - A_full_T exp(2ik x_c)).
+
+The denominator has modulus 1 by unitarity and mirror symmetry, so z is
+defined for every barrier, opaque ones included.  A_tr_In = 1 - z makes the
+amplitude sum exact.
 
 Masked sub-process fields then split the line at x_c:
 
@@ -28,45 +35,34 @@ for psi_tr, exactly 0 for psi_ref) at the price of a derivative kink at x_c.
 from __future__ import annotations
 
 import cmath
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchAmbiguityError, DomainError, ToleranceError
+from .errors import DomainError
 from .potentials import BarrierSpec
-from .stationary import (
-    ScatteringSolution,
-    SegmentWave,
-    _segment_kind,
-    _segment_values,
-    evaluate_full,
-    solve_stationary,
-)
+from .stationary import ScatteringSolution, evaluate_full, solve_stationary
 
 # R_coef below this is treated as an exact resonance: Psi_ref identically zero
 DEGENERATE_R = 1e-12
 
-# odd-branch residual |Psi_ref(x_c)| / peak|Psi_ref| must fall below this
-_ODD_RESIDUAL_TOL = 1e-8
-
-_UNITARITY_IN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Decomposition:
-    k: float
     A_tr_In: complex
     A_ref_In: complex
     A_tr_R: complex
     A_ref_R: complex
-    branch: str  # "odd" (selected), "even" (comparison only), "degenerate"
     degenerate: bool
-    residual_selected: float
-    residual_rejected: float
-    ref_segments: tuple[SegmentWave, ...]  # Psi_ref on [a, x_c], local bases
-    barrier: BarrierSpec
+    solution: ScatteringSolution  # the full state the split is taken from
+
+    @property
+    def k(self) -> float:
+        return self.solution.k
+
+    @property
+    def barrier(self) -> BarrierSpec:
+        return self.solution.barrier
 
     @property
     def x_c(self) -> float:
@@ -80,224 +76,34 @@ class MaskedSubstates:
     psi_ref: np.ndarray
 
 
-def candidates(A_full_T: complex, A_full_R: complex):
-    """The two incoming-amplitude solutions for the reflection sub-state.
-
-    Returns (z_plus, z_minus) = R +/- i sqrt(T R); both satisfy |z| = |A_full_R|
-    and |1 - z| = |A_full_T| exactly.  Degenerate (equal) at R in {0, 1}.
-    """
-    T = abs(A_full_T) ** 2
-    R = abs(A_full_R) ** 2
-    if abs(T + R - 1.0) > _UNITARITY_IN_TOL:
-        raise DomainError(
-            f"amplitudes violate unitarity by {T + R - 1.0:.3e}; refuse to decompose"
-        )
-    s = math.sqrt(max(T * R, 0.0))
-    return complex(R, s), complex(R, -s)
-
-
-def _forward_sweep(barrier: BarrierSpec, k: float, psi_a: complex, dpsi_a: complex):
-    """Propagate (psi, psi') from a to x_c, scaling out growth in under-barrier
-    segments.  Returns (records, samples) where records hold per-piece edge
-    states for coefficient extraction and samples hold (|psi|, S) at the piece
-    edges for peak normalization.  The sweep stops exactly at x_c; a segment
-    straddling the midpoint is cut there.
-    """
-    x_c = barrier.x_c
-    edges = barrier.edges
-    heights = barrier.heights
-    u, v, S = psi_a, dpsi_a, 0.0
-    records = []
-    samples = [(abs(u), S)]
-    for j in range(len(barrier.segments)):
-        xL = edges[j]
-        if xL >= x_c:
-            break
-        xR = min(edges[j + 1], x_c)
-        w = xR - xL
-        kind, wn = _segment_kind(k, heights[j])
-        uL, vL, S_L = u, v, S
-        if kind == "osc":
-            c, s = math.cos(wn * w), math.sin(wn * w)
-            u, v = c * u + (s / wn) * v, -wn * s * u + c * v
-        elif kind == "evan":
-            e2 = math.exp(-2 * wn * w)
-            ch, sh = (1 + e2) / 2, (1 - e2) / 2
-            u, v = ch * u + (sh / wn) * v, wn * sh * u + ch * v
-            S += wn * w
-        else:
-            u, v = u + w * v, v
-        records.append((kind, wn, float(xL), float(xR), uL, vL, S_L, u, v, S))
-        samples.append((abs(u), S))
-    return records, samples, u, v, S
-
-
-def _normalized_residual(samples, u_xc, S_xc):
-    S_max = max(s for _, s in samples)
-    peak = max(a * math.exp(s - S_max) for a, s in samples)
-    if peak == 0.0:
-        return 0.0
-    return abs(u_xc) * math.exp(S_xc - S_max) / peak
-
-
-def _ref_segment_coeffs(records):
-    """Bounded-basis coefficients for Psi_ref on [a, x_c] from sweep records.
-
-    True values are scaled * exp(S); the evanescent growing part anchors at the
-    piece's right edge so stored coefficients never overflow.
-    """
-    segs = []
-    for kind, wn, xL, xR, uL, vL, S_L, uR, vR, S_R in records:
-        if kind == "osc":
-            cp = 0.5 * (uL + vL / (1j * wn)) * cmath.exp(min(S_L, 700.0))
-            cm = 0.5 * (uL - vL / (1j * wn)) * cmath.exp(min(S_L, 700.0))
-        elif kind == "evan":
-            cp = 0.5 * (uR + vR / wn) * cmath.exp(min(S_R, 700.0))
-            cm = 0.5 * (uL - vL / wn) * cmath.exp(min(S_L, 700.0))
-        else:
-            cp = uL * cmath.exp(min(S_L, 700.0))
-            cm = vL * cmath.exp(min(S_L, 700.0))
-        segs.append(SegmentWave(kind, xL, xR, wn, cp, cm))
-    return tuple(segs)
-
-
-def select_odd_branch(
-    barrier: BarrierSpec, sol: ScatteringSolution, cands=None, branch: str = "odd"
-) -> Decomposition:
-    """Build the decomposition at sol.k, selecting the midpoint-vanishing branch.
-
-    branch="even" returns the rejected candidate instead (it fails the
-    midpoint-node property; useful only for comparison output).
-    """
-    k = sol.k
-    cache_key = (barrier, k, branch)
-    cached = _dcache_get(cache_key)
-    if cached is not None:
-        return cached
-
-    R = sol.R_coef
-    if R < DEGENERATE_R:
-        dec = Decomposition(
-            k=k,
-            A_tr_In=1.0 + 0.0j,
-            A_ref_In=0.0j,
-            A_tr_R=0.0j,
-            A_ref_R=sol.A_full_R,
-            branch="degenerate",
-            degenerate=True,
-            residual_selected=0.0,
-            residual_rejected=0.0,
-            ref_segments=(),
-            barrier=barrier,
-        )
-        _dcache_put(cache_key, dec)
-        return dec
-
-    if cands is None:
-        cands = candidates(sol.A_full_T, sol.A_full_R)
-
-    # The two candidates differ by 2i*sqrt(T*R).  When that separation falls
-    # below double-precision resolution of the O(1) boundary data, both sweeps
-    # produce bitwise-identical states and the midpoint test cannot pick a
-    # branch.  This happens for extremely opaque barriers (T below ~1e-30);
-    # fail loudly rather than return an arbitrary choice.
-    sep = abs(cands[0] - cands[1])
-    if sep < 1e-15 * max(1.0, abs(sol.A_full_R)):
-        raise BranchAmbiguityError(
-            f"branch seeds coincide to machine precision at k={k} "
-            f"(|z+ - z-|={sep:.3e}, T={sol.T_coef:.3e}): transmission is too "
-            "small to resolve the midpoint-vanishing branch in double precision",
-            residuals=(float("nan"), float("nan")),
-        )
-
-    sweeps = []
-    residuals = []
-    for z in cands:
-        psi_a = z * cmath.exp(1j * k * barrier.a) + sol.A_full_R * cmath.exp(
-            -1j * k * barrier.a
-        )
-        dpsi_a = 1j * k * (
-            z * cmath.exp(1j * k * barrier.a)
-            - sol.A_full_R * cmath.exp(-1j * k * barrier.a)
-        )
-        records, samples, u, v, S = _forward_sweep(barrier, k, psi_a, dpsi_a)
-        sweeps.append((records, u, v, S))
-        residuals.append(_normalized_residual(samples, u, S))
-
-    i_odd = int(np.argmin(residuals))
-    r_sel, r_rej = residuals[i_odd], residuals[1 - i_odd]
-    if r_sel >= _ODD_RESIDUAL_TOL:
-        raise ToleranceError(
-            f"neither branch vanishes at the midpoint (residuals {residuals}); "
-            "unitarity or symmetry is numerically broken"
-        )
-    if r_rej < _ODD_RESIDUAL_TOL:
-        raise BranchAmbiguityError(
-            f"both branches vanish at the midpoint at k={k} with R={R:.3e}; "
-            "cannot distinguish odd from even",
-            residuals=tuple(residuals),
-        )
-
-    i_pick = i_odd if branch == "odd" else 1 - i_odd
-    if branch not in ("odd", "even"):
-        raise DomainError(f"branch must be 'odd' or 'even', got {branch!r}")
-    z = cands[i_pick]
-    records = sweeps[i_pick][0]
-    dec = Decomposition(
-        k=k,
+def decompose(barrier: BarrierSpec, k: float) -> Decomposition:
+    """Split the full state at k into its transmission and reflection parts."""
+    sol = solve_stationary(barrier, k)
+    degenerate = sol.R_coef < DEGENERATE_R
+    z = 0j
+    if not degenerate:
+        r = sol.A_full_R
+        z = r / (r - sol.A_full_T * cmath.exp(2j * sol.k * barrier.x_c))
+    return Decomposition(
         A_tr_In=1.0 - z,
         A_ref_In=z,
-        A_tr_R=0.0j,
+        A_tr_R=0j,
         A_ref_R=sol.A_full_R,
-        branch=branch,
-        degenerate=False,
-        residual_selected=r_sel,
-        residual_rejected=r_rej,
-        ref_segments=_ref_segment_coeffs(records),
-        barrier=barrier,
+        degenerate=degenerate,
+        solution=sol,
     )
-    _dcache_put(cache_key, dec)
-    return dec
-
-
-def decompose(barrier: BarrierSpec, k: float) -> Decomposition:
-    """Convenience: solve and select the odd branch in one call."""
-    return select_odd_branch(barrier, solve_stationary(barrier, k))
 
 
 def evaluate_ref(dec: Decomposition, xs) -> np.ndarray:
-    """Sample Psi_ref on the full line (right half by odd reflection)."""
+    """Sample Psi_ref = z [Psi_full(x) - Psi_full(2 x_c - x)] on any grid."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if dec.degenerate:
         return np.zeros(len(xs), dtype=complex)
-    x_c = dec.x_c
-    out = np.empty(len(xs), dtype=complex)
-    left_half = xs <= x_c
-    out[left_half] = _eval_ref_left(dec, xs[left_half])
-    out[~left_half] = -_eval_ref_left(dec, 2 * x_c - xs[~left_half])
-    return out
-
-
-def _eval_ref_left(dec: Decomposition, xi):
-    """Psi_ref for x <= x_c: asymptotic form left of a, local bases inside."""
-    k = dec.k
-    a = dec.barrier.a
-    vals = np.empty(len(xi), dtype=complex)
-    outside = xi < a
-    vals[outside] = dec.A_ref_In * np.exp(1j * k * xi[outside]) + dec.A_ref_R * np.exp(
-        -1j * k * xi[outside]
-    )
-    inside = ~outside
-    if np.any(inside):
-        xin = xi[inside]
-        acc = np.empty(len(xin), dtype=complex)
-        for seg in dec.ref_segments:
-            last = seg is dec.ref_segments[-1]
-            m = (xin >= seg.x_left) & ((xin <= seg.x_right) if last else (xin < seg.x_right))
-            if np.any(m):
-                acc[m] = _segment_values(seg, xin[m])
-        vals[inside] = acc
-    return vals
+    pts = np.concatenate([xs, 2 * dec.x_c - xs])
+    order = np.argsort(pts)
+    vals = np.empty(len(pts), dtype=complex)
+    vals[order] = evaluate_full(dec.solution, pts[order])
+    return dec.A_ref_In * (vals[: len(xs)] - vals[len(xs):])
 
 
 def evaluate_tr(dec: Decomposition, sol: ScatteringSolution, xs) -> np.ndarray:
@@ -321,27 +127,3 @@ def masked_substates(dec: Decomposition, sol: ScatteringSolution, xs) -> MaskedS
     ref = evaluate_ref(dec, xs)
     ref = np.where(xs <= dec.x_c, ref, 0.0)
     return MaskedSubstates(x_grid=xs, psi_tr=full - ref, psi_ref=ref)
-
-
-# -- memo cache ---------------------------------------------------------------
-
-_dcache_lock = threading.Lock()
-_dcache: dict = {}
-_DCACHE_MAX = 200_000
-
-
-def _dcache_get(key):
-    with _dcache_lock:
-        return _dcache.get(key)
-
-
-def _dcache_put(key, dec):
-    with _dcache_lock:
-        if len(_dcache) >= _DCACHE_MAX:
-            _dcache.clear()
-        _dcache[key] = dec
-
-
-def clear_cache():
-    with _dcache_lock:
-        _dcache.clear()

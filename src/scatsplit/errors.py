@@ -22,15 +22,6 @@ class ToleranceError(ScatsplitError):
     """A numerical result failed a required tolerance check."""
 
 
-class BranchAmbiguityError(ToleranceError):
-    """Branch selection failed: candidates are either both midpoint-vanishing
-    or numerically indistinguishable, so odd cannot be told from even."""
-
-    def __init__(self, msg, residuals=None):
-        super().__init__(msg)
-        self.residuals = residuals
-
-
 class UndefinedTimeError(DomainError):
     """A characteristic time is undefined (e.g. reflection time at R = 0)."""
 

@@ -41,23 +41,6 @@ def spin_resolved_amplitudes(barrier: BarrierSpec, omega: float, k: float):
     return up.A_full_T, dn.A_full_T, up.A_full_R, dn.A_full_R
 
 
-def _packet_moments(barrier, omega, packet):
-    """Cross moments and channel norms of both subensembles on the k grid."""
-    ks = packet.ks
-    w = np.abs(packet.G) ** 2 * _trap_w(len(ks)) * packet.dk
-    zT = 0.0j
-    zR = 0.0j
-    nT = np.zeros(2)
-    nR = np.zeros(2)
-    for j, k in enumerate(ks):
-        at_u, at_d, ar_u, ar_d = spin_resolved_amplitudes(barrier, omega, float(k))
-        zT += w[j] * at_u * at_d.conjugate()
-        zR += w[j] * ar_u * ar_d.conjugate()
-        nT += w[j] * np.array([abs(at_u) ** 2, abs(at_d) ** 2])
-        nR += w[j] * np.array([abs(ar_u) ** 2, abs(ar_d) ** 2])
-    return zT, zR, nT, nR
-
-
 @dataclass(frozen=True, eq=False)
 class SpinScatteringRun:
     barrier: BarrierSpec
@@ -83,7 +66,12 @@ def make_spin_run(barrier: BarrierSpec, omega: float,
     ks = packet.ks
     quads = [spin_resolved_amplitudes(barrier, omega, float(k)) for k in ks]
     at_u, at_d, ar_u, ar_d = (np.array(col) for col in zip(*quads))
-    zT, zR, nT, nR = _packet_moments(barrier, omega, packet)
+    # cross moments and channel norms of both subensembles on the k grid
+    w = np.abs(packet.G) ** 2 * _trap_w(len(ks)) * packet.dk
+    zT = complex(np.sum(w * at_u * np.conj(at_d)))
+    zR = complex(np.sum(w * ar_u * np.conj(ar_d)))
+    nT = np.array([np.sum(w * np.abs(at_u) ** 2), np.sum(w * np.abs(at_d) ** 2)])
+    nR = np.array([np.sum(w * np.abs(ar_u) ** 2), np.sum(w * np.abs(ar_d) ** 2)])
     theta_T = math.atan2(zT.imag, zT.real)
     theta_R = math.atan2(zR.imag, zR.real) if abs(zR) > 0 else 0.0
     tau_tr = theta_T / omega if omega != 0 else None

@@ -89,16 +89,17 @@ def _taylor_back(p, dp, f, h):
 
 def numerov_step_size(barrier: BarrierSpec, k: float, h_target: float = 5e-3) -> float:
     """Step honoring both the target and the points-per-wavelength floor,
-    chosen so every segment width is an exact multiple (required: restarts
-    must land on the jumps)."""
+    chosen as a whole fraction of the narrowest segment.  Restarts must land
+    on the jumps, so numerov_solve rejects barriers whose other widths are
+    not whole multiples of it."""
     q_max = math.sqrt(max(k * k, max(abs(k * k - 2 * v) for v in barrier.heights)))
     h_wave = 2 * math.pi / q_max / _POINTS_PER_WAVELENGTH
     h_want = min(h_target, h_wave)
     widths = barrier.widths
     w_min = widths.min()
-    h = w_min / math.ceil(w_min / h_want)
-    # other widths must be commensurate; subdivide each exactly
-    return h
+    # a quotient a rounding error above an integer (170.00000000000003 for
+    # width 0.8500000000000001) must not add a step
+    return w_min / math.ceil(w_min / h_want - 1e-9)
 
 
 def numerov_solve(barrier: BarrierSpec, k: float, h_target: float = 5e-3):

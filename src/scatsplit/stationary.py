@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,17 +260,13 @@ def probability_current(field, dx: float) -> np.ndarray:
     return np.imag(np.conj(field[1:-1]) * dpsi)
 
 
-def solve_family(barrier: BarrierSpec, ks, workers: int | None = None):
+def solve_family(barrier: BarrierSpec, ks):
     """Solve for every k in ks; returns a list ordered like ks.
 
     Solutions are memoized per (barrier, k), so repeated packet synthesis over
-    the same grid hits the cache.  With workers > 1 the k-sweep is mapped over
-    a thread pool (solutions are immutable; the cache takes a lock).
+    the same grid hits the cache.
     """
     ks = np.asarray(ks, dtype=float)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda kk: solve_stationary(barrier, kk), ks))
     return [solve_stationary(barrier, kk) for kk in ks]
 
 

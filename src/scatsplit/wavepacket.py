@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, evaluate_ref, select_odd_branch
+from .decomposition import decompose
 from .errors import ConfigError, DomainError, GridRefinementError, WindowError
 from .potentials import BarrierSpec
 from .stationary import evaluate_full, solve_stationary
@@ -198,15 +198,10 @@ class PacketSnapshot:
     overlap_im: float
 
 
-def _prepared(packet, barrier, workers=None):
-    sols = [solve_stationary(barrier, k) for k in packet.ks]
-    decs = [select_odd_branch(barrier, s) for s in sols]
-    return sols, decs
-
-
-def _ref_masked_column(dec, xs):
-    col = evaluate_ref(dec, xs)
-    return np.where(xs <= dec.x_c, col, 0.0)
+def _prepared(barrier, ks):
+    """Full solutions and reflection shares z = A_ref_In over a k grid."""
+    decs = [decompose(barrier, float(k)) for k in ks]
+    return [d.solution for d in decs], np.array([d.A_ref_In for d in decs])
 
 
 def _weights(packet, t):
@@ -221,41 +216,47 @@ def _weights(packet, t):
 
 
 def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
-               t: float, xs, workers=None) -> np.ndarray:
+               t: float, xs) -> np.ndarray:
     """Time-dependent field samples for component in {"full", "tr", "ref"}.
 
     "ref" and "tr" are the masked sub-process fields; they sum to "full"
-    pointwise by construction.
+    pointwise by construction.  xs must be sorted ascending.
     """
     if component not in ("full", "tr", "ref"):
         raise DomainError(f"component must be full|tr|ref, got {component!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    sols, decs = _prepared(packet, barrier, workers)
+    sols, zs = _prepared(barrier, packet.ks)
     w = _weights(packet, t)
     out = np.empty(len(xs), dtype=complex)
     for i0 in range(0, len(xs), _X_CHUNK):
         blk = xs[i0 : i0 + _X_CHUNK]
-        if component == "full":
-            M = _matrix(sols, decs, "full", blk)
-            out[i0 : i0 + _X_CHUNK] = M @ w
-        elif component == "ref":
-            M = _matrix(sols, decs, "ref", blk)
-            out[i0 : i0 + _X_CHUNK] = M @ w
-        else:
-            Mf = _matrix(sols, decs, "full", blk)
-            Mr = _matrix(sols, decs, "ref", blk)
-            out[i0 : i0 + _X_CHUNK] = (Mf - Mr) @ w
+        M = _full_basis(sols, blk)
+        if component != "full":
+            Mr = _ref_basis(sols, zs, blk, M)
+            M = Mr if component == "ref" else M - Mr
+        out[i0 : i0 + _X_CHUNK] = M @ w
     return out
 
 
-def _matrix(sols, decs, component, blk):
-    M = np.empty((len(blk), len(sols)), dtype=complex)
-    if component == "full":
-        for j, s in enumerate(sols):
-            M[:, j] = evaluate_full(s, blk)
-    else:
-        for j, d in enumerate(decs):
-            M[:, j] = _ref_masked_column(d, blk)
+def _full_basis(sols, xs):
+    """x-by-k matrix of full stationary states on the ascending grid xs."""
+    M = np.empty((len(xs), len(sols)), dtype=complex)
+    for j, s in enumerate(sols):
+        M[:, j] = evaluate_full(s, xs)
+    return M
+
+
+def _ref_basis(sols, zs, xs, full):
+    """Masked reflection basis from the full basis `full` on xs: the mirror
+    identity z [Psi_full(x) - Psi_full(2 x_c - x)] on the rows with x <= x_c,
+    zero beyond."""
+    x_c = sols[0].barrier.x_c
+    n = int(np.searchsorted(xs, x_c, side="right"))
+    mirror = (2 * x_c - xs[:n])[::-1]  # ascending
+    M = np.zeros_like(full)
+    for j, s in enumerate(sols):
+        M[:n, j] = full[:n, j] - evaluate_full(s, mirror)[::-1]
+    M[:n] *= zs
     return M
 
 
@@ -279,20 +280,20 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
-             xs=None, dx: float = 0.02, workers=None) -> PacketSnapshot:
+             xs=None, dx: float = 0.02) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
     With xs=None a uniform grid is chosen automatically and widened until the
     end densities fall below 1e-10; a user grid failing that check raises.
     """
-    sols, decs = _prepared(packet, barrier, workers)
+    sols, zs = _prepared(barrier, packet.ks)
     w = _weights(packet, t)
 
     if xs is None:
         margin = 6.0
         for _ in range(4):
             grid = auto_grid(packet, barrier, t, dx=dx, margin=margin)
-            snap = _snapshot_on(grid, sols, decs, w, t, barrier)
+            snap = _snapshot_on(grid, sols, zs, w, t)
             edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
             if edge < _EDGE_DENSITY:
                 return snap
@@ -306,7 +307,7 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     steps = np.diff(xs)
     if np.ptp(steps) > 1e-9 * abs(steps[0]):
         raise DomainError("snapshot grid must be uniform")
-    snap = _snapshot_on(xs, sols, decs, w, t, barrier)
+    snap = _snapshot_on(xs, sols, zs, w, t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if edge > _EDGE_DENSITY:
         raise WindowError(
@@ -315,7 +316,7 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     return snap
 
 
-def _snapshot_on(xs, sols, decs, w, t, barrier):
+def _snapshot_on(xs, sols, zs, w, t):
     n = len(xs)
     dxg = float(xs[1] - xs[0])
     tw = _trap_w(n)
@@ -326,8 +327,8 @@ def _snapshot_on(xs, sols, decs, w, t, barrier):
     ref = np.empty(n, dtype=complex)
     for i0 in range(0, n, _X_CHUNK):
         blk = xs[i0 : i0 + _X_CHUNK]
-        Mf = _matrix(sols, decs, "full", blk)
-        Mr = _matrix(sols, decs, "ref", blk)
+        Mf = _full_basis(sols, blk)
+        Mr = _ref_basis(sols, zs, blk, Mf)
         f = Mf @ w
         r = Mr @ w
         full[i0 : i0 + _X_CHUNK] = f
@@ -381,13 +382,13 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
     masked sub-states hold to ~1e-9 inside the returned quiet regions, versus
     O(1e-3) transients in between.
     """
-    sols, decs = _prepared(packet, barrier)
+    sols, _ = _prepared(barrier, packet.ks)
     # a sparse line of probes across the whole barrier region: single points
     # can sit on nodes of trapped cavity modes and miss persistent density
     probe_x = np.unique(np.concatenate([
         np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33), barrier.edges,
     ]))
-    Mf = _matrix(sols, decs, "full", probe_x)
+    Mf = _full_basis(sols, probe_x)
     t_transit = (barrier.b - packet.x0) / packet.k0
 
     t_hi = 4.0 * t_transit + 60.0 / packet.k0

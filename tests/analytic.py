@@ -1,8 +1,9 @@
-"""Independent closed-form oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Everything here is derived from textbook matching conditions with mpmath
-high-precision arithmetic, deliberately NOT reusing any package code, so that
-agreement is evidence and not tautology.
+Everything here is derived from textbook matching conditions, deliberately
+NOT reusing any package code, so that agreement is evidence and not
+tautology.  The closed forms use mpmath high-precision arithmetic; the branch
+sweep at the end is the float midpoint test for the reflection sub-state.
 """
 
 import cmath
@@ -191,3 +192,76 @@ def free_gaussian(x, t, x0, sigma, k0):
         - (x - x0 - k0 * t) ** 2 / (2 * al)
     )
     return pref * ph
+
+
+# ---------------------------------------------------------------------------
+# float branch sweep: the midpoint test that selects the reflection sub-state
+# ---------------------------------------------------------------------------
+
+# |E - V| below this (scaled) threshold uses the linear {1, x} basis
+_DEG_TOL = 1e-12
+
+
+def _transfer(k, V, w, u, v):
+    """Carry (psi, psi') across width w at height V, scaling out the growth of
+    under-barrier segments; returns (u, v, dS) with the true state exp(dS)
+    times (u, v)."""
+    if abs(k * k / 2 - V) < _DEG_TOL * max(1.0, abs(V)):
+        return u + w * v, v, 0.0
+    D = k * k - 2 * V
+    if D > 0:
+        q = math.sqrt(D)
+        c, s = math.cos(q * w), math.sin(q * w)
+        return c * u + (s / q) * v, -q * s * u + c * v, 0.0
+    kap = math.sqrt(-D)
+    e2 = math.exp(-2 * kap * w)
+    ch, sh = (1 + e2) / 2, (1 - e2) / 2
+    return ch * u + (sh / kap) * v, kap * sh * u + ch * v, kap * w
+
+
+def branch_candidates(A_T, A_R):
+    """The two incoming amplitudes z = R +/- i sqrt(T R) with |z| = |A_R| and
+    |1 - z| = |A_T|."""
+    T, R = abs(A_T) ** 2, abs(A_R) ** 2
+    s = math.sqrt(max(T * R, 0.0))
+    return complex(R, s), complex(R, -s)
+
+
+def branch_sweep(edges, heights, k, A_T, A_R, xs=()):
+    """Select the reflection sub-state by sweeping both candidates to x_c.
+
+    Each candidate z seeds psi = z exp(ikx) + A_R exp(-ikx) at a, and a float
+    forward sweep carries (psi, psi') to the midpoint through every height
+    jump.  The midpoint residual is |psi(x_c)| over the largest |psi| at the
+    piece edges.  Returns [(z, residual, psi at xs), ...] with the smaller
+    residual (the odd branch) first; xs must lie left of the midpoint.
+    """
+    edges = [float(e) for e in edges]
+    a, x_c = edges[0], (edges[0] + edges[-1]) / 2
+    xs = [float(x) for x in xs]
+    out = []
+    for z in branch_candidates(A_T, A_R):
+        ein, eout = cmath.exp(1j * k * a), cmath.exp(-1j * k * a)
+        u = z * ein + A_R * eout
+        v = 1j * k * (z * ein - A_R * eout)
+        S = 0.0
+        samples = [(abs(u), S)]
+        field = [z * cmath.exp(1j * k * x) + A_R * cmath.exp(-1j * k * x)
+                 for x in xs]
+        for j, V in enumerate(heights):
+            xL = edges[j]
+            if xL >= x_c:
+                break
+            xR = min(edges[j + 1], x_c)
+            for i, x in enumerate(xs):
+                if xL <= x <= xR:
+                    ux, _, dS = _transfer(k, V, x - xL, u, v)
+                    field[i] = ux * math.exp(S + dS)
+            u, v, dS = _transfer(k, V, xR - xL, u, v)
+            S += dS
+            samples.append((abs(u), S))
+        S_max = max(s for _, s in samples)
+        peak = max(m * math.exp(s - S_max) for m, s in samples)
+        resid = abs(u) * math.exp(S - S_max) / peak if peak else 0.0
+        out.append((z, resid, field))
+    return sorted(out, key=lambda c: c[1])

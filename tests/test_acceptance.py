@@ -11,7 +11,6 @@ Sampling policies baked in here:
   noise past the tolerance being verified.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 
 import scatsplit as ss
 from scatsplit import oracle as orc
+from analytic import branch_sweep
 from conftest import random_symmetric_barrier
 
 
@@ -67,19 +67,17 @@ def test_criterion_2_decomposition_identities():
         if dec.degenerate:
             degenerate += 1
             continue
-        worst_mid = max(worst_mid, dec.residual_selected)
-        # independent odd-symmetry check: the reflection sub-state must be the
-        # antisymmetric combination z (psi(x) - psi(2 x_c - x)) of the full
-        # state, with z fixed by the left asymptotics
-        z, r, t = dec.A_ref_In, sol.A_full_R, sol.A_full_T
-        x_c = bar.x_c
-        z_formula = r / (r - t * cmath.exp(2j * k * x_c))
-        xs = np.linspace(bar.a - 1.5, x_c, 5)
-        cand = z * (_full_at(sol, xs) - _full_at(sol, 2 * x_c - xs))
+        # independent odd-symmetry check: a float sweep of both candidate
+        # seeds to the midpoint (tests/analytic.py) must single out the
+        # package's z, vanish at x_c, and reproduce its reflection sub-state
+        xs = np.linspace(bar.a - 1.5, bar.x_c, 5)
+        (z_odd, mid, field), _ = branch_sweep(
+            bar.edges, bar.heights, k, sol.A_full_T, sol.A_full_R, xs)
+        worst_mid = max(worst_mid, mid)
         ref = ss.evaluate_ref(dec, xs)
         peak = float(np.max(np.abs(ref)))
-        resid = max(abs(z - z_formula),
-                    float(np.max(np.abs(cand - ref))) / max(peak, 1e-30))
+        resid = max(abs(dec.A_ref_In - z_odd),
+                    float(np.max(np.abs(np.array(field) - ref))) / max(peak, 1e-30))
         worst_odd = max(worst_odd, resid)
     ok = (worst_mod < 1e-9 and worst_re < 1e-10
           and worst_mid < 1e-8 and worst_odd < 1e-8)

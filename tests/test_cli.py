@@ -90,7 +90,7 @@ def test_decompose_branch_column(tmp_path):
     cols, rows = read_rows(tmp_path / "decompose.csv")
     assert cols[-1] == "branch"
     assert all(r[-1] == "odd" for r in rows)
-    assert all(abs(float(r[cols.index("midpoint_residual")])) < 1e-8 for r in rows)
+    assert all(abs(float(r[cols.index("amp_sum_residual")])) == 0.0 for r in rows)
 
     free = write(tmp_path, "free.ini",
                  "[barrier]\nkind = rectangular\na = 0.0\nb = 2.0\nv0 = 0.0\n"
@@ -163,6 +163,19 @@ def test_larmor_run_and_ladder_validation(tmp_path):
     neg = write(tmp_path, "neg.ini",
                 CANONICAL + PACKET + "[run]\nomega_ladder = 0.0005 -0.1\n")
     assert main(["larmor", "--config", neg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, run", [
+    ("solve", "k_min = abc"),
+    ("solve", "k_max = 2.0.0"),
+    ("decompose", "n_k = 1.5"),
+    ("evolve", "times = 0.0\ndx = x"),
+    ("times", "phase_points = many"),
+])
+def test_malformed_run_value_exit2(tmp_path, capsys, command, run):
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\n" + run + "\n")
+    assert main([command, "--config", ini, "--out", str(tmp_path)]) == 2
+    assert "[run]" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path):

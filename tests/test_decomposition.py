@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatsplit as ss
-from analytic import rect_ref_state, resonance_k
+from analytic import branch_candidates, branch_sweep, rect_ref_state, resonance_k
 from conftest import random_symmetric_barrier
 
 
-def test_candidate_algebra(canonical_sol):
-    z1, z2 = ss.candidates(canonical_sol.A_full_T, canonical_sol.A_full_R)
+def test_candidate_algebra(canonical_sol, canonical_dec):
+    # the moduli constraints admit exactly two incoming amplitudes; the
+    # closed-form split picks one of them
+    z1, z2 = branch_candidates(canonical_sol.A_full_T, canonical_sol.A_full_R)
     R = canonical_sol.R_coef
     T = canonical_sol.T_coef
     for z in (z1, z2):
@@ -17,11 +19,7 @@ def test_candidate_algebra(canonical_sol):
         assert abs(z) == pytest.approx(np.sqrt(R), abs=1e-13)
         assert abs(1 - z) == pytest.approx(np.sqrt(T), abs=1e-13)
     assert z1 == np.conj(z2)
-
-
-def test_candidates_reject_nonunitary():
-    with pytest.raises(ss.DomainError):
-        ss.candidates(0.9, 0.9)
+    assert min(abs(canonical_dec.A_ref_In - z) for z in (z1, z2)) < 1e-14
 
 
 def test_amplitude_sum_exact(canonical_dec):
@@ -57,17 +55,29 @@ def test_odd_symmetry_about_midpoint(canonical_dec, canonical_barrier):
     assert np.max(np.abs(right + left)) < 1e-10
 
 
-def test_selected_branch_beats_rejected(canonical_dec):
-    assert canonical_dec.residual_selected < 1e-8
-    assert canonical_dec.residual_rejected > 100 * canonical_dec.residual_selected
+def _sweep(bar, sol, xs=()):
+    return branch_sweep(bar.edges, bar.heights, sol.k, sol.A_full_T, sol.A_full_R, xs)
 
 
-def test_even_branch_on_request(canonical_barrier, canonical_sol):
-    dec = ss.select_odd_branch(canonical_barrier, canonical_sol, branch="even")
-    assert dec.branch == "even"
-    # even branch does not vanish at the midpoint
-    val = ss.evaluate_ref(dec, np.array([canonical_barrier.x_c]))[0]
-    assert abs(val) > 1e-4
+def test_selected_branch_beats_rejected(canonical_dec, canonical_barrier, canonical_sol):
+    # the independent sweep vanishes at the midpoint on the branch the closed
+    # form picks, and clearly not on the other one
+    (z_odd, r_odd, _), (_, r_even, _) = _sweep(canonical_barrier, canonical_sol)
+    assert r_odd < 1e-8
+    assert r_even > 100 * r_odd
+    assert abs(canonical_dec.A_ref_In - z_odd) < 1e-14
+
+
+def test_even_branch_on_request(canonical_barrier, canonical_sol, canonical_dec):
+    # the even comparison branch r / (r + t e^{2ik x_c}) is the rejected seed:
+    # it does not vanish at the midpoint
+    x_c = canonical_barrier.x_c
+    _, (z_even, r_even, field) = _sweep(canonical_barrier, canonical_sol, [x_c])
+    r, t = canonical_sol.A_full_R, canonical_sol.A_full_T
+    assert abs(z_even - r / (r + t * np.exp(2j * canonical_sol.k * x_c))) < 1e-14
+    assert r_even > 1e-4
+    assert abs(field[0]) > 1e-4
+    assert abs(z_even - canonical_dec.A_ref_In) > 1e-4
 
 
 def test_ref_state_matches_mpmath_construction():
@@ -83,7 +93,6 @@ def test_degenerate_at_resonance():
     k_res = resonance_k(1.0, 1.0)
     dec = ss.decompose(ss.make_rectangular(0.0, 1.0, 1.0), k_res)
     assert dec.degenerate
-    assert dec.branch == "degenerate"
     assert dec.A_ref_In == 0
     assert dec.A_tr_In == 1
     vals = ss.evaluate_ref(dec, np.linspace(-2, 2, 11))
@@ -135,8 +144,8 @@ def test_masked_tr_current_constant(canonical_dec, canonical_sol):
 
 
 def test_deep_barrier_decomposition_finite():
-    # kappa*L ~ 20: transmission ~1e-18 is still far above the branch-seed
-    # resolution floor, so the decomposition must come out clean
+    # kappa*L ~ 20, transmission ~1e-18: the sub-state stays finite and
+    # vanishes at the midpoint
     bar = ss.make_rectangular(0.0, 2.0, 50.0)
     dec = ss.decompose(bar, 1.0)
     xs = np.linspace(-2.0, bar.x_c, 300)
@@ -145,12 +154,26 @@ def test_deep_barrier_decomposition_finite():
     assert abs(vals[-1]) < 1e-8
 
 
-def test_opaque_limit_branch_ambiguity():
-    # T ~ 1e-53 puts the two branch seeds within one ulp of each other; the
-    # selector must refuse rather than return an arbitrary branch
+def test_opaque_limit_identities():
+    # T ~ 2e-53 puts the two branch seeds within one ulp of each other, so no
+    # midpoint test can tell them apart; the mirror identity needs no choice
     bar = ss.make_rectangular(0.0, 6.0, 50.0)
-    with pytest.raises(ss.BranchAmbiguityError):
-        ss.decompose(bar, 1.0)
+    dec = ss.decompose(bar, 1.0)
+    sol = dec.solution
+    assert sol.T_coef < 1e-52
+    x_c = bar.x_c
+    d = np.linspace(0.01, 8.0, 41)
+    left = ss.evaluate_ref(dec, x_c - d)
+    right = ss.evaluate_ref(dec, x_c + d)
+    assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+    assert abs(ss.evaluate_ref(dec, [x_c])[0]) < 1e-8
+    assert np.max(np.abs(right + left)) < 1e-10
+    assert abs(abs(dec.A_tr_In) - abs(sol.A_full_T)) < 1e-9
+    assert abs(abs(dec.A_ref_In) - abs(sol.A_full_R)) < 1e-9
+    assert abs(dec.A_ref_In.real - sol.R_coef) < 1e-10
+    h = 2e-4
+    xs = np.arange(bar.a - 3.0, bar.a - 3 * h, h)
+    assert np.max(np.abs(ss.probability_current(ss.evaluate_ref(dec, xs), h))) < 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,6 +190,8 @@ def test_identities_random_barriers(data):
     assert abs(abs(dec.A_ref_In) - abs(sol.A_full_R)) < 1e-9
     assert abs(dec.A_ref_In.real - sol.R_coef) < 1e-10
     if not dec.degenerate:
-        assert dec.residual_selected < 1e-8
+        (z_odd, r_odd, _), _ = _sweep(bar, sol)
+        assert r_odd < 1e-8
+        assert abs(dec.A_ref_In - z_odd) < 1e-12
         mid = ss.evaluate_ref(dec, np.array([bar.x_c]))[0]
         assert abs(mid) < 1e-8

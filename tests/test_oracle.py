@@ -36,6 +36,16 @@ def test_numerov_matches_solver_multisegment():
         assert abs(A_R - sol.A_full_R) < 1e-8
 
 
+def test_numerov_step_survives_width_rounding():
+    # 0.8500000000000001 / 0.005 is 170.00000000000003 in floats; the step
+    # must stay width/170 so the 0.9 segments remain whole multiples of it
+    bar = ss.make_symmetric(0.0, [(0.8500000000000001, 2.0), (0.9, 1.0)])
+    _, _, A_T, A_R = orc.numerov_solve(bar, 1.0)
+    sol = ss.solve_stationary(bar, 1.0)
+    assert abs(A_T - sol.A_full_T) < 1e-8
+    assert abs(A_R - sol.A_full_R) < 1e-8
+
+
 def test_numerov_free_identity():
     free = ss.make_rectangular(0.0, 1.0, 0.0)
     _, _, A_T, A_R = orc.numerov_solve(free, 1.3)

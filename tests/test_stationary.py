@@ -120,14 +120,6 @@ def test_solve_family_matches_pointwise(canonical_barrier):
         assert sol.A_full_T == ref.A_full_T
 
 
-def test_solve_family_workers(canonical_barrier):
-    ks = np.linspace(0.5, 3.0, 9)
-    fam_serial = ss.solve_family(canonical_barrier, ks)
-    fam_par = ss.solve_family(canonical_barrier, ks, workers=4)
-    for s, p in zip(fam_serial, fam_par):
-        assert s.A_full_T == p.A_full_T
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_unitarity_random_barriers(data):
