@@ -29,13 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .decomposition import decompose
 from .errors import ConfigError, DomainError, ScatsplitError, ToleranceError
 from .larmor import clock_times, make_spin_run
 from .oracle import numerov_solve
 from .potentials import BarrierSpec, make_rectangular, make_symmetric
-from .stationary import solve_stationary
-from .times import build_time_report, larmor_time_routeB
+from .stationary import solve_family
+from .times import _dwell, _routeB, build_time_report
 from .wavepacket import (
     make_gaussian_packet,
     norms_and_overlap,
@@ -305,29 +304,23 @@ def _k_grid(cfg: RunConfig) -> np.ndarray:
 
 def cmd_solve(cfg: RunConfig) -> None:
     ks = _k_grid(cfg)
-    rows = []
-    for k in ks:
-        s = solve_stationary(cfg.barrier, float(k))
-        resid = abs(s.T_coef + s.R_coef - 1.0)
-        rows.append((k, s.A_full_T.real, s.A_full_T.imag,
-                     s.A_full_R.real, s.A_full_R.imag,
-                     s.T_coef, s.R_coef, resid))
+    fam = solve_family(cfg.barrier, ks)
     _write_csv(
         cfg.out_dir / "solve.csv", cfg,
         ["k", "re_A_T", "im_A_T", "re_A_R", "im_A_R", "T", "R",
          "unitarity_residual"],
-        rows,
+        zip(ks, fam.A_T.real, fam.A_T.imag, fam.A_R.real, fam.A_R.imag,
+            fam.T, fam.R, np.abs(fam.T + fam.R - 1.0)),
     )
     payload = _meta(cfg)
     payload["n_k"] = len(ks)
     payload["k_range"] = [float(ks[0]), float(ks[-1])]
     if cfg.oracle:
         diffs_T, diffs_R = [], []
-        for k in ks:
-            s = solve_stationary(cfg.barrier, float(k))
+        for k, t, r in zip(ks, fam.A_T, fam.A_R):
             _, _, a_t, a_r = numerov_solve(cfg.barrier, float(k))
-            diffs_T.append(abs(a_t - s.A_full_T))
-            diffs_R.append(abs(a_r - s.A_full_R))
+            diffs_T.append(abs(a_t - t))
+            diffs_R.append(abs(a_r - r))
         payload["oracle"] = {
             "max_abs_diff_A_T": float(max(diffs_T)),
             "max_abs_diff_A_R": float(max(diffs_R)),
@@ -341,17 +334,15 @@ def cmd_solve(cfg: RunConfig) -> None:
 
 def cmd_decompose(cfg: RunConfig) -> None:
     ks = _k_grid(cfg)
-    rows = []
-    for k in ks:
-        d = decompose(cfg.barrier, float(k))
-        s = d.solution
-        sum_resid = abs(d.A_tr_In + d.A_ref_In - 1.0)
-        mod_tr = abs(abs(d.A_tr_In) - abs(s.A_full_T))
-        mod_ref = abs(abs(d.A_ref_In) - abs(s.A_full_R))
-        rows.append((k, d.A_tr_In.real, d.A_tr_In.imag,
-                     d.A_ref_In.real, d.A_ref_In.imag,
-                     sum_resid, mod_tr, mod_ref,
-                     "degenerate" if d.degenerate else "odd"))
+    fam = solve_family(cfg.barrier, ks)
+    tr_in = 1.0 - fam.z
+    rows = list(zip(
+        ks, tr_in.real, tr_in.imag, fam.z.real, fam.z.imag,
+        np.abs(tr_in + fam.z - 1.0),
+        np.abs(np.abs(tr_in) - np.abs(fam.A_T)),
+        np.abs(np.abs(fam.z) - np.abs(fam.A_R)),
+        np.where(fam.degenerate, "degenerate", "odd"),
+    ))
     _write_csv(
         cfg.out_dir / "decompose.csv", cfg,
         ["k", "re_A_tr_In", "im_A_tr_In", "re_A_ref_In", "im_A_ref_In",
@@ -360,7 +351,7 @@ def cmd_decompose(cfg: RunConfig) -> None:
     )
     payload = _meta(cfg)
     payload["n_k"] = len(ks)
-    payload["degenerate_count"] = sum(1 for r in rows if r[-1] == "degenerate")
+    payload["degenerate_count"] = int(np.sum(fam.degenerate))
     _write_json(cfg.out_dir / "decompose.json", payload)
 
 
@@ -483,9 +474,11 @@ def cmd_larmor(cfg: RunConfig) -> None:
 
     runs = [make_spin_run(cfg.barrier, w, packet) for w in sorted(ladder, reverse=True)]
     result = clock_times(runs[0], packet)
-    tau_B_tr = larmor_time_routeB(packet, cfg.barrier, "tr")
+    fam = solve_family(cfg.barrier, packet.ks)
+    table = _dwell(fam)
+    tau_B_tr = _routeB(packet, fam, table, "tr")["density"]
     try:
-        tau_B_ref = larmor_time_routeB(packet, cfg.barrier, "ref")
+        tau_B_ref = _routeB(packet, fam, table, "ref")["density"]
     except DomainError:
         tau_B_ref = None
 

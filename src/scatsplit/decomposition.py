@@ -22,7 +22,8 @@ of Psi_ref to be A_full_R fixes
 
 The denominator has modulus 1 by unitarity and mirror symmetry, so z is
 defined for every barrier, opaque ones included.  A_tr_In = 1 - z makes the
-amplitude sum exact.
+amplitude sum exact.  `solve_family` computes z over a whole k grid (the
+family's `z`); `decompose` reads it at one k.
 
 Masked sub-process fields then split the line at x_c:
 
@@ -34,7 +35,6 @@ for psi_tr, exactly 0 for psi_ref) at the price of a derivative kink at x_c.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +42,6 @@ import numpy as np
 from .errors import DomainError
 from .potentials import BarrierSpec
 from .stationary import ScatteringSolution, evaluate_full, solve_stationary
-
-# R_coef below this is treated as an exact resonance: Psi_ref identically zero
-DEGENERATE_R = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,17 +76,13 @@ class MaskedSubstates:
 def decompose(barrier: BarrierSpec, k: float) -> Decomposition:
     """Split the full state at k into its transmission and reflection parts."""
     sol = solve_stationary(barrier, k)
-    degenerate = sol.R_coef < DEGENERATE_R
-    z = 0j
-    if not degenerate:
-        r = sol.A_full_R
-        z = r / (r - sol.A_full_T * cmath.exp(2j * sol.k * barrier.x_c))
+    z = complex(sol.family.z[0])
     return Decomposition(
         A_tr_In=1.0 - z,
         A_ref_In=z,
         A_tr_R=0j,
         A_ref_R=sol.A_full_R,
-        degenerate=degenerate,
+        degenerate=bool(sol.family.degenerate[0]),
         solution=sol,
     )
 

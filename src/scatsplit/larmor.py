@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import BarrierSpec, shifted
-from .stationary import solve_stationary
+from .stationary import solve_family
 from .wavepacket import SpectralPacket, _trap_w
 
 _PERTURBATIVE_DRIFT = 0.05   # relative time change per halving that flags omega
@@ -33,12 +33,18 @@ _ARG_NOISE = 1e-12           # precession angles are trusted to ~this many rad
 def spin_resolved_amplitudes(barrier: BarrierSpec, omega: float, k: float):
     """(A_T_up, A_T_dn, A_R_up, A_R_dn) for spin components seeing V -/+ omega/2.
 
-    omega is the precession frequency in energy units (hbar = 1).  Two scalar
-    solves; at omega = 0 they coincide with the unperturbed amplitudes.
+    omega is the precession frequency in energy units (hbar = 1); at
+    omega = 0 they coincide with the unperturbed amplitudes.  This is the
+    one-k case of the two shifted-barrier families of `make_spin_run`.
     """
-    up = solve_stationary(shifted(barrier, -omega / 2), k)
-    dn = solve_stationary(shifted(barrier, +omega / 2), k)
-    return up.A_full_T, dn.A_full_T, up.A_full_R, dn.A_full_R
+    return tuple(complex(a[0]) for a in _spin_amplitudes(barrier, omega, [k]))
+
+
+def _spin_amplitudes(barrier, omega, ks):
+    """(A_T_up, A_T_dn, A_R_up, A_R_dn) arrays over ks, one family per spin."""
+    up = solve_family(shifted(barrier, -omega / 2), ks)
+    dn = solve_family(shifted(barrier, +omega / 2), ks)
+    return up.A_T, dn.A_T, up.A_R, dn.A_R
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +70,7 @@ def make_spin_run(barrier: BarrierSpec, omega: float,
                   packet: SpectralPacket) -> SpinScatteringRun:
     """One clock reading at a fixed precession frequency."""
     ks = packet.ks
-    quads = [spin_resolved_amplitudes(barrier, omega, float(k)) for k in ks]
-    at_u, at_d, ar_u, ar_d = (np.array(col) for col in zip(*quads))
+    at_u, at_d, ar_u, ar_d = _spin_amplitudes(barrier, omega, ks)
     # cross moments and channel norms of both subensembles on the k grid
     w = np.abs(packet.G) ** 2 * _trap_w(len(ks)) * packet.dk
     zT = complex(np.sum(w * at_u * np.conj(at_d)))
@@ -131,10 +136,7 @@ def clock_times(run: SpinScatteringRun, packet: SpectralPacket) -> ClockResult:
     # otherwise the "reflection" is scattering off the field step itself and
     # its angle has no zero-frequency limit
     w = np.abs(packet.G) ** 2 * _trap_w(len(packet.ks)) * packet.dk
-    R0 = float(sum(
-        wj * solve_stationary(run.barrier, float(k)).R_coef
-        for wj, k in zip(w, packet.ks)
-    ))
+    R0 = float(np.sum(w * solve_family(run.barrier, packet.ks).R))
     taus_ref = [r.tau_clock_ref for r in runs] if R0 > 1e-10 else None
 
     warnings = []

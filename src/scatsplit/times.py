@@ -29,9 +29,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .decomposition import Decomposition, decompose, evaluate_ref
+from .decomposition import Decomposition
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -40,51 +39,66 @@ from .errors import (
     UndefinedTimeError,
     WindowError,
 )
-from .potentials import BarrierSpec
-from .stationary import ScatteringSolution, evaluate_full, solve_stationary
-from .wavepacket import (
-    SpectralPacket,
-    _full_basis,
-    _prepared,
-    _ref_basis,
-    _trap_w,
-    _weights,
-)
+from .potentials import BarrierSpec, make_rectangular
+from .stationary import ScatteringSolution, SolutionFamily, solve_family
+from .wavepacket import SpectralPacket, _ref_basis, _trap_w, _weights
 
 _R_DEFINED = 1e-12
-_QUAD_TOL = 1e-8
 
 _ROUTE_A_TAIL = 1e-10
-_PIECE_POINTS = 513
+_PIECE_NODES = 24
 
 
 # ---------------------------------------------------------------------------
 # dwell times (per wavenumber)
 # ---------------------------------------------------------------------------
 
-def _tr_density(dec: Decomposition, sol: ScatteringSolution, x: float) -> float:
-    xs = np.array([x])
-    full = evaluate_full(sol, xs)
-    if x <= dec.x_c:
-        full = full - evaluate_ref(dec, xs)
-    return float(np.abs(full[0]) ** 2)
+def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
+    """Gauss-Legendre nodes and weights on [lo, hi], 24 per piece between
+    height jumps and the mask point x_c (the integrands are analytic within
+    each piece; nodes are ascending and never on a piece end)."""
+    cuts = sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
+                  | ({barrier.x_c} if lo < barrier.x_c < hi else set()))
+    nodes, weights = np.polynomial.legendre.leggauss(_PIECE_NODES)
+    mid = (np.array(cuts[1:]) + np.array(cuts[:-1])) / 2
+    half = (np.array(cuts[1:]) - np.array(cuts[:-1])) / 2
+    xs = (mid[:, None] + half[:, None] * nodes).ravel()
+    wx = (half[:, None] * weights).ravel()
+    return xs, wx
 
 
-def _ref_density(dec: Decomposition, x: float) -> float:
-    return float(np.abs(evaluate_ref(dec, np.array([x]))[0]) ** 2)
+def _dwell(fam: SolutionFamily):
+    """(tau_tr, tau_ref, ref_defined) over the family's k grid."""
+    bar = fam.barrier
+    xs, wx = _piece_grid(bar, bar.a, bar.b)
+    Mf = fam.basis(xs)
+    Mr = _ref_basis(fam, xs, Mf)
+    Mf -= Mr  # now the masked transmission basis
+    tau_tr = wx @ np.abs(Mf) ** 2 / (fam.ks * fam.T)
+    defined = fam.R > _R_DEFINED
+    tau_ref = np.full(len(fam.ks), np.nan)
+    tau_ref[defined] = (wx @ np.abs(Mr[:, defined]) ** 2) / (fam.ks * fam.R)[defined]
+    return tau_tr, tau_ref, defined
+
+
+def dwell_tables(barrier: BarrierSpec, ks):
+    """Per-k dwell times (tau_tr, tau_ref, ref_defined mask) over a k grid.
+
+    Interior norm of each masked sub-state per unit incident flux, with
+    Psi_ref formed from Psi_full and its mirror image, integrated by 24-node
+    Gauss-Legendre per constant piece of [a, b] split at x_c.  The test suite
+    checks it against adaptive quadrature (tests/analytic.py) to 1e-12
+    relative on ordinary, stepped, wide and well barriers and to 2e-8 on an
+    opaque one (T ~ 1e-53).  tau_ref is NaN where R <= 1e-12.
+    """
+    return _dwell(solve_family(barrier, ks))
 
 
 def dwell_time_tr(dec: Decomposition, sol: ScatteringSolution) -> float:
     """Interior norm of the transmission sub-state over [a, b] per unit flux."""
     if dec.k != sol.k:
         raise DomainError("decomposition and solution belong to different k")
-    bar = sol.barrier
-    pts = sorted({float(e) for e in bar.edges} | {bar.x_c})
-    I, _ = quad(
-        lambda x: _tr_density(dec, sol, x), bar.a, bar.b,
-        points=pts, limit=200, epsabs=_QUAD_TOL * 1e-2, epsrel=_QUAD_TOL,
-    )
-    return I / (sol.k * sol.T_coef)
+    return float(_dwell(sol.family)[0][0])
 
 
 def dwell_time_ref(dec: Decomposition, sol: ScatteringSolution) -> float:
@@ -96,62 +110,18 @@ def dwell_time_ref(dec: Decomposition, sol: ScatteringSolution) -> float:
             f"reflection coefficient {sol.R_coef:.3e} <= {_R_DEFINED}: "
             "the reflection dwell time is undefined at full transmission"
         )
-    bar = sol.barrier
-    pts = sorted({float(e) for e in bar.edges if e <= bar.x_c} | {bar.x_c})
-    I, _ = quad(
-        lambda x: _ref_density(dec, x), bar.a, bar.x_c,
-        points=pts, limit=200, epsabs=_QUAD_TOL * 1e-2, epsrel=_QUAD_TOL,
-    )
-    return I / (sol.k * sol.R_coef)
-
-
-def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
-    """Composite-trapezoid nodes and weights on [lo, hi], uniform within each
-    piece between height jumps and the mask point x_c (nodes are ascending;
-    shared piece ends appear twice)."""
-    cuts = sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
-                  | ({barrier.x_c} if lo < barrier.x_c < hi else set()))
-    grids = [np.linspace(p_lo, p_hi, _PIECE_POINTS)
-             for p_lo, p_hi in zip(cuts[:-1], cuts[1:])]
-    xs = np.concatenate(grids)
-    wx = np.concatenate([_trap_w(len(g)) * (g[1] - g[0]) for g in grids])
-    return xs, wx
-
-
-def dwell_tables(barrier: BarrierSpec, ks):
-    """Vectorized per-k dwell times (tau_tr, tau_ref, ref_defined mask).
-
-    Fixed composite-trapezoid quadrature on piecewise grids, with Psi_ref
-    formed from Psi_full and its mirror image.  The test suite checks it
-    against the adaptive scalar routines to 1e-5 absolute on the canonical
-    barrier.  tau_ref is NaN where R <= 1e-12.
-    """
-    ks = np.asarray(ks, dtype=float)
-    sols, zs = _prepared(barrier, ks)
-    xs, wx = _piece_grid(barrier, barrier.a, barrier.b)
-    Mf = _full_basis(sols, xs)
-    Mr = _ref_basis(sols, zs, xs, Mf)
-    T = np.array([s.T_coef for s in sols])
-    R = np.array([s.R_coef for s in sols])
-    Mf -= Mr  # now the masked transmission basis
-    tau_tr = wx @ np.abs(Mf) ** 2 / (ks * T)
-    defined = R > _R_DEFINED
-    tau_ref = np.full(len(ks), np.nan)
-    tau_ref[defined] = (wx @ np.abs(Mr[:, defined]) ** 2) / (ks * R)[defined]
-    return tau_tr, tau_ref, defined
+    return float(_dwell(sol.family)[1][0])
 
 
 # ---------------------------------------------------------------------------
 # packet-level times, route A (space-time double integral)
 # ---------------------------------------------------------------------------
 
-def _spectral_coef_norm(packet, barrier, component):
-    ks = packet.ks
-    C = np.empty(len(ks))
-    for j, k in enumerate(ks):
-        sol = solve_stationary(barrier, float(k))
-        C[j] = sol.T_coef if component == "tr" else sol.R_coef
-    return float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(ks))) * packet.dk), C
+def _spectral_coef_norm(packet, fam, component):
+    """(C_bar, C): per-k transmission or reflection coefficient on the packet
+    grid and its spectral average."""
+    C = fam.T if component == "tr" else fam.R
+    return float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(C))) * packet.dk), C
 
 
 def larmor_time_routeA(packet: SpectralPacket, barrier: BarrierSpec,
@@ -167,8 +137,13 @@ def larmor_time_routeA(packet: SpectralPacket, barrier: BarrierSpec,
     """
     if component not in ("tr", "ref"):
         raise DomainError(f"component must be tr|ref, got {component!r}")
-    sols, zs = _prepared(barrier, packet.ks)
-    C_bar, _ = _spectral_coef_norm(packet, barrier, component)
+    return _routeA(packet, solve_family(barrier, packet.ks), component,
+                   domain, window, rtol)
+
+
+def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
+    barrier = fam.barrier
+    C_bar, _ = _spectral_coef_norm(packet, fam, component)
     if component == "ref" and C_bar <= _R_DEFINED:
         raise UndefinedTimeError("reflected spectral norm vanishes")
 
@@ -179,8 +154,8 @@ def larmor_time_routeA(packet: SpectralPacket, barrier: BarrierSpec,
         raise DomainError(f"empty spatial domain {domain}")
 
     xs, wx = _piece_grid(barrier, lo, hi)
-    Mf = _full_basis(sols, xs)
-    Mr = _ref_basis(sols, zs, xs, Mf)
+    Mf = fam.basis(xs)
+    Mr = _ref_basis(fam, xs, Mf)
     M = (Mf - Mr) if component == "tr" else Mr
 
     def f(t):
@@ -237,16 +212,8 @@ def larmor_time_routeB(packet: SpectralPacket, barrier: BarrierSpec,
     """
     if component not in ("tr", "ref"):
         raise DomainError(f"component must be tr|ref, got {component!r}")
-    tau_tr, tau_ref, defined = dwell_tables(barrier, packet.ks)
-    C_bar, C = _spectral_coef_norm(packet, barrier, component)
-    if component == "ref":
-        if C_bar <= _R_DEFINED:
-            raise UndefinedTimeError("reflected spectral norm vanishes")
-        tau = np.where(defined, tau_ref, 0.0)  # undefined points carry zero weight
-    else:
-        tau = tau_tr
-    w = np.abs(packet.G) ** 2 * C * _trap_w(len(packet.ks)) * packet.dk
-    return float(np.sum(w * tau) / C_bar)
+    fam = solve_family(barrier, packet.ks)
+    return _routeB(packet, fam, _dwell(fam), component)["density"]
 
 
 def routeB_variants(packet: SpectralPacket, barrier: BarrierSpec,
@@ -259,9 +226,21 @@ def routeB_variants(packet: SpectralPacket, barrier: BarrierSpec,
       normalization identity the linear form would need; nonzero in general,
       so a large residual flags that the density weighting is the operative
       one (route A agrees with it).
+
+    Raises UndefinedTimeError for "ref" when the reflected spectral norm
+    vanishes.
     """
-    tau_tr, tau_ref, defined = dwell_tables(barrier, packet.ks)
-    C_bar, C = _spectral_coef_norm(packet, barrier, component)
+    fam = solve_family(barrier, packet.ks)
+    return _routeB(packet, fam, _dwell(fam), component)
+
+
+def _routeB(packet, fam, table, component) -> dict:
+    """`routeB_variants` over the family's dwell table."""
+    tau_tr, tau_ref, defined = table
+    C_bar, C = _spectral_coef_norm(packet, fam, component)
+    if component == "ref" and C_bar <= _R_DEFINED:
+        raise UndefinedTimeError("reflected spectral norm vanishes")
+    # k points without a reflection dwell time carry zero weight
     tau = tau_tr if component == "tr" else np.where(defined, tau_ref, 0.0)
     tw = _trap_w(len(packet.ks)) * packet.dk
     lit_norm = complex(np.sum(packet.G * C * tw))
@@ -285,42 +264,31 @@ class PhaseTimes:
     traversal: np.ndarray   # delay + (b - a)/k
 
 
-def _arg_ratio(barrier, E_hi, E_lo):
-    a_hi = solve_stationary(barrier, math.sqrt(2 * E_hi)).A_full_T
-    a_lo = solve_stationary(barrier, math.sqrt(2 * E_lo)).A_full_T
-    return math.atan2((a_hi * a_lo.conjugate()).imag, (a_hi * a_lo.conjugate()).real)
-
-
-def phase_time(sol_family) -> PhaseTimes:
+def phase_time(fam: SolutionFamily) -> PhaseTimes:
     """Group-delay table from the energy derivative of the transmitted phase.
 
-    Fourth-order accuracy via Richardson over two central stencils; phase
-    differences enter as arguments of amplitude ratios, which stay on the
-    principal branch for the small steps used.  The family itself must be
-    dense enough that neighboring phases differ by < pi/2, otherwise any
-    consumer unwrapping the table would alias — violations raise.
+    Fourth-order accuracy via Richardson over two central stencils, whose
+    amplitudes at E +/- h and E +/- 2h are four more families on the same
+    barrier; phase differences enter as arguments of amplitude ratios, which
+    stay on the principal branch for the small steps used.  The family itself
+    must be dense enough that neighboring phases differ by < pi/2, otherwise
+    any consumer unwrapping the table would alias — violations raise.
     """
-    sols = list(sol_family)
-    if not sols:
-        raise DomainError("empty solution family")
-    barrier = sols[0].barrier
-    ks = np.array([s.k for s in sols])
-    if len(sols) > 1:
-        amps = np.array([s.A_full_T for s in sols])
-        steps = np.angle(amps[1:] * np.conj(amps[:-1]))
-        if np.any(np.abs(steps) >= math.pi / 2):
-            raise GridRefinementError(
-                "transmitted phase jumps by >= pi/2 between neighboring k; "
-                "densify the k grid for an unambiguous phase table"
-            )
-    delay = np.empty(len(sols))
-    for j, s in enumerate(sols):
-        E = s.E
-        h = min(max(1e-7, 1e-5 * E), E / 8)
-        d1 = _arg_ratio(barrier, E + h, E - h) / (2 * h)
-        d2 = _arg_ratio(barrier, E + 2 * h, E - 2 * h) / (4 * h)
-        delay[j] = (4 * d1 - d2) / 3
-    traversal = delay + (barrier.b - barrier.a) / ks
+    ks = fam.ks
+    steps = np.angle(fam.A_T[1:] * np.conj(fam.A_T[:-1]))
+    if np.any(np.abs(steps) >= math.pi / 2):
+        raise GridRefinementError(
+            "transmitted phase jumps by >= pi/2 between neighboring k; "
+            "densify the k grid for an unambiguous phase table"
+        )
+    E = ks**2 / 2
+    h = np.minimum(np.maximum(1e-7, 1e-5 * E), E / 8)
+    p1, m1, p2, m2 = (solve_family(fam.barrier, np.sqrt(2 * (E + n * h))).A_T
+                      for n in (1, -1, 2, -2))
+    d1 = np.angle(p1 * np.conj(m1)) / (2 * h)
+    d2 = np.angle(p2 * np.conj(m2)) / (4 * h)
+    delay = (4 * d1 - d2) / 3
+    traversal = delay + (fam.barrier.b - fam.barrier.a) / ks
     return PhaseTimes(ks=ks, delay=delay, traversal=traversal)
 
 
@@ -331,16 +299,13 @@ def hartman_scan(V0: float, k: float, lengths, a: float = 0.0):
     while the dwell time grows exponentially; returns (lengths, tau_phase,
     tau_dwell_tr).
     """
-    from .potentials import make_rectangular
-
     lengths = np.asarray(lengths, dtype=float)
     tau_ph = np.empty(len(lengths))
     tau_dw = np.empty(len(lengths))
     for j, L in enumerate(lengths):
-        bar = make_rectangular(a, a + float(L), V0)
-        sol = solve_stationary(bar, k)
-        tau_ph[j] = float(phase_time([sol]).traversal[0])
-        tau_dw[j] = dwell_time_tr(decompose(bar, k), sol)
+        fam = solve_family(make_rectangular(a, a + float(L), V0), k)
+        tau_ph[j] = float(phase_time(fam).traversal[0])
+        tau_dw[j] = float(_dwell(fam)[0][0])
     return lengths, tau_ph, tau_dw
 
 
@@ -365,27 +330,32 @@ class TimeReport:
 
 def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
                       phase_points: int = 65) -> TimeReport:
-    """Every time family on one packet/barrier pair, with route residuals."""
-    tau_tr, tau_ref, defined = dwell_tables(barrier, packet.ks)
+    """Every time family on one packet/barrier pair, with route residuals.
+
+    The packet grid is solved once, and one dwell table serves route B for
+    both sub-processes and its diagnostic variant.
+    """
+    fam = solve_family(barrier, packet.ks)
+    table = _dwell(fam)
+    tau_tr, tau_ref, defined = table
     if np.any(tau_tr < -1e-12) or np.any(tau_ref[defined] < -1e-12):
         raise DomainError("negative dwell time — integration fault")
 
-    A_tr = larmor_time_routeA(packet, barrier, "tr")
-    B_tr = larmor_time_routeB(packet, barrier, "tr")
-    R_bar, _ = _spectral_coef_norm(packet, barrier, "ref")
+    A_tr = _routeA(packet, fam, "tr")
+    variants = _routeB(packet, fam, table, "tr")
+    B_tr = variants["density"]
+    R_bar, _ = _spectral_coef_norm(packet, fam, "ref")
     if R_bar > _R_DEFINED:
-        A_ref = larmor_time_routeA(packet, barrier, "ref")
-        B_ref = larmor_time_routeB(packet, barrier, "ref")
+        A_ref = _routeA(packet, fam, "ref")
+        B_ref = _routeB(packet, fam, table, "ref")["density"]
         ref_resid = abs(A_ref - B_ref) / abs(B_ref)
     else:
         A_ref = B_ref = None
         ref_resid = None
 
     stride = max(1, len(packet.ks) // phase_points)
-    fam = [solve_stationary(barrier, float(k)) for k in packet.ks[::stride]]
-    ph = phase_time(fam)
+    ph = phase_time(solve_family(barrier, packet.ks[::stride]))
 
-    variants = routeB_variants(packet, barrier, "tr")
     residuals = {
         "route_tr": abs(A_tr - B_tr) / abs(B_tr),
         "route_ref": ref_resid,
@@ -396,9 +366,8 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
             f"route A and route B disagree beyond 1e-3: {residuals}"
         )
     meta = {
-        "piece_points": _PIECE_POINTS,
+        "piece_points": _PIECE_NODES,
         "routeA_tail_threshold": _ROUTE_A_TAIL,
-        "quad_tol": _QUAD_TOL,
         "literal_routeB_tr": variants["literal"],
     }
     return TimeReport(

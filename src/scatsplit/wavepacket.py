@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import decompose
-from .errors import ConfigError, DomainError, GridRefinementError, WindowError
+from .errors import (
+    ConfigError, DomainError, GridRefinementError, ToleranceError, WindowError,
+)
 from .potentials import BarrierSpec
-from .stationary import evaluate_full, solve_stationary
-from .errors import ToleranceError
+from .stationary import SolutionFamily, solve_family
 
 _TWO_PI = 2 * math.pi
 
@@ -50,7 +50,8 @@ _NEG_K_FRACTION = 1e-10
 
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
 
-_X_CHUNK = 8192
+# rows of the x-by-k basis filled at a time; bounds the fill's temporaries
+_X_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,6 @@ class PacketSnapshot:
     overlap_im: float
 
 
-def _prepared(barrier, ks):
-    """Full solutions and reflection shares z = A_ref_In over a k grid."""
-    decs = [decompose(barrier, float(k)) for k in ks]
-    return [d.solution for d in decs], np.array([d.A_ref_In for d in decs])
-
-
 def _weights(packet, t):
     E = packet.ks**2 / 2
     return (
@@ -225,38 +220,29 @@ def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
     if component not in ("full", "tr", "ref"):
         raise DomainError(f"component must be full|tr|ref, got {component!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    sols, zs = _prepared(barrier, packet.ks)
+    fam = solve_family(barrier, packet.ks)
     w = _weights(packet, t)
     out = np.empty(len(xs), dtype=complex)
     for i0 in range(0, len(xs), _X_CHUNK):
         blk = xs[i0 : i0 + _X_CHUNK]
-        M = _full_basis(sols, blk)
+        M = fam.basis(blk)
         if component != "full":
-            Mr = _ref_basis(sols, zs, blk, M)
-            M = Mr if component == "ref" else M - Mr
+            Mr = _ref_basis(fam, blk, M)
+            M = Mr if component == "ref" else np.subtract(M, Mr, out=M)
         out[i0 : i0 + _X_CHUNK] = M @ w
     return out
 
 
-def _full_basis(sols, xs):
-    """x-by-k matrix of full stationary states on the ascending grid xs."""
-    M = np.empty((len(xs), len(sols)), dtype=complex)
-    for j, s in enumerate(sols):
-        M[:, j] = evaluate_full(s, xs)
-    return M
-
-
-def _ref_basis(sols, zs, xs, full):
-    """Masked reflection basis from the full basis `full` on xs: the mirror
-    identity z [Psi_full(x) - Psi_full(2 x_c - x)] on the rows with x <= x_c,
-    zero beyond."""
-    x_c = sols[0].barrier.x_c
+def _ref_basis(fam: SolutionFamily, xs, full):
+    """Masked reflection basis from the full basis `full` on the ascending
+    grid xs: the mirror identity z [Psi_full(x) - Psi_full(2 x_c - x)] on the
+    rows with x <= x_c, zero beyond."""
+    x_c = fam.barrier.x_c
     n = int(np.searchsorted(xs, x_c, side="right"))
-    mirror = (2 * x_c - xs[:n])[::-1]  # ascending
     M = np.zeros_like(full)
-    for j, s in enumerate(sols):
-        M[:n, j] = full[:n, j] - evaluate_full(s, mirror)[::-1]
-    M[:n] *= zs
+    M[:n] = fam.basis((2 * x_c - xs[:n])[::-1])[::-1]
+    np.subtract(full[:n], M[:n], out=M[:n])
+    M[:n] *= fam.z
     return M
 
 
@@ -286,14 +272,14 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     With xs=None a uniform grid is chosen automatically and widened until the
     end densities fall below 1e-10; a user grid failing that check raises.
     """
-    sols, zs = _prepared(barrier, packet.ks)
+    fam = solve_family(barrier, packet.ks)
     w = _weights(packet, t)
 
     if xs is None:
         margin = 6.0
         for _ in range(4):
             grid = auto_grid(packet, barrier, t, dx=dx, margin=margin)
-            snap = _snapshot_on(grid, sols, zs, w, t)
+            snap = _snapshot_on(grid, fam, w, t)
             edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
             if edge < _EDGE_DENSITY:
                 return snap
@@ -307,7 +293,7 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     steps = np.diff(xs)
     if np.ptp(steps) > 1e-9 * abs(steps[0]):
         raise DomainError("snapshot grid must be uniform")
-    snap = _snapshot_on(xs, sols, zs, w, t)
+    snap = _snapshot_on(xs, fam, w, t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if edge > _EDGE_DENSITY:
         raise WindowError(
@@ -316,7 +302,7 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     return snap
 
 
-def _snapshot_on(xs, sols, zs, w, t):
+def _snapshot_on(xs, fam, w, t):
     n = len(xs)
     dxg = float(xs[1] - xs[0])
     tw = _trap_w(n)
@@ -327,8 +313,8 @@ def _snapshot_on(xs, sols, zs, w, t):
     ref = np.empty(n, dtype=complex)
     for i0 in range(0, n, _X_CHUNK):
         blk = xs[i0 : i0 + _X_CHUNK]
-        Mf = _full_basis(sols, blk)
-        Mr = _ref_basis(sols, zs, blk, Mf)
+        Mf = fam.basis(blk)
+        Mr = _ref_basis(fam, blk, Mf)
         f = Mf @ w
         r = Mr @ w
         full[i0 : i0 + _X_CHUNK] = f
@@ -382,13 +368,13 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
     masked sub-states hold to ~1e-9 inside the returned quiet regions, versus
     O(1e-3) transients in between.
     """
-    sols, _ = _prepared(barrier, packet.ks)
+    fam = solve_family(barrier, packet.ks)
     # a sparse line of probes across the whole barrier region: single points
     # can sit on nodes of trapped cavity modes and miss persistent density
     probe_x = np.unique(np.concatenate([
         np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33), barrier.edges,
     ]))
-    Mf = _full_basis(sols, probe_x)
+    Mf = fam.basis(probe_x)
     t_transit = (barrier.b - packet.x0) / packet.k0
 
     t_hi = 4.0 * t_transit + 60.0 / packet.k0
@@ -436,7 +422,7 @@ def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,
 
 def spectral_transmitted_norm(packet: SpectralPacket, barrier: BarrierSpec) -> float:
     """T from the spectrum: trapezoid of |G|^2 T(k) (the asymptotic value of T_t)."""
-    Tk = np.array([solve_stationary(barrier, k).T_coef for k in packet.ks])
+    Tk = solve_family(barrier, packet.ks).T
     return float(np.sum(np.abs(packet.G) ** 2 * Tk * _trap_w(len(packet.ks))) * packet.dk)
 
 

@@ -3,13 +3,16 @@
 Everything here is derived from textbook matching conditions, deliberately
 NOT reusing any package code, so that agreement is evidence and not
 tautology.  The closed forms use mpmath high-precision arithmetic; the branch
-sweep at the end is the float midpoint test for the reflection sub-state.
+sweep is the float midpoint test for the reflection sub-state; the plain
+transfer matrices and the adaptive integral at the end are the references for
+the vectorized solver and the dwell-time quadrature.
 """
 
 import cmath
 import math
 
 import mpmath as mp
+from scipy.integrate import quad
 
 mp.mp.dps = 50
 
@@ -265,3 +268,41 @@ def branch_sweep(edges, heights, k, A_T, A_R, xs=()):
         resid = abs(u) * math.exp(S - S_max) / peak if peak else 0.0
         out.append((z, resid, field))
     return sorted(out, key=lambda c: c[1])
+
+
+# ---------------------------------------------------------------------------
+# plain transfer matrices and adaptive quadrature
+# ---------------------------------------------------------------------------
+
+
+def transfer_amplitudes(edges, heights, k):
+    """(A_T, A_R) for unit incidence from the left, by plain unscaled 2x2
+    transfer matrices: the transmitted wave exp(ikx) at b is carried back to
+    a, where it reads alpha exp(ikx) + beta exp(-ikx); then A_T = 1/alpha and
+    A_R = beta/alpha.  Every regime uses one complex q = sqrt(k^2 - 2V), with
+    the linear limit at q = 0.  Good while exp(kappa * width) stays finite."""
+    edges = [float(e) for e in edges]
+    b = edges[-1]
+    u = cmath.exp(1j * k * b)
+    v = 1j * k * u
+    for j in range(len(heights) - 1, -1, -1):
+        w = edges[j + 1] - edges[j]
+        q = cmath.sqrt(k * k - 2 * float(heights[j]))
+        if q == 0:
+            u, v = u - w * v, v
+        else:
+            c, s = cmath.cos(q * w), cmath.sin(q * w)
+            u, v = c * u - s / q * v, q * s * u + c * v
+    a = edges[0]
+    alpha = (u + v / (1j * k)) / 2 * cmath.exp(-1j * k * a)
+    beta = (u - v / (1j * k)) / 2 * cmath.exp(1j * k * a)
+    return 1 / alpha, beta / alpha
+
+
+def adaptive_integral(f, lo, hi, points=(), epsrel=1e-8):
+    """Adaptive (QUADPACK) integral of the real function f over [lo, hi],
+    with breakpoints at `points`."""
+    inner = sorted(p for p in points if lo < p < hi)
+    value, _ = quad(f, lo, hi, points=inner or None, limit=200,
+                    epsabs=epsrel * 1e-2, epsrel=epsrel)
+    return value

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatsplit as ss
-from analytic import rect_amplitudes, resonance_k
+from analytic import rect_amplitudes, resonance_k, transfer_amplitudes
 from conftest import random_symmetric_barrier
 
 # frozen from the closed-form rectangular transmission probability
@@ -112,12 +112,61 @@ def test_probability_current_constancy(canonical_sol, canonical_barrier):
         assert np.max(np.abs(j - expect)) < 1e-6
 
 
+def _assert_family_matches_transfer(bar, ks):
+    fam = ss.solve_family(bar, ks)
+    for j, k in enumerate(ks):
+        a_t, a_r = transfer_amplitudes(bar.edges, bar.heights, float(k))
+        assert abs(fam.A_T[j] - a_t) <= 1e-12
+        assert abs(fam.A_R[j] - a_r) <= 1e-12
+    return fam
+
+
 def test_solve_family_matches_pointwise(canonical_barrier):
+    # the grid crosses the barrier top at k = 2: evanescent, then oscillatory
     ks = np.linspace(0.5, 3.0, 17)
-    fam = ss.solve_family(canonical_barrier, ks)
-    for k, sol in zip(ks, fam):
-        ref = ss.solve_stationary(canonical_barrier, float(k))
-        assert sol.A_full_T == ref.A_full_T
+    fam = _assert_family_matches_transfer(canonical_barrier, ks)
+    assert list(fam.kind[0]) == ["evan"] * 10 + ["osc"] * 7
+
+
+def test_solve_family_random_barriers_with_wells():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        bar = random_symmetric_barrier(rng, allow_wells=True)
+        _assert_family_matches_transfer(bar, np.sort(rng.uniform(0.2, 4.0, 16)))
+
+
+def test_solve_family_exact_degeneracy():
+    # E = V exactly on the inner step at k = 1 takes the linear {1, x} basis
+    bar = ss.make_symmetric(0.0, [(0.4, 3.0), (0.3, 0.5)])
+    fam = _assert_family_matches_transfer(bar, np.array([0.6, 1.0, 1.4]))
+    assert list(fam.kind[:, 1]) == ["evan", "deg", "deg", "evan"]
+    xs = np.linspace(-1.0, 2.5, 71)
+    sol = ss.solve_stationary(bar, 1.0)
+    eps = 1e-9
+    for edge in bar.edges:
+        lo, hi = ss.evaluate_full(sol, [edge - eps, edge + eps])
+        assert abs(hi - lo) < 1e-7
+    assert np.all(np.isfinite(ss.evaluate_full(sol, xs)))
+
+
+def test_family_basis_columns_are_the_scalar_states():
+    bar = ss.make_symmetric(-1.0, [(0.5, 3.0), (0.5, -1.0)])
+    ks = np.linspace(0.4, 3.2, 9)
+    xs = np.linspace(-3.0, 2.0, 101)
+    M = ss.solve_family(bar, ks).basis(xs)
+    for j, k in enumerate(ks):
+        np.testing.assert_allclose(
+            M[:, j], ss.evaluate_full(ss.solve_stationary(bar, float(k)), xs),
+            rtol=1e-13, atol=1e-13)
+
+
+def test_solve_family_rejects_bad_grids(canonical_barrier):
+    for bad in ([], [1.0, 0.0], [1.0, float("nan")], [[1.0, 2.0]]):
+        with pytest.raises(ss.DomainError):
+            ss.solve_family(canonical_barrier, bad)
+    sol = ss.solve_stationary(canonical_barrier, 1.0)
+    with pytest.raises(ss.DomainError):
+        ss.evaluate_full(sol, [1.0, 0.0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -132,9 +181,10 @@ def test_unitarity_random_barriers(data):
 
 
 def test_segment_record_layout(canonical_sol, canonical_barrier):
-    segs = canonical_sol.segment_coeffs
-    assert len(segs) == len(canonical_barrier.segments)
-    s = segs[0]
-    assert s.kind == "evan"   # V0 = 2 > E = 0.5
-    assert s.x_left == canonical_barrier.a
-    assert s.x_right == canonical_barrier.b
+    fam = canonical_sol.family
+    shape = (len(canonical_barrier.segments), 1)
+    for arr in (fam.kind, fam.wn, fam.c_plus, fam.c_minus):
+        assert arr.shape == shape
+    assert fam.kind[0, 0] == "evan"   # V0 = 2 > E = 0.5
+    assert fam.wn[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    assert fam.ks.tolist() == [canonical_sol.k]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import scatsplit as ss
-from analytic import rect_phase_delay
+from analytic import adaptive_integral, rect_phase_delay
 
 # high-precision reference values for the k=1, V0=2, L=1 rectangle, frozen
 # from 50-digit quadrature of the masked sub-states
@@ -51,15 +51,38 @@ def test_reflection_dwell_undefined_without_reflection(canonical_barrier):
         ss.dwell_time_ref(ss.decompose(free, 1.0), ss.solve_stationary(free, 1.0))
 
 
-def test_dwell_tables_match_adaptive(canonical_barrier):
-    ks = np.array([0.7, 1.0, 1.6, 2.4])
-    tau_tr, tau_ref, defined = ss.dwell_tables(canonical_barrier, ks)
-    assert defined.all()
-    for i, k in enumerate(ks):
-        sol = ss.solve_stationary(canonical_barrier, float(k))
-        dec = ss.decompose(canonical_barrier, float(k))
-        assert abs(tau_tr[i] - ss.dwell_time_tr(dec, sol)) < 1e-5
-        assert abs(tau_ref[i] - ss.dwell_time_ref(dec, sol)) < 1e-5
+def test_dwell_tables_match_adaptive():
+    cases = [
+        (ss.make_rectangular(0.0, 1.0, 2.0), [0.7, 1.0, 1.6, 2.4], 1e-12),
+        (ss.make_symmetric(-0.5, [(0.4, 3.0), (0.35, 1.0)]), [0.8, 1.4, 2.6], 1e-12),
+        (ss.make_rectangular(0.0, 6.0, 2.0), [1.0, 1.5], 1e-12),
+        (ss.make_rectangular(0.0, 8.0, 2.0), [1.0], 1e-12),
+        (ss.make_symmetric(0.0, [(0.5, 2.5), (0.6, -1.5)]), [0.6, 1.2, 2.5], 1e-12),
+        # T ~ 1e-53: the reference itself is only good to its epsrel of 1e-8
+        (ss.make_rectangular(0.0, 6.0, 50.0), [1.0], 2e-8),
+    ]
+    for bar, ks, rtol in cases:
+        tau_tr, tau_ref, defined = ss.dwell_tables(bar, ks)
+        assert defined.all()
+        for i, k in enumerate(ks):
+            sol = ss.solve_stationary(bar, k)
+            dec = ss.decompose(bar, k)
+
+            def tr_density(x):
+                f = ss.evaluate_full(sol, [x])[0]
+                if x <= bar.x_c:
+                    f -= ss.evaluate_ref(dec, [x])[0]
+                return abs(f) ** 2
+
+            def ref_density(x):
+                return abs(ss.evaluate_ref(dec, [x])[0]) ** 2
+
+            cuts = list(bar.edges) + [bar.x_c]
+            I_tr = adaptive_integral(tr_density, bar.a, bar.b, cuts) / (k * sol.T_coef)
+            I_ref = adaptive_integral(ref_density, bar.a, bar.x_c, cuts) / (k * sol.R_coef)
+            assert abs(tau_tr[i] - I_tr) <= rtol * I_tr
+            assert abs(tau_ref[i] - I_ref) <= rtol * I_ref
+            assert ss.dwell_time_tr(dec, sol) == pytest.approx(tau_tr[i], rel=1e-13)
 
 
 def test_dwell_tables_nan_at_resonance(canonical_barrier):
@@ -121,22 +144,20 @@ def test_routeB_literal_variant_is_diagnostic(canonical_packet, canonical_barrie
 
 
 def test_phase_delay_against_reference(canonical_barrier):
-    fam = [ss.solve_stationary(canonical_barrier, float(k))
-           for k in np.linspace(0.6, 1.6, 41)]
-    ph = ss.phase_time(fam)
+    ph = ss.phase_time(ss.solve_family(canonical_barrier, np.linspace(0.6, 1.6, 41)))
     i = int(np.argmin(np.abs(ph.ks - 1.0)))
     assert abs(ph.delay[i] - PHASE_DELAY_CANONICAL) < 1e-9
     assert abs(ph.traversal[i] - (PHASE_DELAY_CANONICAL + 1.0)) < 1e-9
-    for k in (0.8, 1.0, 2.5):
-        j = int(np.argmin(np.abs(ph.ks - k))) if k <= 1.6 else None
-        sol = fam[j] if j is not None else ss.solve_stationary(canonical_barrier, k)
-        got = ss.phase_time([sol]).delay[0]
-        assert abs(got - rect_phase_delay(1.0, 2.0, k)) < 1e-8
+    for k in (0.8, 1.0):
+        j = int(np.argmin(np.abs(ph.ks - k)))
+        assert abs(ph.delay[j] - rect_phase_delay(1.0, 2.0, k)) < 1e-8
+    got = ss.phase_time(ss.solve_family(canonical_barrier, [2.5])).delay[0]
+    assert abs(got - rect_phase_delay(1.0, 2.0, 2.5)) < 1e-8
 
 
 def test_phase_free_delay_zero():
     free = ss.make_rectangular(0.0, 2.0, 0.0)
-    ph = ss.phase_time([ss.solve_stationary(free, k) for k in (0.8, 1.0, 1.2)])
+    ph = ss.phase_time(ss.solve_family(free, [0.8, 1.0, 1.2]))
     assert np.max(np.abs(ph.delay)) < 1e-9
     np.testing.assert_allclose(ph.traversal, 2.0 / ph.ks, atol=1e-9)
 
@@ -144,13 +165,13 @@ def test_phase_free_delay_zero():
 def test_phase_family_must_be_dense():
     bar = ss.make_rectangular(0.0, 2.0, 30.0)
     with pytest.raises(ss.GridRefinementError):
-        ss.phase_time([ss.solve_stationary(bar, 7.0),
-                       ss.solve_stationary(bar, 8.0)])
+        ss.phase_time(ss.solve_family(bar, [7.0, 8.0]))
 
 
 def test_phase_empty_family():
+    # an empty k grid is refused before any phase table is formed
     with pytest.raises(ss.DomainError):
-        ss.phase_time([])
+        ss.phase_time(ss.solve_family(ss.make_rectangular(0.0, 2.0, 0.0), []))
 
 
 # -------------------------------------------------------- opaque-limit scan
