@@ -131,13 +131,18 @@ def _csv_header_lines(cfg: "RunConfig") -> list[str]:
     ]
 
 
-def _write_csv(path: Path, cfg, columns: list[str], rows):
-    lines = _csv_header_lines(cfg)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else _fmt_float(float(v)) for v in row
-        ))
+def _write_csv(path: Path, cfg, columns: list[str], data):
+    """One sequence per column.  Rows of finite numbers take one "%.17g" row
+    format (the bytes of format(x, ".17g")); the rest go through _fmt_float."""
+    data = [np.asarray(c) for c in data]
+    text = [c.dtype.kind in "US" for c in data]
+    finite = np.all([np.isfinite(c.astype(float))
+                     for c, t in zip(data, text) if not t], axis=0)
+    fmt = ",".join("%s" if t else "%.17g" for t in text)
+    lines = _csv_header_lines(cfg) + [",".join(columns)]
+    for ok, row in zip(finite.tolist(), zip(*(c.tolist() for c in data))):
+        lines.append(fmt % row if ok else ",".join(
+            v if isinstance(v, str) else _fmt_float(float(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -309,8 +314,8 @@ def cmd_solve(cfg: RunConfig) -> None:
         cfg.out_dir / "solve.csv", cfg,
         ["k", "re_A_T", "im_A_T", "re_A_R", "im_A_R", "T", "R",
          "unitarity_residual"],
-        zip(ks, fam.A_T.real, fam.A_T.imag, fam.A_R.real, fam.A_R.imag,
-            fam.T, fam.R, np.abs(fam.T + fam.R - 1.0)),
+        [ks, fam.A_T.real, fam.A_T.imag, fam.A_R.real, fam.A_R.imag,
+         fam.T, fam.R, np.abs(fam.T + fam.R - 1.0)],
     )
     payload = _meta(cfg)
     payload["n_k"] = len(ks)
@@ -336,18 +341,15 @@ def cmd_decompose(cfg: RunConfig) -> None:
     ks = _k_grid(cfg)
     fam = solve_family(cfg.barrier, ks)
     tr_in = 1.0 - fam.z
-    rows = list(zip(
-        ks, tr_in.real, tr_in.imag, fam.z.real, fam.z.imag,
-        np.abs(tr_in + fam.z - 1.0),
-        np.abs(np.abs(tr_in) - np.abs(fam.A_T)),
-        np.abs(np.abs(fam.z) - np.abs(fam.A_R)),
-        np.where(fam.degenerate, "degenerate", "odd"),
-    ))
     _write_csv(
         cfg.out_dir / "decompose.csv", cfg,
         ["k", "re_A_tr_In", "im_A_tr_In", "re_A_ref_In", "im_A_ref_In",
          "amp_sum_residual", "mod_T_residual", "mod_R_residual", "branch"],
-        rows,
+        [ks, tr_in.real, tr_in.imag, fam.z.real, fam.z.imag,
+         np.abs(tr_in + fam.z - 1.0),
+         np.abs(np.abs(tr_in) - np.abs(fam.A_T)),
+         np.abs(np.abs(fam.z) - np.abs(fam.A_R)),
+         np.where(fam.degenerate, "degenerate", "odd")],
     )
     payload = _meta(cfg)
     payload["n_k"] = len(ks)
@@ -376,8 +378,8 @@ def cmd_evolve(cfg: RunConfig) -> None:
         _write_csv(
             cfg.out_dir / f"evolve_{i:03d}.csv", cfg,
             ["x", "density_full", "density_tr", "density_ref"],
-            zip(snap.x_grid, np.abs(snap.psi_full) ** 2,
-                np.abs(snap.psi_tr) ** 2, np.abs(snap.psi_ref) ** 2),
+            [snap.x_grid, np.abs(snap.psi_full) ** 2,
+             np.abs(snap.psi_tr) ** 2, np.abs(snap.psi_ref) ** 2],
         )
         entry = {
             "t": t,

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .potentials import BarrierSpec, make_rectangular
 from .stationary import ScatteringSolution, SolutionFamily, solve_family
-from .wavepacket import SpectralPacket, _ref_basis, _trap_w, _weights
+from .wavepacket import SpectralPacket, _density_scan, _ref_basis, _trap_w
 
 _R_DEFINED = 1e-12
 
@@ -158,15 +158,10 @@ def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
     Mr = _ref_basis(fam, xs, Mf)
     M = (Mf - Mr) if component == "tr" else Mr
 
-    def f(t):
-        vals = M @ _weights(packet, t)
-        return float(np.sum(np.abs(vals) ** 2 * wx))
-
     if window is None:
         t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
         for _ in range(5):
-            probe_ts = np.linspace(0.0, t_hi, 240)
-            probe = np.array([f(t) for t in probe_ts])
+            probe = _density_scan(M, packet, np.linspace(0.0, t_hi, 240), wx)
             pk = float(probe.max())
             if probe[0] < _ROUTE_A_TAIL * pk and probe[-1] < _ROUTE_A_TAIL * pk:
                 break
@@ -176,8 +171,8 @@ def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
         t_lo = 0.0
     else:
         t_lo, t_hi = float(window[0]), float(window[1])
-        pk = max(f(t) for t in np.linspace(t_lo, t_hi, 120))
-        if f(t_lo) > _ROUTE_A_TAIL * pk or f(t_hi) > _ROUTE_A_TAIL * pk:
+        probe = _density_scan(M, packet, np.linspace(t_lo, t_hi, 120), wx)
+        if max(probe[0], probe[-1]) > _ROUTE_A_TAIL * float(probe.max()):
             raise WindowError(
                 "integrand tails exceed 1e-10 of peak at the window ends; "
                 "extend the time window"
@@ -187,7 +182,7 @@ def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
     prev = None
     for n in (129, 257, 513, 1025, 2049):
         ts = np.linspace(t_lo, t_hi, n)
-        fs = np.array([f(t) for t in ts])
+        fs = _density_scan(M, packet, ts, wx)
         h = ts[1] - ts[0]
         I = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
         if prev is not None and abs(I - prev) <= max(rtol * abs(I), 1e-12):

@@ -12,6 +12,11 @@ where phi_c is the full state or one of the masked sub-process states.  The
 stationary states (<phi_k|phi_k'> = 2 pi delta(k - k')) to make
 <Psi_full|Psi_full> = 1 given the G normalization above.
 
+On a uniform x grid no x-by-k basis is built.  Outside [a, b] every state is
+a plane-wave pair, so each field there is a chirp-z transform of the weights
+(`_plane_sum`); only the rows inside [a, b) use the family's basis.  The
+reflection field is the mirror identity applied to fields (`_split`).
+
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
 vanishes at the mask point x_c, so no probability crosses it).  T_t and
@@ -50,7 +55,8 @@ _NEG_K_FRACTION = 1e-10
 
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
 
-# rows of the x-by-k basis filled at a time; bounds the fill's temporaries
+# rows per chirp-z block (and per block of interior basis rows); each block is
+# re-anchored at its first node, which bounds the chirp phase's rounding
 _X_CHUNK = 2048
 
 
@@ -200,14 +206,31 @@ class PacketSnapshot:
 
 
 def _weights(packet, t):
-    E = packet.ks**2 / 2
-    return (
-        packet.G
-        * np.exp(-1j * E * t)
-        * _trap_w(len(packet.ks))
-        * packet.dk
-        / math.sqrt(_TWO_PI)
-    )
+    """Spectral weights at time t; a k-by-t matrix when t is an array."""
+    c = packet.G * _trap_w(len(packet.ks)) * packet.dk / math.sqrt(_TWO_PI)
+    return (c * np.exp(-0.5j * np.multiply.outer(t, packet.ks**2))).T
+
+
+def _density_scan(M, packet, ts, wx):
+    """sum_x wx |M @ w(t)|^2 at every t in ts: one GEMM of the x-by-k basis M
+    against the k-by-t phase matrix."""
+    return wx @ np.abs(M @ _weights(packet, ts)) ** 2
+
+
+def _uniform_grid(xs) -> np.ndarray:
+    """xs as a float array, refused unless it is ascending with uniform steps
+    and every node within 1e-9 dx of x0 + n dx, dx = (x_last - x0) / (n - 1),
+    where the chirp-z evaluates (uniform steps alone let the drift grow)."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim != 1:
+        raise DomainError("position grid must be one-dimensional")
+    if len(xs) < 2:
+        return xs
+    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+    dev = np.max(np.abs(xs - (xs[0] + dx * np.arange(len(xs)))))
+    if not (dx > 0 and np.ptp(np.diff(xs)) <= 1e-9 * dx and dev <= 1e-9 * dx):
+        raise DomainError("position grid must be uniform and ascending")
+    return xs
 
 
 def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
@@ -215,28 +238,77 @@ def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
     """Time-dependent field samples for component in {"full", "tr", "ref"}.
 
     "ref" and "tr" are the masked sub-process fields; they sum to "full"
-    pointwise by construction.  xs must be sorted ascending.
+    pointwise by construction.  xs must be a uniform ascending grid (see
+    `_uniform_grid`): the fields are chirp-z transforms on it.
     """
     if component not in ("full", "tr", "ref"):
         raise DomainError(f"component must be full|tr|ref, got {component!r}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    fam = solve_family(barrier, packet.ks)
-    w = _weights(packet, t)
-    out = np.empty(len(xs), dtype=complex)
-    for i0 in range(0, len(xs), _X_CHUNK):
-        blk = xs[i0 : i0 + _X_CHUNK]
-        M = fam.basis(blk)
-        if component != "full":
-            Mr = _ref_basis(fam, blk, M)
-            M = Mr if component == "ref" else np.subtract(M, Mr, out=M)
-        out[i0 : i0 + _X_CHUNK] = M @ w
+    xs = _uniform_grid(xs)
+    full, ref = _split(solve_family(barrier, packet.ks), _weights(packet, t), xs)
+    return {"full": full, "ref": ref, "tr": full - ref}[component]
+
+
+def _split(fam: SolutionFamily, w, xs):
+    """(psi_full, psi_ref) on the uniform grid xs for weights w.  psi_ref is
+    the mirror identity on fields, F(x) - F(2 x_c - x) for x <= x_c with F
+    the field of weights w z; the mirrored nodes are a uniform grid too."""
+    x_c = fam.barrier.x_c
+    wz = w * fam.z
+    F = _fields(fam, np.stack([w, wz], axis=1), xs)
+    n = int(np.searchsorted(xs, x_c, side="right"))
+    ref = np.zeros(len(xs), dtype=complex)
+    ref[:n] = F[:n, 1] - _fields(fam, wz[:, None], (2 * x_c - xs[:n])[::-1])[::-1, 0]
+    return F[:, 0], ref
+
+
+def _fields(fam: SolutionFamily, U, xs):
+    """sum_k U[k, :] phi_k(x) on the uniform ascending grid xs, region by
+    region: plane waves left of a and from b on, the family's basis on the
+    rows in [a, b)."""
+    c = U.shape[1]
+    i_a, i_b = np.searchsorted(xs, [fam.barrier.a, fam.barrier.b])
+    out = np.empty((len(xs), c), dtype=complex)
+    P = _plane_sum(np.hstack([U, np.conj(U * fam.A_R[:, None])]), fam.ks, xs[:i_a])
+    out[:i_a] = P[:, :c] + np.conj(P[:, c:])
+    out[i_b:] = _plane_sum(U * fam.A_T[:, None], fam.ks, xs[i_b:])
+    for i0 in range(i_a, i_b, _X_CHUNK):
+        i1 = min(i0 + _X_CHUNK, i_b)
+        out[i0:i1] = fam.basis(xs[i0:i1]) @ U
+    return out
+
+
+def _plane_sum(C, ks, xs):
+    """sum_k C[k, :] exp(i k x) for uniform ks and a uniform ascending xs.
+
+    A Bluestein chirp-z on numpy.fft: with x = x0 + m dx and k = k0 + j dk,
+    exp(i j m dk dx) = chirp(j) chirp(m) / chirp(m - j) for
+    chirp(n) = exp(i dk dx n^2 / 2), so each column is one FFT convolution.
+    Rows go in blocks of _X_CHUNK, each re-anchored at its first node, which
+    keeps the rounding of the n^2 dk dx chirp phase small.
+    """
+    nk, n = len(ks), len(xs)
+    dx = (xs[-1] - xs[0]) / (n - 1) if n > 1 else 0.0
+    m = min(n, _X_CHUNK)
+    L = 1 << (nk + m - 2).bit_length()  # FFT length >= nk + m - 1
+    half = 0.5 * dx * (ks[-1] - ks[0]) / (nk - 1)
+    s = np.arange(L, dtype=float)
+    s[m:] -= L  # circular lags m - j in [-(nk - 1), m - 1]
+    kernel = np.fft.fft(np.exp(-1j * half * s**2))[:, None]
+    pre = C * np.exp(1j * half * np.arange(nk, dtype=float) ** 2)[:, None]
+    mm = np.arange(m, dtype=float)
+    post = np.exp(1j * (ks[0] * dx * mm + half * mm**2))[:, None]
+    out = np.empty((n, C.shape[1]), dtype=complex)
+    for i0 in range(0, n, _X_CHUNK):
+        b = min(m, n - i0)
+        A = np.fft.fft(pre * np.exp(1j * ks * xs[i0])[:, None], n=L, axis=0)
+        out[i0 : i0 + b] = np.fft.ifft(A * kernel, axis=0)[:b] * post[:b]
     return out
 
 
 def _ref_basis(fam: SolutionFamily, xs, full):
     """Masked reflection basis from the full basis `full` on the ascending
     grid xs: the mirror identity z [Psi_full(x) - Psi_full(2 x_c - x)] on the
-    rows with x <= x_c, zero beyond."""
+    rows with x <= x_c, zero beyond (interior grids; uniform ones use _split)."""
     x_c = fam.barrier.x_c
     n = int(np.searchsorted(xs, x_c, side="right"))
     M = np.zeros_like(full)
@@ -287,12 +359,9 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
         raise WindowError(
             f"could not suppress end density below {_EDGE_DENSITY} at t={t}"
         )
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _uniform_grid(xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
-    steps = np.diff(xs)
-    if np.ptp(steps) > 1e-9 * abs(steps[0]):
-        raise DomainError("snapshot grid must be uniform")
     snap = _snapshot_on(xs, fam, w, t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if edge > _EDGE_DENSITY:
@@ -303,31 +372,15 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
 
 
 def _snapshot_on(xs, fam, w, t):
-    n = len(xs)
-    dxg = float(xs[1] - xs[0])
-    tw = _trap_w(n)
-    norm_full = 0.0
-    R_t = 0.0
-    ov = 0.0j
-    full = np.empty(n, dtype=complex)
-    ref = np.empty(n, dtype=complex)
-    for i0 in range(0, n, _X_CHUNK):
-        blk = xs[i0 : i0 + _X_CHUNK]
-        Mf = fam.basis(blk)
-        Mr = _ref_basis(fam, blk, Mf)
-        f = Mf @ w
-        r = Mr @ w
-        full[i0 : i0 + _X_CHUNK] = f
-        ref[i0 : i0 + _X_CHUNK] = r
-        tb = tw[i0 : i0 + _X_CHUNK]
-        norm_full += float(np.sum(np.abs(f) ** 2 * tb)) * dxg
-        R_t += float(np.sum(np.abs(r) ** 2 * tb)) * dxg
-        ov += complex(np.sum(np.conj(f - r) * r * tb)) * dxg
+    full, ref = _split(fam, w, xs)
     tr = full - ref
-    T_t = norm_full - R_t - 2 * ov.real
+    tw = _trap_w(len(xs)) * float(xs[1] - xs[0])
+    norm_full = float(np.sum(np.abs(full) ** 2 * tw))
+    R_t = float(np.sum(np.abs(ref) ** 2 * tw))
+    ov = complex(np.sum(np.conj(tr) * ref * tw))
     return PacketSnapshot(
         t=float(t), x_grid=xs, psi_full=full, psi_tr=tr, psi_ref=ref,
-        norm_full=norm_full, T_t=T_t, R_t=R_t,
+        norm_full=norm_full, T_t=norm_full - R_t - 2 * ov.real, R_t=R_t,
         overlap_re=ov.real, overlap_im=ov.imag,
     )
 
@@ -380,10 +433,7 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
     t_hi = 4.0 * t_transit + 60.0 / packet.k0
     for _ in range(4):
         ts = np.linspace(0.0, t_hi, 600)
-        s = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            vals = Mf @ _weights(packet, t)
-            s[i] = float(np.sum(np.abs(vals) ** 2))
+        s = _density_scan(Mf, packet, ts, np.ones(len(probe_x)))
         pk = int(np.argmax(s))
         cut = threshold * s[pk]
         quiet = s < cut
@@ -393,18 +443,14 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
     else:
         raise WindowError("event window scan did not reach a quiet late-time regime")
 
-    i_pre = pk
-    while i_pre > 0 and not quiet[i_pre]:
-        i_pre -= 1
-    i_post = pk
-    while i_post < len(ts) - 1 and not quiet[i_post]:
-        i_post += 1
-    if not quiet[i_pre]:
+    pre = np.flatnonzero(quiet[:pk])
+    if not len(pre):
         raise WindowError(
             "no quiet pre-arrival regime found; the packet starts too close "
             "to the barrier"
         )
-    return float(ts[i_pre]), float(ts[i_post])
+    i_post = pk + int(np.argmax(quiet[pk:]))  # quiet[-1] holds
+    return float(ts[pre[-1]]), float(ts[i_post])
 
 
 def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,
@@ -433,19 +479,11 @@ def check_kgrid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     Returns the drift; raises GridRefinementError above drift_tol with advice
     to double the k grid.
     """
-    half = SpectralPacket(
-        ks=packet.ks[::2], g=packet.g[::2], G=packet.G[::2],
-        x0=packet.x0, sigma=packet.sigma, k0=packet.k0,
-    )
-    nrm_h = math.sqrt(
-        float(np.sum(np.abs(half.G) ** 2 * _trap_w(len(half.ks))) * half.dk)
-    )
-    G_half = half.G / nrm_h
-    G_half.setflags(write=False)
-    half = SpectralPacket(
-        ks=half.ks, g=half.g, G=G_half,
-        x0=half.x0, sigma=half.sigma, k0=half.k0,
-    )
+    ks, G = packet.ks[::2], packet.G[::2]
+    G = G / math.sqrt(float(np.sum(np.abs(G) ** 2 * _trap_w(len(ks)))) * (ks[1] - ks[0]))
+    G.setflags(write=False)
+    half = SpectralPacket(ks=ks, g=packet.g[::2], G=G, x0=packet.x0,
+                          sigma=packet.sigma, k0=packet.k0)
     full_snap = snapshot(packet, barrier, t, dx=dx)
     half_snap = snapshot(half, barrier, t, dx=dx)
     drift = abs(full_snap.norm_full - half_snap.norm_full)

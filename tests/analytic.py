@@ -4,8 +4,9 @@ Everything here is derived from textbook matching conditions, deliberately
 NOT reusing any package code, so that agreement is evidence and not
 tautology.  The closed forms use mpmath high-precision arithmetic; the branch
 sweep is the float midpoint test for the reflection sub-state; the plain
-transfer matrices and the adaptive integral at the end are the references for
-the vectorized solver and the dwell-time quadrature.
+transfer matrices, the plane-wave sum and the adaptive integral at the end are
+the references for the vectorized solver, the chirp-z field synthesis and the
+dwell-time quadrature.
 """
 
 import cmath
@@ -297,6 +298,15 @@ def transfer_amplitudes(edges, heights, k):
     alpha = (u + v / (1j * k)) / 2 * cmath.exp(-1j * k * a)
     beta = (u - v / (1j * k)) / 2 * cmath.exp(1j * k * a)
     return 1 / alpha, beta / alpha
+
+
+def plane_wave_sum(ks, coeffs, xs):
+    """[sum_k c_k exp(i k x) for x in xs] by direct summation, one complex
+    exponential per (k, x)."""
+    ks = [float(k) for k in ks]
+    coeffs = [complex(c) for c in coeffs]
+    return [sum(c * cmath.exp(1j * k * float(x)) for k, c in zip(ks, coeffs))
+            for x in xs]
 
 
 def adaptive_integral(f, lo, hi, points=(), epsrel=1e-8):

@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line driver on temp configs."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from scatsplit import cli
 from scatsplit.cli import main
 
 CANONICAL = """
@@ -181,3 +184,21 @@ def test_malformed_run_value_exit2(tmp_path, capsys, command, run):
 def test_unknown_section_rejected(tmp_path):
     ini = write(tmp_path, "run.ini", CANONICAL + "[extra]\nfoo = 1\n")
     assert main(["solve", "--config", ini, "--out", str(tmp_path)]) == 2
+
+
+def test_csv_rows_render_as_per_value_floats(tmp_path):
+    class Cfg:
+        sha256 = "0" * 64
+        tolerance_profile = "strict"
+
+    x = np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1e300, 3.0])
+    y = np.array([1.0, -2.5e-310, 7.0, math.nan, 2.0, -0.0, 1 / 3, -math.inf])
+    label = np.array(["odd", "degenerate", "odd", "odd", "odd", "odd", "odd", "odd"])
+    n = np.arange(8)
+    cli._write_csv(tmp_path / "t.csv", Cfg, ["x", "y", "n", "branch"], [x, y, n, label])
+    lines = cli._csv_header_lines(Cfg) + ["x,y,n,branch"] + [
+        ",".join(v if isinstance(v, str) else cli._fmt_float(float(v)) for v in row)
+        for row in zip(x, y, n, label)
+    ]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+    assert (tmp_path / "t.csv").read_text().splitlines()[5] == "-0,1,0,odd"

@@ -96,3 +96,29 @@ def test_cn_input_checks():
     psi0 = np.array([free_gaussian(x, 0.0, -15.0, 3.0, 1.0) for x in grid.xs])
     with pytest.raises(ss.DomainError):
         orc.crank_nicolson_evolve(free, grid, psi0, 0.123)
+
+
+def test_cn_step_matches_dense_solve():
+    # (1 + i dt H / 2) psi1 = (1 - i dt H / 2) psi0 with the 3-point
+    # Laplacian and hard walls; no node sits on a potential jump
+    bar = ss.make_symmetric(0.0, [(0.33, 2.0), (0.41, -1.0)])
+    grid = orc.GridSpec(-2.03, 3.0, 41, 0.01)
+    xs, dx, dt = grid.xs, grid.dx, grid.dt
+    assert np.min(np.abs(np.subtract.outer(xs, bar.edges))) > 1e-3
+    H = (np.diag(1.0 / dx**2 + ss.potential_at(bar, xs))
+         - np.diag(np.full(40, 0.5 / dx**2), 1) - np.diag(np.full(40, 0.5 / dx**2), -1))
+    rng = np.random.default_rng(3)
+    psi0 = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    want = np.linalg.solve(np.eye(41) + 0.5j * dt * H, (np.eye(41) - 0.5j * dt * H) @ psi0)
+    got = orc.CrankNicolson(bar, grid).step(psi0)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_cn_singular_factor_is_typed(monkeypatch):
+    # the LAPACK factorization reports an exactly zero pivot through info
+    def singular(dl, d, du):
+        return dl, d, du, du[:-1], np.arange(len(d), dtype=np.int32), 5
+    monkeypatch.setattr(orc, "zgttrf", singular)
+    with pytest.raises(ss.ToleranceError, match="singular"):
+        orc.CrankNicolson(ss.make_rectangular(0.0, 1.0, 0.0),
+                          orc.GridSpec(-5.0, 5.0, 11, 0.01))
