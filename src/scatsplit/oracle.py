@@ -11,12 +11,17 @@ relies on, so integration restarts at each jump: the derivative is
 reconstructed by a 6-point one-sided difference on the finished side and the
 next region is entered by a local Taylor step.  This keeps amplitude errors at
 the 1e-10 level for ordinary barriers, versus only O(h) for the naive
-averaged-potential-node treatment.
+averaged-potential-node treatment.  A whole k grid is marched at once, on one
+step that divides every segment width and keeps the most demanding k's phase
+error within budget, with NumPy arrays over k and only the last six rows kept.
 
 Crank-Nicolson steps the time-dependent equation with the unconditionally
 stable implicit midpoint scheme on a uniform grid with reflecting ends.  Nodes
 that fall exactly on a potential jump are assigned the mean of the two sides;
-this restores clean O(dx^2) convergence against the spectral reference.
+this restores clean O(dx^2) convergence against the spectral reference.  The
+right-hand matrix is 2I minus the system matrix, so a step is one LAPACK
+tridiagonal solve and an axpy.  SciPy, which provides that solve, is imported
+only when a propagator is built.
 """
 
 from __future__ import annotations
@@ -25,11 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, GridRefinementError, ToleranceError
 from .potentials import BarrierSpec, potential_at
-from .stationary import ScatteringSolution
 
 
 @dataclass(frozen=True)
@@ -60,23 +63,43 @@ class GridSpec:
 
 _PAD = 8  # free-region nodes kept on each side for derivative stencils and fits
 
-_POINTS_PER_WAVELENGTH = 50
+_H_MAX = 5e-3  # the step wherever the phase budget allows it
+
+# bound on the march's summed phase error: it keeps the oracle's own error
+# under 1e-8, two orders below the 1e-6 cross-check gate
+_PHASE_BUDGET = 5e-9
+
+_MIN_SEGMENT_STEPS = 5  # the 6-point derivative at a jump needs 5 steps behind it
+
+_STEP_SEARCH = 16  # try w_min / n for n up to this multiple of the least n
+
+_RING = 6  # rows kept while marching: the derivative stencil's width
 
 
-def _numerov_region(psi0, psi1, f, h, nsteps):
-    """March the 3-term recurrence nsteps further (constant f), leftward."""
-    out = [psi0, psi1]
+def _march(rows, n, f, h, nsteps):
+    """March the 3-term recurrence nsteps further (constant f), leftward.
+
+    rows is the ring of the last _RING rows over k, with rows[n % _RING] the
+    newest; f is per k.  Returns the index of the new newest row.
+    """
     w = 1 + h * h * f / 12
     c = 2 * (1 - 5 * h * h * f / 12)
+    inv_w = 1 / w
     for _ in range(nsteps):
-        out.append((c * out[-1] - w * out[-2]) / w)
-    return out
+        new = rows[(n + 1) % _RING]
+        np.multiply(c, rows[n % _RING], out=new)
+        new -= w * rows[(n - 1) % _RING]
+        new *= inv_w
+        n += 1
+    return n
 
-def _one_sided_deriv(vals, h):
-    # 6-point forward difference; vals[-1] is the evaluation point, the rest
-    # lie at +h, +2h, ... on the already-integrated (right) side
-    p, p1, p2, p3, p4, p5 = vals[-1], vals[-2], vals[-3], vals[-4], vals[-5], vals[-6]
+
+def _one_sided_deriv(rows, n, h):
+    # 6-point forward difference at the newest row; the rows before it lie
+    # at +h, +2h, ... on the already-integrated (right) side
+    p, p1, p2, p3, p4, p5 = (rows[(n - j) % _RING] for j in range(_RING))
     return (-137 * p + 300 * p1 - 300 * p2 + 200 * p3 - 75 * p4 + 12 * p5) / (60 * h)
+
 
 def _taylor_back(p, dp, f, h):
     # psi(x - h) from (psi, psi') at x with constant f (series valid for both
@@ -86,71 +109,75 @@ def _taylor_back(p, dp, f, h):
     return p * cos_ser - dp * sin_ser
 
 
-def numerov_step_size(barrier: BarrierSpec, k: float, h_target: float = 5e-3) -> float:
-    """Step honoring both the target and the points-per-wavelength floor,
-    chosen as a whole fraction of the narrowest segment.  Restarts must land
-    on the jumps, so numerov_solve rejects barriers whose other widths are
-    not whole multiples of it."""
-    q_max = math.sqrt(max(k * k, max(abs(k * k - 2 * v) for v in barrier.heights)))
-    h_wave = 2 * math.pi / q_max / _POINTS_PER_WAVELENGTH
-    h_want = min(h_target, h_wave)
+def numerov_step_size(barrier: BarrierSpec, ks) -> float:
+    """One step for the whole k grid.
+
+    The wanted step is _H_MAX, or less where the most demanding k needs
+    it: Numerov's phase error per step is (q h)^5 / 480 at local wavenumber
+    q, and summed over the oscillatory part of the march (the pads at
+    _H_MAX included) it must stay within _PHASE_BUDGET.  The step taken is
+    the coarsest whole fraction w_min / n of the narrowest segment at or
+    below that which leaves at least _MIN_SEGMENT_STEPS steps in it and
+    divides every other width, since restarts must land on the jumps.
+    """
+    k2 = np.asarray(ks, dtype=float) ** 2
+    f = np.subtract.outer(k2, 2 * barrier.heights)
+    phase = np.maximum(f, 0.0) ** 2.5 @ barrier.widths + 2 * _PAD * _H_MAX * k2**2.5
+    h_want = min(_H_MAX, (480 * _PHASE_BUDGET / phase.max()) ** 0.25)
     widths = barrier.widths
     w_min = widths.min()
     # a quotient a rounding error above an integer (170.00000000000003 for
     # width 0.8500000000000001) must not add a step
-    return w_min / math.ceil(w_min / h_want - 1e-9)
-
-
-def numerov_solve(barrier: BarrierSpec, k: float, h_target: float = 5e-3):
-    """Finite-difference amplitudes and field for the full stationary state.
-
-    Returns (xs, psi, A_T, A_R); xs runs left to right over
-    [a - PAD h, b + PAD h].  Segment widths that are not near-multiples of a
-    common step are rejected (the restart scheme needs jumps on nodes).
-    """
-    if k <= 0:
-        raise DomainError("k must be positive")
-    h = numerov_step_size(barrier, k, h_target)
-    widths = barrier.widths
-    steps = widths / h
-    if np.any(np.abs(steps - np.round(steps)) > 1e-9 * np.maximum(1.0, steps)):
+    n_lo = max(math.ceil(w_min / h_want - 1e-9), _MIN_SEGMENT_STEPS)
+    hs = w_min / np.arange(n_lo, _STEP_SEARCH * n_lo + 1)
+    steps = np.divide.outer(widths, hs)
+    fits = np.all(np.abs(steps - np.round(steps)) <= 1e-9 * np.maximum(1.0, steps), axis=0)
+    if not fits.any():
         raise GridRefinementError(
-            f"segment widths {widths.tolist()} share no uniform step near {h_target}; "
+            f"segment widths {widths.tolist()} share no uniform step at or below "
+            f"{h_want:.6g} (tried {w_min!r}/n for n = {n_lo}..{_STEP_SEARCH * n_lo}); "
             "choose commensurate widths for the finite-difference oracle"
         )
-    steps = np.round(steps).astype(int)
-    E = k * k / 2
+    return float(hs[np.argmax(fits)])
 
+
+def numerov_solve(barrier: BarrierSpec, ks):
+    """Finite-difference amplitudes (A_T, A_R) over a k grid.
+
+    Every k is marched together, right to left from the transmitted plane
+    wave at b + PAD h to a - PAD h, on the one step numerov_step_size
+    chooses; only the last six rows are kept.  Segment widths without a
+    common step are rejected (the restart scheme needs jumps on nodes).
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or ks.size == 0:
+        raise DomainError("numerov_solve needs a non-empty 1-D k grid")
+    if not np.all(ks > 0):
+        raise DomainError("k must be positive")
+    h = numerov_step_size(barrier, ks)
+    steps = np.round(barrier.widths / h).astype(int)
+    E = ks * ks / 2
+
+    rows = np.empty((_RING, len(ks)), dtype=complex)
     x0 = barrier.b + _PAD * h
-    cur = _numerov_region(
-        complex(math.cos(k * x0), math.sin(k * x0)),
-        complex(math.cos(k * (x0 - h)), math.sin(k * (x0 - h))),
-        2 * E,
-        h,
-        _PAD - 1,
-    )
-    psi_all = list(cur)
+    rows[0] = np.cos(ks * x0) + 1j * np.sin(ks * x0)
+    rows[1] = np.cos(ks * (x0 - h)) + 1j * np.sin(ks * (x0 - h))
+    n = _march(rows, 1, 2 * E, h, _PAD - 1)
     heights = barrier.heights
     regions = [(heights[j], int(steps[j])) for j in range(len(steps) - 1, -1, -1)]
     regions.append((0.0, _PAD))
     for V, nst in regions:
         f = 2 * (E - V)
-        p = cur[-1]
-        dp = _one_sided_deriv(cur, h)
-        cur = _numerov_region(p, _taylor_back(p, dp, f, h), f, h, nst - 1)
-        psi_all.extend(cur[1:])
+        dp = _one_sided_deriv(rows, n, h)
+        rows[(n + 1) % _RING] = _taylor_back(rows[n % _RING], dp, f, h)
+        n = _march(rows, n + 1, f, h, nst - 1)
 
     x_left = barrier.a - _PAD * h
-    pa, pam = cur[-2], cur[-1]  # at x_left + h and x_left
-    det = 2j * math.sin(k * h)
-    P = (pa * np.exp(-1j * k * x_left) - pam * np.exp(-1j * k * (x_left + h))) / det
-    Q = (pam * np.exp(1j * k * (x_left + h)) - pa * np.exp(1j * k * x_left)) / det
-    A_T = 1.0 / P
-    A_R = Q / P
-
-    psi = np.array(psi_all[::-1]) * A_T  # normalize to unit incidence
-    xs = x_left + h * np.arange(len(psi))
-    return xs, psi, complex(A_T), complex(A_R)
+    pa, pam = rows[(n - 1) % _RING], rows[n % _RING]  # at x_left + h and x_left
+    det = 2j * np.sin(ks * h)
+    P = (pa * np.exp(-1j * ks * x_left) - pam * np.exp(-1j * ks * (x_left + h))) / det
+    Q = (pam * np.exp(1j * ks * (x_left + h)) - pa * np.exp(1j * ks * x_left)) / det
+    return 1.0 / P, Q / P
 
 
 # -- Crank-Nicolson time-domain oracle ----------------------------------------
@@ -160,11 +187,23 @@ _EDGE_DENSITY_TOL = 1e-10
 _NORM_DRIFT_PER_STEP = 1e-12
 
 
+def _lapack():
+    """LAPACK's complex tridiagonal factor and solve (zgttrf, zgttrs).
+
+    Imported on first use, so importing the package does not load SciPy.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    return zgttrf, zgttrs
+
+
 class CrankNicolson:
     """Implicit-midpoint propagator on a fixed grid with reflecting ends.
 
-    The system matrix is constant and tridiagonal, so LAPACK's zgttrf factors
-    it once; each step is a tridiagonal matvec plus one zgttrs solve.
+    The system matrix A = I + i dt H / 2 is constant and tridiagonal, so
+    LAPACK's zgttrf factors it once.  The right-hand matrix is
+    I - i dt H / 2 = 2I - A, so each step A^-1 (2I - A) psi is one zgttrs
+    solve and an axpy: 2 A^-1 psi - psi.
     """
 
     def __init__(self, barrier: BarrierSpec, grid: GridSpec):
@@ -180,21 +219,20 @@ class CrankNicolson:
         lam = 1j * dt / (4 * dx * dx)
         main = 1 + 2 * lam + 1j * dt * V / 2
         off = np.full(grid.n - 1, -lam)
+        zgttrf, self._zgttrs = _lapack()
         *self._lu, info = zgttrf(off, main, off)
         if info != 0:
             raise ToleranceError(
                 f"Crank-Nicolson system matrix is singular (zgttrf info={info})"
             )
-        self._mainB = 2 - main
-        self._lam = lam
         self._dx = dx
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        rhs = self._mainB * psi
-        rhs[:-1] += self._lam * psi[1:]
-        rhs[1:] += self._lam * psi[:-1]
-        x, _ = zgttrs(*self._lu, rhs[:, None], overwrite_b=1)
-        return x[:, 0]
+        x, _ = self._zgttrs(*self._lu, psi[:, None])
+        y = x[:, 0]
+        y *= 2
+        y -= psi
+        return y
 
     def evolve(self, psi0: np.ndarray, nsteps: int, check_every: int = 200) -> np.ndarray:
         """Run nsteps, watching for boundary contamination and norm drift."""

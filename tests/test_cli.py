@@ -87,6 +87,23 @@ def test_solve_oracle_crosscheck(tmp_path):
     assert meta["oracle"]["max_abs_diff_A_R"] < 1e-6
 
 
+@pytest.mark.parametrize("barrier, run", [
+    # a segment narrower than five default steps
+    ("kind = symmetric\na = 0.0\nhalf_profile = 0.01:1.0, 0.5:2.0\n",
+     "k_min = 0.5\nk_max = 3.0\nn_k = 32\n"),
+    # k high enough that the step must shrink below 0.005
+    ("kind = rectangular\na = 0.0\nb = 1.0\nv0 = 2.0\n",
+     "k_min = 0.5\nk_max = 20.0\nn_k = 64\n"),
+], ids=["narrow_segment", "high_k"])
+def test_solve_oracle_strict_passes(tmp_path, barrier, run):
+    ini = write(tmp_path, "run.ini", "[barrier]\n" + barrier + "[run]\n" + run)
+    assert main(["solve", "--config", ini, "--out", str(tmp_path), "--oracle",
+                 "--tolerance-profile", "strict"]) == 0
+    meta = json.loads((tmp_path / "solve.json").read_text())
+    assert meta["oracle"]["max_abs_diff_A_T"] < 1e-6
+    assert meta["oracle"]["max_abs_diff_A_R"] < 1e-6
+
+
 def test_decompose_branch_column(tmp_path):
     ini = write(tmp_path, "run.ini", CANONICAL + "[run]\nk_min = 0.5\nk_max = 2.0\nn_k = 8\n")
     assert main(["decompose", "--config", ini, "--out", str(tmp_path)]) == 0

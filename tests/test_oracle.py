@@ -1,13 +1,17 @@
 """Finite-difference cross-checks: stationary restart integrator and CN stepper."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scatsplit as ss
 from scatsplit import oracle as orc
-from analytic import free_gaussian, rect_amplitudes
+from analytic import free_gaussian, rect_amplitudes, transfer_amplitudes
 
 
 def test_gridspec_validation():
@@ -20,48 +24,85 @@ def test_gridspec_validation():
 
 
 def test_numerov_matches_closed_form(canonical_barrier):
-    for k in (0.6, 1.0, 2.5):
-        _, _, A_T, A_R = orc.numerov_solve(canonical_barrier, k)
+    ks = [0.6, 1.0, 2.5]
+    A_T, A_R = orc.numerov_solve(canonical_barrier, ks)
+    for k, a_t, a_r in zip(ks, A_T, A_R):
         t_ref, r_ref = rect_amplitudes(1.0, 2.0, k)
-        assert abs(A_T - t_ref) < 1e-9
-        assert abs(A_R - r_ref) < 1e-9
+        assert abs(a_t - t_ref) < 1e-9
+        assert abs(a_r - r_ref) < 1e-9
 
 
 def test_numerov_matches_solver_multisegment():
     bar = ss.make_symmetric(-0.5, [(0.4, 3.0), (0.35, 1.0)])
-    for k in (0.9, 1.7):
-        _, _, A_T, A_R = orc.numerov_solve(bar, k)
-        sol = ss.solve_stationary(bar, k)
-        assert abs(A_T - sol.A_full_T) < 1e-8
-        assert abs(A_R - sol.A_full_R) < 1e-8
+    ks = np.array([0.9, 1.7])
+    A_T, A_R = orc.numerov_solve(bar, ks)
+    fam = ss.solve_family(bar, ks)
+    assert np.max(np.abs(A_T - fam.A_T)) < 1e-8
+    assert np.max(np.abs(A_R - fam.A_R)) < 1e-8
+
+
+def test_numerov_grid_matches_transfer_oracle():
+    # unsorted ks from evanescent to oscillatory up to k = 30, where the
+    # highest k, not the 0.005 default, sets the one step of the whole grid
+    ks = np.random.default_rng(5).permutation(
+        np.concatenate([np.linspace(0.3, 3.0, 12), np.linspace(3.0, 30.0, 10)]))
+    barriers = (
+        ss.make_rectangular(0.0, 1.0, 2.0),
+        ss.make_symmetric(-0.5, [(0.4, 3.0), (0.35, 1.0)]),
+        ss.make_symmetric(0.0, [(0.3, -4.0), (0.2, 2.0)]),
+        ss.make_symmetric(0.0, [(0.25, 4.0), (0.5, -30.0)]),
+        ss.make_symmetric(-1.0, [(1.5, 0.5), (1.5, 0.3)]),
+    )
+    for bar in barriers:
+        assert orc.numerov_step_size(bar, ks) < 0.2 * orc.numerov_step_size(bar, ks[ks < 3.5])
+        A_T, A_R = orc.numerov_solve(bar, ks)
+        for k, a_t, a_r in zip(ks, A_T, A_R):
+            t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, k)
+            assert abs(a_t - t_ref) < 1e-8
+            assert abs(a_r - r_ref) < 1e-8
 
 
 def test_numerov_step_survives_width_rounding():
     # 0.8500000000000001 / 0.005 is 170.00000000000003 in floats; the step
     # must stay width/170 so the 0.9 segments remain whole multiples of it
     bar = ss.make_symmetric(0.0, [(0.8500000000000001, 2.0), (0.9, 1.0)])
-    _, _, A_T, A_R = orc.numerov_solve(bar, 1.0)
-    sol = ss.solve_stationary(bar, 1.0)
-    assert abs(A_T - sol.A_full_T) < 1e-8
-    assert abs(A_R - sol.A_full_R) < 1e-8
+    assert orc.numerov_step_size(bar, [1.0]) == bar.widths[0] / 170
+    A_T, A_R = orc.numerov_solve(bar, [1.0])
+    fam = ss.solve_family(bar, [1.0])
+    assert abs(A_T[0] - fam.A_T[0]) < 1e-8
+    assert abs(A_R[0] - fam.A_R[0]) < 1e-8
+
+
+def test_numerov_step_divides_every_width():
+    # at k = 25.5 the wanted step is 0.3/496, which does not divide 0.5; the
+    # next whole fraction of 0.3 that does is taken instead of a refusal
+    bar = ss.make_symmetric(0.0, ((0.3, 1.0), (0.5, 2.0)))
+    h = orc.numerov_step_size(bar, [25.5])
+    steps = bar.widths / h
+    assert np.max(np.abs(steps - np.round(steps))) < 1e-9 * steps.max()
+    A_T, A_R = orc.numerov_solve(bar, [25.5])
+    t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, 25.5)
+    assert abs(A_T[0] - t_ref) < 1e-8
+    assert abs(A_R[0] - r_ref) < 1e-8
 
 
 def test_numerov_free_identity():
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    _, _, A_T, A_R = orc.numerov_solve(free, 1.3)
-    assert abs(A_T - 1.0) < 1e-9
-    assert abs(A_R) < 1e-9
+    A_T, A_R = orc.numerov_solve(free, [1.3])
+    assert abs(A_T[0] - 1.0) < 1e-9
+    assert abs(A_R[0]) < 1e-9
 
 
 def test_numerov_rejects_bad_k(canonical_barrier):
-    with pytest.raises(ss.DomainError):
-        orc.numerov_solve(canonical_barrier, 0.0)
+    for ks in ([0.0], [1.0, -0.5, 2.0], [], [float("nan")]):
+        with pytest.raises(ss.DomainError):
+            orc.numerov_solve(canonical_barrier, ks)
 
 
 def test_numerov_rejects_incommensurate_widths():
     bar = ss.make_symmetric(0.0, [(0.3, 2.0), (0.2 * math.sqrt(2.0), 1.0)])
-    with pytest.raises(ss.GridRefinementError):
-        orc.numerov_solve(bar, 1.0)
+    with pytest.raises(ss.GridRefinementError, match="at or below 0.005"):
+        orc.numerov_solve(bar, [1.0])
 
 
 def test_cn_free_gaussian():
@@ -118,7 +159,18 @@ def test_cn_singular_factor_is_typed(monkeypatch):
     # the LAPACK factorization reports an exactly zero pivot through info
     def singular(dl, d, du):
         return dl, d, du, du[:-1], np.arange(len(d), dtype=np.int32), 5
-    monkeypatch.setattr(orc, "zgttrf", singular)
+    monkeypatch.setattr(orc, "_lapack", lambda: (singular, None))
     with pytest.raises(ss.ToleranceError, match="singular"):
         orc.CrankNicolson(ss.make_rectangular(0.0, 1.0, 0.0),
                           orc.GridSpec(-5.0, 5.0, 11, 0.01))
+
+
+def test_package_import_does_not_load_scipy():
+    # SciPy is loaded only when a Crank-Nicolson propagator is built
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(ss.__file__).resolve().parent.parent), env.get("PYTHONPATH")) if p)
+    code = "import sys, scatsplit, scatsplit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
