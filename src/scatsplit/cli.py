@@ -91,6 +91,11 @@ def _render_json(obj, indent=0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f"
+            and len(obj) and np.isfinite(obj).all()):
+        # "%.17g" writes the bytes of format(x, ".17g") for finite floats
+        return ("[\n" + pad_in + (",\n" + pad_in).join(map("%.17g".__mod__, obj.tolist()))
+                + "\n" + pad + "]")
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -470,8 +475,8 @@ def cmd_larmor(cfg: RunConfig) -> None:
         raise ConfigError("omega_ladder entries must be positive")
 
     runs = [make_spin_run(cfg.barrier, w, packet) for w in sorted(ladder, reverse=True)]
-    result = clock_times(runs[0], packet)
     fam = solve_family(cfg.barrier, packet.ks)
+    result = clock_times(runs[0], packet, runs=runs[1:], family=fam)
     table = _dwell(fam)
     tau_B_tr = _routeB(packet, fam, table, "tr")["density"]
     try:
@@ -520,15 +525,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="scatsplit",
         description="Scattering sub-process toolkit (see README for units).",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="INI run configuration")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--oracle", action="store_true",
-                       help="run independent-solver cross-checks")
-        p.add_argument("--tolerance-profile", choices=("strict", "default"),
-                       default="default")
+    ap.add_argument("command", choices=_COMMANDS, help="what to compute")
+    ap.add_argument("--config", required=True, help="INI run configuration")
+    ap.add_argument("--out", default=".", help="output directory")
+    ap.add_argument("--oracle", action="store_true",
+                    help="run independent-solver cross-checks")
+    ap.add_argument("--tolerance-profile", choices=("strict", "default"),
+                    default="default")
     return ap
 
 

@@ -16,13 +16,14 @@ diagnostic, not a clock reading.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .potentials import BarrierSpec, shifted
-from .stationary import solve_family
+from .stationary import SolutionFamily, solve_family
 from .wavepacket import SpectralPacket, _trap_w
 
 _PERTURBATIVE_DRIFT = 0.05   # relative time change per halving that flags omega
@@ -118,8 +119,15 @@ def _richardson(taus):
     return r12, abs(r12 - r01)
 
 
-def clock_times(run: SpinScatteringRun, packet: SpectralPacket) -> ClockResult:
+def clock_times(run: SpinScatteringRun, packet: SpectralPacket,
+                runs: Iterable[SpinScatteringRun] = (),
+                family: SolutionFamily | None = None) -> ClockResult:
     """Zero-frequency clock times from the run's frequency and two halvings.
+
+    `runs` are readings already made on the same barrier and packet; a rung
+    whose frequency equals one of theirs exactly is taken from it, not solved
+    again.  `family` is the field-free family on the packet grid (solved here
+    when not given).
 
     Returns an unpackable (tau_tr, tau_ref) result carrying the ladder,
     per-rung readings, Richardson error estimates, and perturbative-regime
@@ -128,16 +136,24 @@ def clock_times(run: SpinScatteringRun, packet: SpectralPacket) -> ClockResult:
     """
     if run.omega == 0:
         raise DomainError("clock extrapolation needs a nonzero base frequency")
+    if family is None:
+        family = solve_family(run.barrier, packet.ks)
+    given = (run, *runs)
+    for r in (*given, family):
+        if r.barrier != run.barrier or not np.array_equal(r.ks, packet.ks):
+            raise DomainError("clock runs and family must share the barrier and k grid")
     ladder = (run.omega, run.omega / 2, run.omega / 4)
-    runs = [run] + [make_spin_run(run.barrier, om, packet) for om in ladder[1:]]
+    made = {r.omega: r for r in given}
+    rungs = [made[om] if om in made else make_spin_run(run.barrier, om, packet)
+             for om in ladder]
 
-    taus_tr = [r.tau_clock_tr for r in runs]
+    taus_tr = [r.tau_clock_tr for r in rungs]
     # read the reflected subensemble only if it exists without the field;
     # otherwise the "reflection" is scattering off the field step itself and
     # its angle has no zero-frequency limit
     w = np.abs(packet.G) ** 2 * _trap_w(len(packet.ks)) * packet.dk
-    R0 = float(np.sum(w * solve_family(run.barrier, packet.ks).R))
-    taus_ref = [r.tau_clock_ref for r in runs] if R0 > 1e-10 else None
+    R0 = float(np.sum(w * family.R))
+    taus_ref = [r.tau_clock_ref for r in rungs] if R0 > 1e-10 else None
 
     warnings = []
     # clock readings divide an angle by omega, so float noise in the angle
@@ -177,8 +193,8 @@ def clock_times(run: SpinScatteringRun, packet: SpectralPacket) -> ClockResult:
         per_rung_ref=tuple(taus_ref) if taus_ref else (),
         warnings=tuple(warnings),
         diagnostics={
-            "sigma_z_T": tuple(r.sigma_z_T for r in runs),
-            "sigma_z_R": tuple(r.sigma_z_R for r in runs),
+            "sigma_z_T": tuple(r.sigma_z_T for r in rungs),
+            "sigma_z_R": tuple(r.sigma_z_R for r in rungs),
         },
     )
 

@@ -13,7 +13,8 @@ next region is entered by a local Taylor step.  This keeps amplitude errors at
 the 1e-10 level for ordinary barriers, versus only O(h) for the naive
 averaged-potential-node treatment.  A whole k grid is marched at once, on one
 step that divides every segment width and keeps the most demanding k's phase
-error within budget, with NumPy arrays over k and only the last six rows kept.
+error (or, under the barrier, growth-rate error) within budget, with NumPy
+arrays over k and only the last six rows kept.
 
 Crank-Nicolson steps the time-dependent equation with the unconditionally
 stable implicit midpoint scheme on a uniform grid with reflecting ends.  Nodes
@@ -114,7 +115,8 @@ def numerov_step_size(barrier: BarrierSpec, ks) -> float:
 
     The wanted step is _H_MAX, or less where the most demanding k needs
     it: Numerov's phase error per step is (q h)^5 / 480 at local wavenumber
-    q, and summed over the oscillatory part of the march (the pads at
+    q, and an evanescent region's error in the growth rate is the same with
+    the decay rate kappa for q.  Summed over the whole march (the pads at
     _H_MAX included) it must stay within _PHASE_BUDGET.  The step taken is
     the coarsest whole fraction w_min / n of the narrowest segment at or
     below that which leaves at least _MIN_SEGMENT_STEPS steps in it and
@@ -122,7 +124,7 @@ def numerov_step_size(barrier: BarrierSpec, ks) -> float:
     """
     k2 = np.asarray(ks, dtype=float) ** 2
     f = np.subtract.outer(k2, 2 * barrier.heights)
-    phase = np.maximum(f, 0.0) ** 2.5 @ barrier.widths + 2 * _PAD * _H_MAX * k2**2.5
+    phase = np.abs(f) ** 2.5 @ barrier.widths + 2 * _PAD * _H_MAX * k2**2.5
     h_want = min(_H_MAX, (480 * _PHASE_BUDGET / phase.max()) ** 0.25)
     widths = barrier.widths
     w_min = widths.min()

@@ -43,6 +43,9 @@ _UNITARITY_TOL = 1e-10
 # R_coef below this is treated as an exact resonance: Psi_ref identically zero
 DEGENERATE_R = 1e-12
 
+# segment kinds, indexed by osc + 2 * evan
+_KINDS = np.array(["deg", "osc", "evan"])
+
 
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
@@ -170,7 +173,7 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
     nseg, nk = len(heights), len(ks)
     E = ks * ks / 2
 
-    kind = np.empty((nseg, nk), dtype="<U4")
+    is_osc, is_evan = (np.empty((nseg, nk), dtype=bool) for _ in range(2))
     wn = np.empty((nseg, nk))
     uR, vR, uL, vL = (np.empty((nseg, nk), dtype=complex) for _ in range(4))
     SR, SL = np.empty((nseg, nk)), np.empty((nseg, nk))
@@ -190,14 +193,14 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
         c, s = np.cos(q * w), np.sin(q * w)
         e2 = np.exp(-2 * q * w)
         ch, sh = (1 + e2) / 2, (1 - e2) / 2
-        m11 = np.select([osc, evan], [c, ch], 1.0)
-        m12 = np.select([osc, evan], [-s / qs, -sh / qs], -w)
-        m21 = np.select([osc, evan], [q * s, -q * sh], 0.0)
+        m11 = np.where(osc, c, np.where(evan, ch, 1.0))
+        m12 = np.where(osc, -s / qs, np.where(evan, -sh / qs, -w))
+        m21 = np.where(osc, q * s, np.where(evan, -q * sh, 0.0))
         uR[j], vR[j], SR[j] = u, v, S
         u, v = m11 * u + m12 * v, m21 * u + m11 * v
         S = S + np.where(evan, q * w, 0.0)
         uL[j], vL[j], SL[j] = u, v, S
-        kind[j] = np.select([osc, evan], ["osc", "evan"], "deg")
+        is_osc[j], is_evan[j] = osc, evan
         wn[j] = q
 
     # match to exp(ikx) + A_R exp(-ikx) at a; the transmitted normalization is
@@ -219,19 +222,18 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
     # else at the left edge (frame S_L); all normalized exponents are <= 0
     fL = np.exp(SL - S) / P0
     fR = np.exp(SR - S) / P0
-    qs = np.where(kind == "deg", 1.0, wn)
-    osc, evan = kind == "osc", kind == "evan"
-    c_plus = np.select([osc, evan], [0.5 * (uL + vL / (1j * qs)) * fL,
-                                     0.5 * (uR + vR / qs) * fR], uL * fL)
-    c_minus = np.select([osc, evan], [0.5 * (uL - vL / (1j * qs)) * fL,
-                                      0.5 * (uL - vL / qs) * fL], vL * fL)
+    qs = np.where(is_osc | is_evan, wn, 1.0)
+    c_plus = np.where(is_osc, 0.5 * (uL + vL / (1j * qs)) * fL,
+                      np.where(is_evan, 0.5 * (uR + vR / qs) * fR, uL * fL))
+    c_minus = np.where(is_osc, 0.5 * (uL - vL / (1j * qs)) * fL,
+                       np.where(is_evan, 0.5 * (uL - vL / qs) * fL, vL * fL))
 
     degenerate = np.abs(A_R) ** 2 < DEGENERATE_R
     z = A_R / (A_R - A_T * np.exp(2j * ks * barrier.x_c))
     z[degenerate] = 0.0
     return SolutionFamily(
         barrier=barrier, ks=ks, A_T=A_T, A_R=A_R, z=z, degenerate=degenerate,
-        kind=kind, wn=wn, c_plus=c_plus, c_minus=c_minus,
+        kind=_KINDS[is_osc + 2 * is_evan], wn=wn, c_plus=c_plus, c_minus=c_minus,
     )
 
 

@@ -25,6 +25,7 @@ identity, which the report flags rather than hides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,13 +54,23 @@ _PIECE_NODES = 24
 # dwell times (per wavenumber)
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre():
+    """The _PIECE_NODES-point Gauss-Legendre rule on [-1, 1], built once per
+    process (read-only; numpy.polynomial is imported on first use)."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PIECE_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi], 24 per piece between
     height jumps and the mask point x_c (the integrands are analytic within
     each piece; nodes are ascending and never on a piece end)."""
     cuts = sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
                   | ({barrier.x_c} if lo < barrier.x_c < hi else set()))
-    nodes, weights = np.polynomial.legendre.leggauss(_PIECE_NODES)
+    nodes, weights = _gauss_legendre()
     mid = (np.array(cuts[1:]) + np.array(cuts[:-1])) / 2
     half = (np.array(cuts[1:]) - np.array(cuts[:-1])) / 2
     xs = (mid[:, None] + half[:, None] * nodes).ravel()
@@ -161,7 +172,7 @@ def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
     if window is None:
         t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
         for _ in range(5):
-            probe = _density_scan(M, packet, np.linspace(0.0, t_hi, 240), wx)
+            probe = _density_scan(M, packet, wx, 0.0, t_hi / 239, 240)
             pk = float(probe.max())
             if probe[0] < _ROUTE_A_TAIL * pk and probe[-1] < _ROUTE_A_TAIL * pk:
                 break
@@ -171,26 +182,39 @@ def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
         t_lo = 0.0
     else:
         t_lo, t_hi = float(window[0]), float(window[1])
-        probe = _density_scan(M, packet, np.linspace(t_lo, t_hi, 120), wx)
+        probe = _density_scan(M, packet, wx, t_lo, (t_hi - t_lo) / 119, 120)
         if max(probe[0], probe[-1]) > _ROUTE_A_TAIL * float(probe.max()):
             raise WindowError(
                 "integrand tails exceed 1e-10 of peak at the window ends; "
                 "extend the time window"
             )
 
-    # composite Simpson with interval doubling until the value settles
+    # composite Simpson with interval halving until the value settles
     prev = None
-    for n in (129, 257, 513, 1025, 2049):
-        ts = np.linspace(t_lo, t_hi, n)
-        fs = _density_scan(M, packet, ts, wx)
-        h = ts[1] - ts[0]
-        I = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
+    for I in _simpson_levels(functools.partial(_density_scan, M, packet, wx), t_lo, t_hi):
         if prev is not None and abs(I - prev) <= max(rtol * abs(I), 1e-12):
             return I / C_bar
         prev = I
     raise ConvergenceError(
         f"route-A time quadrature did not settle to rtol={rtol} by n=2049"
     )
+
+
+def _simpson_levels(scan, t_lo, t_hi):
+    """Composite Simpson values of a time integrand on [t_lo, t_hi] with
+    n = 129, 257, ..., 2049 nodes.  scan(t0, dt, n) samples the integrand on
+    t0 + j dt, j < n; each halving samples only the new odd nodes."""
+    n, h = 129, (t_hi - t_lo) / 128
+    fs = scan(t_lo, h, n)
+    while True:
+        yield h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
+        if n == 2049:
+            return
+        h /= 2
+        finer = np.empty(2 * n - 1)
+        finer[::2] = fs
+        finer[1::2] = scan(t_lo + h, 2 * h, n - 1)
+        fs, n = finer, 2 * n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -205,16 +205,33 @@ class PacketSnapshot:
     overlap_im: float
 
 
+def _coef(packet):
+    """Trapezoid weights of the field integral: G dk / sqrt(2 pi) per k."""
+    return packet.G * _trap_w(len(packet.ks)) * packet.dk / math.sqrt(_TWO_PI)
+
+
 def _weights(packet, t):
-    """Spectral weights at time t; a k-by-t matrix when t is an array."""
-    c = packet.G * _trap_w(len(packet.ks)) * packet.dk / math.sqrt(_TWO_PI)
-    return (c * np.exp(-0.5j * np.multiply.outer(t, packet.ks**2))).T
+    """Spectral weights at the time t."""
+    return _coef(packet) * np.exp(-0.5j * (t * packet.ks**2))
 
 
-def _density_scan(M, packet, ts, wx):
-    """sum_x wx |M @ w(t)|^2 at every t in ts: one GEMM of the x-by-k basis M
-    against the k-by-t phase matrix."""
-    return wx @ np.abs(M @ _weights(packet, ts)) ** 2
+def _density_scan(M, packet, wx, t0, dt, n):
+    """sum_x wx |M @ w(t)|^2 at t = t0 + j dt, j = 0 .. n - 1: one GEMM of
+    the x-by-k basis M against the k-by-t phase matrix.
+
+    With j = B p + q for B = ceil(sqrt(n)), exp(-i E t_j) is the block phase
+    exp(-i E (t0 + B p dt)) times the in-block phase exp(-i E q dt), so the
+    matrix is built from two tables of about sqrt(n) columns each (the
+    weights folded into the block table) at one complex multiply per entry.
+    """
+    B = math.isqrt(n - 1) + 1
+    P = -(-n // B)
+    E = 0.5 * packet.ks**2
+    blk = np.exp(-1j * np.multiply.outer(E, t0 + B * dt * np.arange(P)))
+    blk *= _coef(packet)[:, None]
+    inb = np.exp(-1j * np.multiply.outer(E, dt * np.arange(B)))
+    W = (blk[:, :, None] * inb[:, None, :]).reshape(len(E), P * B)
+    return (wx @ np.abs(M @ W) ** 2)[:n]
 
 
 def _uniform_grid(xs) -> np.ndarray:
@@ -432,8 +449,8 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
 
     t_hi = 4.0 * t_transit + 60.0 / packet.k0
     for _ in range(4):
-        ts = np.linspace(0.0, t_hi, 600)
-        s = _density_scan(Mf, packet, ts, np.ones(len(probe_x)))
+        dt = t_hi / 599
+        s = _density_scan(Mf, packet, np.ones(len(probe_x)), 0.0, dt, 600)
         pk = int(np.argmax(s))
         cut = threshold * s[pk]
         quiet = s < cut
@@ -450,7 +467,7 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec,
             "to the barrier"
         )
     i_post = pk + int(np.argmax(quiet[pk:]))  # quiet[-1] holds
-    return float(ts[pre[-1]]), float(ts[i_post])
+    return float(dt * pre[-1]), float(dt * i_post)
 
 
 def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,

@@ -1,12 +1,13 @@
 """End-to-end runs of the command-line driver on temp configs."""
 
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from scatsplit import cli
+from scatsplit import cli, stationary
 from scatsplit.cli import main
 
 CANONICAL = """
@@ -219,3 +220,47 @@ def test_csv_rows_render_as_per_value_floats(tmp_path):
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
     assert (tmp_path / "t.csv").read_text().splitlines()[5] == "-0,1,0,odd"
+
+
+def test_unknown_command_and_missing_config_exit2(tmp_path):
+    ini = write(tmp_path, "run.ini", CANONICAL)
+    for argv in (["bogus", "--config", ini], ["solve"], ["solve", "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_json_float_arrays_render_as_per_value_floats():
+    finite = np.array([-0.0, 5e-324, -2.5e-310, 0.1, 1 / 3, 1e300, -7.0, 3.0])
+    special = np.array([1.0, math.nan, math.inf, -math.inf, -0.0])
+    for arr in (finite, special, finite[:1], finite[3:5].astype(np.float32)):
+        per_value = cli._render_json(list(arr), 2)
+        assert cli._render_json(arr, 2) == per_value
+        assert cli._render_json({"k": arr}) == cli._render_json({"k": list(arr)})
+    assert cli._render_json(finite[:2], 1) == "[\n    -0,\n    4.9406564584124654e-324\n  ]"
+    assert cli._render_json(special) == (
+        '[\n  1,\n  NaN,\n  "Infinity",\n  "-Infinity",\n  -0\n]')
+    assert cli._render_json([0.25, None, np.float64(-0.0)]) == "[\n  0.25,\n  null,\n  -0\n]"
+    assert cli._render_json(np.array([])) == "[]"
+
+
+LADDER = "[run]\nomega_ladder = 0.0005 0.00025 0.000125\n"
+
+
+def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
+    # three user rungs (two spin families each) and one field-free family;
+    # the clock takes its omega/2 and omega/4 rungs from the user's
+    calls = []
+
+    def counted(barrier, ks):
+        calls.append(len(ks))
+        return stationary.solve_family(barrier, ks)
+
+    for name in ("cli", "larmor", "times", "wavepacket"):
+        monkeypatch.setattr(importlib.import_module(f"scatsplit.{name}"),
+                            "solve_family", counted)
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + LADDER)
+    assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) == 0
+    assert calls == [256] * 7
+    meta = json.loads((tmp_path / "larmor.json").read_text())
+    assert meta["extrapolated"]["ladder_used"] == meta["omega_ladder"]

@@ -111,3 +111,17 @@ def test_large_omega_flags_or_raises(canonical_barrier):
     with pytest.raises(ss.ConvergenceError) as exc:
         ss.clock_times(ss.make_spin_run(canonical_barrier, 2.0, pk), pk)
     assert "tau_rungs" in exc.value.diagnostics
+
+
+def test_clock_reuses_given_rungs_and_family(canonical_barrier, clock_packet):
+    om = ss.default_omega(clock_packet)
+    runs = [ss.make_spin_run(canonical_barrier, om / d, clock_packet) for d in (1, 2, 4)]
+    fam = ss.solve_family(canonical_barrier, clock_packet.ks)
+    fresh = ss.clock_times(runs[0], clock_packet)
+    reused = ss.clock_times(runs[0], clock_packet, runs=runs[1:], family=fam)
+    for name in ("tau_tr", "tau_ref", "error_tr", "error_ref", "omega_ladder",
+                 "per_rung_tr", "per_rung_ref", "warnings", "diagnostics"):
+        assert getattr(reused, name) == getattr(fresh, name)
+    other = ss.solve_family(ss.make_rectangular(0.0, 1.0, 2.5), clock_packet.ks)
+    with pytest.raises(ss.DomainError):
+        ss.clock_times(runs[0], clock_packet, family=other)

@@ -62,6 +62,20 @@ def test_numerov_grid_matches_transfer_oracle():
             assert abs(a_r - r_ref) < 1e-8
 
 
+def test_numerov_opaque_barrier_within_1e8():
+    # kappa ~ 10 over a width of 6 (T ~ 1e-53): the growth-rate error under
+    # the barrier, not the phase error outside it, sets the step here
+    bar = ss.make_rectangular(0.0, 6.0, 50.0)
+    ks = np.linspace(2.0, 5.0, 7)
+    assert orc.numerov_step_size(bar, ks) < 0.5 * orc.numerov_step_size(
+        ss.make_rectangular(0.0, 6.0, 0.0), ks)
+    A_T, A_R = orc.numerov_solve(bar, ks)
+    for k, a_t, a_r in zip(ks, A_T, A_R):
+        t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, k)
+        assert abs(a_t - t_ref) < 1e-8
+        assert abs(a_r - r_ref) < 1e-8
+
+
 def test_numerov_step_survives_width_rounding():
     # 0.8500000000000001 / 0.005 is 170.00000000000003 in floats; the step
     # must stay width/170 so the 0.9 segments remain whole multiples of it

@@ -188,3 +188,66 @@ def test_segment_record_layout(canonical_sol, canonical_barrier):
     assert fam.kind[0, 0] == "evan"   # V0 = 2 > E = 0.5
     assert fam.wn[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
     assert fam.ks.tolist() == [canonical_sol.k]
+
+
+def _select_sweep(barrier, ks):
+    """The family's sweep and coefficient matching written with np.select and
+    string kinds, step for step: the arrays solve_family must reproduce bit
+    for bit."""
+    edges, heights = barrier.edges, barrier.heights
+    nseg, nk = len(heights), len(ks)
+    E = ks * ks / 2
+    kind = np.empty((nseg, nk), dtype="<U4")
+    wn = np.empty((nseg, nk))
+    uR, vR, uL, vL = (np.empty((nseg, nk), dtype=complex) for _ in range(4))
+    SR, SL = np.empty((nseg, nk)), np.empty((nseg, nk))
+    u = np.exp(1j * ks * barrier.b)
+    v = 1j * ks * u
+    S = np.zeros(nk)
+    for j in range(nseg - 1, -1, -1):
+        w, V = edges[j + 1] - edges[j], heights[j]
+        D = ks * ks - 2 * V
+        deg = np.abs(E - V) < 1e-12 * max(1.0, abs(V))
+        osc = ~deg & (D > 0)
+        evan = ~deg & ~osc
+        q = np.where(deg, 0.0, np.sqrt(np.abs(D)))
+        qs = np.where(deg, 1.0, q)
+        c, s = np.cos(q * w), np.sin(q * w)
+        e2 = np.exp(-2 * q * w)
+        ch, sh = (1 + e2) / 2, (1 - e2) / 2
+        m11 = np.select([osc, evan], [c, ch], 1.0)
+        m12 = np.select([osc, evan], [-s / qs, -sh / qs], -w)
+        m21 = np.select([osc, evan], [q * s, -q * sh], 0.0)
+        uR[j], vR[j], SR[j] = u, v, S
+        u, v = m11 * u + m12 * v, m21 * u + m11 * v
+        S = S + np.where(evan, q * w, 0.0)
+        uL[j], vL[j], SL[j] = u, v, S
+        kind[j] = np.select([osc, evan], ["osc", "evan"], "deg")
+        wn[j] = q
+    P0 = 0.5 * (u + v / (1j * ks)) * np.exp(-1j * ks * barrier.a)
+    Q0 = 0.5 * (u - v / (1j * ks)) * np.exp(1j * ks * barrier.a)
+    A_T, A_R = np.exp(-S) / P0, Q0 / P0
+    fL, fR = np.exp(SL - S) / P0, np.exp(SR - S) / P0
+    qs = np.where(kind == "deg", 1.0, wn)
+    osc, evan = kind == "osc", kind == "evan"
+    c_plus = np.select([osc, evan], [0.5 * (uL + vL / (1j * qs)) * fL,
+                                     0.5 * (uR + vR / qs) * fR], uL * fL)
+    c_minus = np.select([osc, evan], [0.5 * (uL - vL / (1j * qs)) * fL,
+                                      0.5 * (uL - vL / qs) * fL], vL * fL)
+    return {"A_T": A_T, "A_R": A_R, "kind": kind, "wn": wn,
+            "c_plus": c_plus, "c_minus": c_minus}
+
+
+def test_solve_family_bit_identical_to_select_sweep():
+    # k = 1 and k = 2 put E exactly on the heights 0.5 and 2 (deg columns);
+    # the rest of the grid is under (evan) or over (osc) each height, and
+    # the well is osc throughout
+    bar = ss.make_symmetric(-0.3, [(0.4, 2.0), (0.3, 0.5), (0.25, -1.5)])
+    ks = np.concatenate([np.linspace(0.2, 3.1, 59), [1.0, 2.0]])
+    fam = ss.solve_family(bar, ks)
+    want = _select_sweep(bar, ks)
+    assert {"osc", "evan", "deg"} <= set(want["kind"].ravel())
+    for name, arr in want.items():
+        got = getattr(fam, name)
+        assert got.dtype.kind == arr.dtype.kind and got.shape == arr.shape
+        assert np.array_equal(got, arr), name

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import scatsplit as ss
+from scatsplit import times as tm
+from scatsplit import wavepacket as wp
 from analytic import adaptive_integral, rect_phase_delay
 
 # high-precision reference values for the k=1, V0=2, L=1 rectangle, frozen
@@ -199,3 +201,38 @@ def test_time_report(canonical_packet, canonical_barrier):
     assert rep.dwell_ref_defined.all()
     assert np.all(rep.tau_dwell_tr > 0)
     assert len(rep.phase.ks) >= 2
+
+
+# ---------------------------------------------------------- route-A kernels
+
+
+def test_gauss_legendre_rule_is_leggauss_once():
+    nodes, weights = tm._gauss_legendre()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(tm._PIECE_NODES)
+    assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+    assert tm._gauss_legendre() is tm._gauss_legendre()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_nested_simpson_matches_fresh_grids(canonical_packet, canonical_barrier):
+    # each halving reuses the nodes it has; every level must be the Simpson
+    # value of a freshly sampled full grid, and no node is sampled twice
+    fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
+    xs, wx = tm._piece_grid(canonical_barrier, 0.0, 1.0)
+    M = fam.basis(xs)
+    t_lo, t_hi = -5.0, 130.0
+    sampled = []
+
+    def scan(t0, dt, n):
+        sampled.append(n)
+        return wp._density_scan(M, canonical_packet, wx, t0, dt, n)
+
+    levels = list(tm._simpson_levels(scan, t_lo, t_hi))
+    assert sum(sampled) == 2049
+    for i, got in enumerate(levels):
+        n = 128 * 2**i + 1
+        h = (t_hi - t_lo) / (n - 1)
+        fs = wp._density_scan(M, canonical_packet, wx, t_lo, h, n)
+        want = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
+        assert abs(got - want) <= 1e-13 * abs(want)
+    assert len(levels) == 5

@@ -288,12 +288,20 @@ def test_drifting_grid_refused(canonical_packet, canonical_barrier):
 
 
 def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier):
-    # the time scans of event_window and route A, against one GEMV per t
+    # the time scans of event_window and route A, against one GEMV per t;
+    # n covers a one-row block table, square and ragged tables and the largest
+    # Simpson grid.  Every grid starts and ends on density (the packet reaches
+    # the barrier near t = 40 and leaks out slowly), and the late ones reach
+    # phases E t of 1e4 rad and more.
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
     M = fam.basis(np.linspace(-1.0, 2.0, 33))
     wx = np.linspace(0.5, 1.5, 33)
-    ts = np.linspace(0.0, 120.0, 50)
-    want = np.array([wx @ np.abs(M @ _test_weights(canonical_packet, t)) ** 2
-                     for t in ts])
-    got = wp._density_scan(M, canonical_packet, ts, wx)
-    assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
+    assert 0.5 * canonical_packet.ks[-1] ** 2 * 1e4 > 1e4
+    for t0, t1 in ((30.0, 50.0), (38.0, 1e4), (1e4, 2e4)):
+        for n in (2, 3, 240, 601, 2049):
+            dt = (t1 - t0) / (n - 1)
+            want = np.array([wx @ np.abs(M @ _test_weights(canonical_packet, t0 + j * dt)) ** 2
+                             for j in range(n)])
+            got = wp._density_scan(M, canonical_packet, wx, t0, dt, n)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
