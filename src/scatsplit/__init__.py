@@ -22,20 +22,9 @@ from .potentials import (
     shifted,
 )
 from .stationary import (
-    ScatteringSolution,
     SolutionFamily,
-    evaluate_full,
     probability_current,
     solve_family,
-    solve_stationary,
-)
-from .decomposition import (
-    Decomposition,
-    MaskedSubstates,
-    decompose,
-    evaluate_ref,
-    evaluate_tr,
-    masked_substates,
 )
 from .wavepacket import (
     KGridSpec,
@@ -57,13 +46,9 @@ from .times import (
     TimeReport,
     build_time_report,
     dwell_tables,
-    dwell_time_ref,
-    dwell_time_tr,
     hartman_scan,
-    larmor_time_routeA,
-    larmor_time_routeB,
     phase_time,
-    routeB_variants,
+    route_b,
 )
 from .larmor import (
     ClockResult,
@@ -71,7 +56,6 @@ from .larmor import (
     clock_times,
     default_omega,
     make_spin_run,
-    spin_resolved_amplitudes,
 )
 from .oracle import (
     CrankNicolson,
@@ -88,16 +72,13 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "CrankNicolson",
-    "Decomposition",
     "DomainError",
     "GridRefinementError",
     "GridSpec",
     "KGridSpec",
-    "MaskedSubstates",
     "PacketSnapshot",
     "PhaseTimes",
     "ScatsplitError",
-    "ScatteringSolution",
     "SolutionFamily",
     "SpectralPacket",
     "SpinScatteringRun",
@@ -109,37 +90,26 @@ __all__ = [
     "check_kgrid",
     "clock_times",
     "crank_nicolson_evolve",
-    "decompose",
     "default_kgrid",
     "default_omega",
     "dwell_tables",
-    "dwell_time_ref",
-    "dwell_time_tr",
-    "evaluate_full",
-    "evaluate_ref",
-    "evaluate_tr",
     "event_window",
     "hartman_scan",
-    "larmor_time_routeA",
-    "larmor_time_routeB",
     "make_gaussian_packet",
     "make_rectangular",
     "make_spin_run",
     "make_symmetric",
-    "masked_substates",
     "norms_and_overlap",
     "numerov_solve",
     "phase_time",
     "potential_at",
     "probability_current",
     "quiet_times",
-    "routeB_variants",
+    "route_b",
     "shifted",
     "snapshot",
     "snapshot_residuals",
     "solve_family",
-    "solve_stationary",
     "spectral_transmitted_norm",
-    "spin_resolved_amplitudes",
     "synthesize",
 ]

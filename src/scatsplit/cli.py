@@ -29,12 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, ScatsplitError, ToleranceError
+from .errors import (
+    ConfigError, DomainError, ScatsplitError, ToleranceError, UndefinedTimeError,
+)
 from .larmor import clock_times, make_spin_run
 from .oracle import numerov_solve
 from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
-from .times import _dwell, _routeB, build_time_report
+from .times import build_time_report, dwell_tables, route_b
 from .wavepacket import (
     make_gaussian_packet,
     norms_and_overlap,
@@ -91,11 +93,12 @@ def _render_json(obj, indent=0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f"
-            and len(obj) and np.isfinite(obj).all()):
-        # "%.17g" writes the bytes of format(x, ".17g") for finite floats
-        return ("[\n" + pad_in + (",\n" + pad_in).join(map("%.17g".__mod__, obj.tolist()))
-                + "\n" + pad + "]")
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and len(obj):
+        # "%.17g" writes the bytes of format(x, ".17g") for finite floats; a
+        # masked entry (np.ma) is an undefined value, listed as None
+        fmt = "%.17g".__mod__ if np.isfinite(obj).all() else _fmt_float
+        items = ["null" if v is None else fmt(v) for v in obj.tolist()]
+        return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -438,8 +441,7 @@ def cmd_times(cfg: RunConfig) -> None:
     }
     payload["tau_dwell_ref"] = {
         "k": report.ks,
-        "tau": [t if d else None for t, d in
-                zip(report.tau_dwell_ref, report.dwell_ref_defined)],
+        "tau": np.ma.masked_array(report.tau_dwell_ref, mask=~report.dwell_ref_defined),
     }
     payload["tau_L_tr"] = {
         "routeA": report.tau_L_tr_routeA, "routeB": report.tau_L_tr_routeB,
@@ -477,11 +479,11 @@ def cmd_larmor(cfg: RunConfig) -> None:
     runs = [make_spin_run(cfg.barrier, w, packet) for w in sorted(ladder, reverse=True)]
     fam = solve_family(cfg.barrier, packet.ks)
     result = clock_times(runs[0], packet, runs=runs[1:], family=fam)
-    table = _dwell(fam)
-    tau_B_tr = _routeB(packet, fam, table, "tr")["density"]
+    table = dwell_tables(fam)
+    tau_B_tr = route_b(packet, fam, table, "tr")["density"]
     try:
-        tau_B_ref = _routeB(packet, fam, table, "ref")["density"]
-    except DomainError:
+        tau_B_ref = route_b(packet, fam, table, "ref")["density"]
+    except UndefinedTimeError:
         tau_B_ref = None
 
     payload = _meta(cfg)

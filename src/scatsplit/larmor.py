@@ -31,23 +31,6 @@ _CONV_FACTOR = 1.2           # required shrink factor of successive differences
 _ARG_NOISE = 1e-12           # precession angles are trusted to ~this many rad
 
 
-def spin_resolved_amplitudes(barrier: BarrierSpec, omega: float, k: float):
-    """(A_T_up, A_T_dn, A_R_up, A_R_dn) for spin components seeing V -/+ omega/2.
-
-    omega is the precession frequency in energy units (hbar = 1); at
-    omega = 0 they coincide with the unperturbed amplitudes.  This is the
-    one-k case of the two shifted-barrier families of `make_spin_run`.
-    """
-    return tuple(complex(a[0]) for a in _spin_amplitudes(barrier, omega, [k]))
-
-
-def _spin_amplitudes(barrier, omega, ks):
-    """(A_T_up, A_T_dn, A_R_up, A_R_dn) arrays over ks, one family per spin."""
-    up = solve_family(shifted(barrier, -omega / 2), ks)
-    dn = solve_family(shifted(barrier, +omega / 2), ks)
-    return up.A_T, dn.A_T, up.A_R, dn.A_R
-
-
 @dataclass(frozen=True, eq=False)
 class SpinScatteringRun:
     barrier: BarrierSpec
@@ -69,9 +52,15 @@ class SpinScatteringRun:
 
 def make_spin_run(barrier: BarrierSpec, omega: float,
                   packet: SpectralPacket) -> SpinScatteringRun:
-    """One clock reading at a fixed precession frequency."""
+    """One clock reading at a fixed precession frequency.
+
+    omega is the precession frequency in energy units (hbar = 1): the spin
+    components see V -/+ omega/2, one family each on the packet grid.
+    """
     ks = packet.ks
-    at_u, at_d, ar_u, ar_d = _spin_amplitudes(barrier, omega, ks)
+    up = solve_family(shifted(barrier, -omega / 2), ks)
+    dn = solve_family(shifted(barrier, +omega / 2), ks)
+    at_u, at_d, ar_u, ar_d = up.A_T, dn.A_T, up.A_R, dn.A_R
     # cross moments and channel norms of both subensembles on the k grid
     w = np.abs(packet.G) ** 2 * _trap_w(len(ks)) * packet.dk
     zT = complex(np.sum(w * at_u * np.conj(at_d)))

@@ -16,8 +16,7 @@ runs elementwise over k, factoring the growing exponential's magnitude out of
 every under-barrier segment, so opaque barriers (kappa * width of hundreds)
 never overflow: the accumulated log-scale S only ever appears as exp(-S) or
 exp(S_partial - S) with nonpositive exponents.  There is no unscaled code
-path, and the scalar entry points (`solve_stationary`, `evaluate_full`) are
-the one-k case of the same sweep and the same basis evaluator.
+path; one k is a grid of length one.
 
 The tests check the family against plain unscaled 2x2 transfer matrices
 (tests/analytic.py) to 1e-12 absolute in the amplitudes, on random barriers
@@ -27,8 +26,7 @@ and against 50-digit closed forms for rectangles to 1e-13.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +57,37 @@ class SolutionFamily:
               (both exponents are <= 0 inside the segment)
       "deg":  c_plus + c_minus (x - x_j)
 
-    with q or kappa in wn (0 for "deg").  z is the reflection share
-    A_ref_In = A_R / (A_R - A_T exp(2ik x_c)) of the sub-state split, exactly
-    0 where the state is degenerate (R < 1e-12, no reflection sub-state).
+    with q or kappa in wn (0 for "deg").
+
+    The sub-state split.  At each k the full state splits as
+    Psi_full = Psi_tr + Psi_ref, where both parts share the left-incidence
+    structure:
+
+      Psi_tr:  A_tr_In exp(ikx) incoming, A_T exp(ikx) transmitted, nothing reflected
+      Psi_ref: A_ref_In exp(ikx) incoming, A_R exp(-ikx) reflected, nothing transmitted
+
+    with A_tr_In + A_ref_In = 1 and |A_tr_In| = |A_T|, |A_ref_In| = |A_R|.
+    The reflection sub-state is the part of Psi_full that is odd about the
+    barrier midpoint x_c (it never crosses the midpoint).  Every barrier here
+    is mirror symmetric, so Psi_full(2 x_c - x) solves the same equation and
+
+      Psi_ref(x) = z [Psi_full(x) - Psi_full(2 x_c - x)]
+
+    is odd about x_c on the whole line.  Left of a the mirrored term is the
+    purely left-moving A_T exp(ik(2 x_c - x)), so requiring the reflected
+    amplitude of Psi_ref to be A_R fixes
+
+      z = A_ref_In = A_R / (A_R - A_T exp(2ik x_c)).
+
+    The denominator has modulus 1 by unitarity and mirror symmetry, so z is
+    defined for every barrier, opaque ones included; A_tr_In = 1 - z makes
+    the amplitude sum exact.  z is exactly 0 where the state is degenerate
+    (R < 1e-12, no reflection sub-state).
+
+    The masked sub-states (`split_basis`) split the line at x_c:
+    psi_ref = Psi_ref for x <= x_c and 0 beyond, psi_tr = Psi_full - psi_ref.
+    Both carry spatially constant probability current (T k for psi_tr,
+    exactly 0 for psi_ref) at the price of a derivative kink at x_c.
     """
 
     barrier: BarrierSpec
@@ -122,6 +148,24 @@ class SolutionFamily:
                     blk[:, m] = cp + cm * d[:, None]
         return out
 
+    def split_basis(self, xs):
+        """(tr, ref): x-by-k masked sub-state matrices on the ascending grid xs.
+
+        ref is z [Psi_full(x) - Psi_full(2 x_c - x)] on the rows with
+        x <= x_c and zero beyond; tr = basis(xs) - ref.  The mirrored rows
+        are one more basis evaluation, on the reversed mirror grid.
+        """
+        tr = self.basis(xs)
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        x_c = self.barrier.x_c
+        n = int(np.searchsorted(xs, x_c, side="right"))
+        ref = np.zeros_like(tr)
+        ref[:n] = self.basis((2 * x_c - xs[:n])[::-1])[::-1]
+        np.subtract(tr[:n], ref[:n], out=ref[:n])
+        ref[:n] *= self.z
+        tr -= ref
+        return tr, ref
+
 
 def _expi(x, q, out=None):
     """exp(i x q) as an x-by-q outer product, written into out."""
@@ -131,26 +175,6 @@ def _expi(x, q, out=None):
     np.cos(out.imag, out=out.real)
     np.sin(out.imag, out=out.imag)
     return out
-
-
-@dataclass(frozen=True)
-class ScatteringSolution:
-    """The full state at one k: the one-k case of a `SolutionFamily`."""
-
-    k: float
-    E: float
-    A_full_T: complex
-    A_full_R: complex
-    barrier: BarrierSpec
-    family: SolutionFamily = field(compare=False, repr=False)
-
-    @property
-    def T_coef(self) -> float:
-        return abs(self.A_full_T) ** 2
-
-    @property
-    def R_coef(self) -> float:
-        return abs(self.A_full_R) ** 2
 
 
 def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
@@ -235,23 +259,6 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
         barrier=barrier, ks=ks, A_T=A_T, A_R=A_R, z=z, degenerate=degenerate,
         kind=_KINDS[is_osc + 2 * is_evan], wn=wn, c_plus=c_plus, c_minus=c_minus,
     )
-
-
-def solve_stationary(barrier: BarrierSpec, k: float) -> ScatteringSolution:
-    """Solve for the full stationary state at wavenumber k (left incidence)."""
-    if not (isinstance(k, (int, float)) and math.isfinite(k)) or k <= 0:
-        raise DomainError(f"wavenumber must be a positive finite number, got {k!r}")
-    fam = solve_family(barrier, [float(k)])
-    return ScatteringSolution(
-        k=float(k), E=float(k) ** 2 / 2,
-        A_full_T=complex(fam.A_T[0]), A_full_R=complex(fam.A_R[0]),
-        barrier=barrier, family=fam,
-    )
-
-
-def evaluate_full(sol: ScatteringSolution, xs) -> np.ndarray:
-    """Sample the full stationary state on a sorted grid (scalars allowed)."""
-    return sol.family.basis(xs)[:, 0]
 
 
 def probability_current(field, dx: float) -> np.ndarray:

@@ -19,7 +19,7 @@ probability — the package's headline contrast between the two families.
 Route-B weighting: the normalized density weights |G(k)|^2 C(k) / C_bar make
 route B equal route A identically (both are quadratic functionals of the
 field).  A linear-in-G weighting is also emitted as a diagnostic
-(`routeB_variants`); it is complex-valued and fails the weight-normalization
+(`route_b`); it is complex-valued and fails the weight-normalization
 identity, which the report flags rather than hides.
 """
 
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import Decomposition
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -41,12 +40,13 @@ from .errors import (
     WindowError,
 )
 from .potentials import BarrierSpec, make_rectangular
-from .stationary import ScatteringSolution, SolutionFamily, solve_family
-from .wavepacket import SpectralPacket, _density_scan, _ref_basis, _trap_w
+from .stationary import SolutionFamily, solve_family
+from .wavepacket import SpectralPacket, _density_scan, _trap_w
 
 _R_DEFINED = 1e-12
 
 _ROUTE_A_TAIL = 1e-10
+_ROUTE_A_RTOL = 1e-6
 _PIECE_NODES = 24
 
 
@@ -78,50 +78,25 @@ def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
     return xs, wx
 
 
-def _dwell(fam: SolutionFamily):
-    """(tau_tr, tau_ref, ref_defined) over the family's k grid."""
+def dwell_tables(fam: SolutionFamily):
+    """Per-k dwell times (tau_tr, tau_ref, ref_defined mask) over the family's
+    k grid.
+
+    Interior norm of each masked sub-state (`SolutionFamily.split_basis`)
+    per unit incident flux, integrated by 24-node Gauss-Legendre per constant
+    piece of [a, b] split at x_c.  The test suite checks it against adaptive
+    quadrature (tests/analytic.py) to 1e-12 relative on ordinary, stepped,
+    wide and well barriers and to 2e-8 on an opaque one (T ~ 1e-53).  tau_ref
+    is NaN where R <= 1e-12.
+    """
     bar = fam.barrier
     xs, wx = _piece_grid(bar, bar.a, bar.b)
-    Mf = fam.basis(xs)
-    Mr = _ref_basis(fam, xs, Mf)
-    Mf -= Mr  # now the masked transmission basis
-    tau_tr = wx @ np.abs(Mf) ** 2 / (fam.ks * fam.T)
+    Mt, Mr = fam.split_basis(xs)
+    tau_tr = wx @ np.abs(Mt) ** 2 / (fam.ks * fam.T)
     defined = fam.R > _R_DEFINED
     tau_ref = np.full(len(fam.ks), np.nan)
     tau_ref[defined] = (wx @ np.abs(Mr[:, defined]) ** 2) / (fam.ks * fam.R)[defined]
     return tau_tr, tau_ref, defined
-
-
-def dwell_tables(barrier: BarrierSpec, ks):
-    """Per-k dwell times (tau_tr, tau_ref, ref_defined mask) over a k grid.
-
-    Interior norm of each masked sub-state per unit incident flux, with
-    Psi_ref formed from Psi_full and its mirror image, integrated by 24-node
-    Gauss-Legendre per constant piece of [a, b] split at x_c.  The test suite
-    checks it against adaptive quadrature (tests/analytic.py) to 1e-12
-    relative on ordinary, stepped, wide and well barriers and to 2e-8 on an
-    opaque one (T ~ 1e-53).  tau_ref is NaN where R <= 1e-12.
-    """
-    return _dwell(solve_family(barrier, ks))
-
-
-def dwell_time_tr(dec: Decomposition, sol: ScatteringSolution) -> float:
-    """Interior norm of the transmission sub-state over [a, b] per unit flux."""
-    if dec.k != sol.k:
-        raise DomainError("decomposition and solution belong to different k")
-    return float(_dwell(sol.family)[0][0])
-
-
-def dwell_time_ref(dec: Decomposition, sol: ScatteringSolution) -> float:
-    """Interior norm of the reflection sub-state over [a, x_c] per unit flux."""
-    if dec.k != sol.k:
-        raise DomainError("decomposition and solution belong to different k")
-    if sol.R_coef <= _R_DEFINED:
-        raise UndefinedTimeError(
-            f"reflection coefficient {sol.R_coef:.3e} <= {_R_DEFINED}: "
-            "the reflection dwell time is undefined at full transmission"
-        )
-    return float(_dwell(sol.family)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -135,68 +110,42 @@ def _spectral_coef_norm(packet, fam, component):
     return float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(C))) * packet.dk), C
 
 
-def larmor_time_routeA(packet: SpectralPacket, barrier: BarrierSpec,
-                       component: str, domain=None, window=None,
-                       rtol: float = 1e-6) -> float:
+def _routeA(packet, fam, component):
     """Packet time from the space-time integral of the sub-process density.
 
-    tau = (1/C_bar) * int dt int_domain |psi_c(x, t)|^2 dx, with C_bar the
-    spectral transmitted/reflected norm.  The domain defaults to [a, b] for
-    transmission and [a, x_c] for reflection.  The time window is grown
-    automatically until the space integrand falls below 1e-10 of its peak at
-    both ends; a user-supplied window violating that raises a window error.
+    tau = (1/C_bar) * int dt int |psi_c(x, t)|^2 dx over [a, b] for
+    transmission and [a, x_c] for reflection, with C_bar the spectral
+    transmitted/reflected norm.  The time window [0, t_hi] is grown until the
+    space integrand falls below 1e-10 of its peak at both ends.
     """
-    if component not in ("tr", "ref"):
-        raise DomainError(f"component must be tr|ref, got {component!r}")
-    return _routeA(packet, solve_family(barrier, packet.ks), component,
-                   domain, window, rtol)
-
-
-def _routeA(packet, fam, component, domain=None, window=None, rtol=1e-6):
     barrier = fam.barrier
     C_bar, _ = _spectral_coef_norm(packet, fam, component)
     if component == "ref" and C_bar <= _R_DEFINED:
         raise UndefinedTimeError("reflected spectral norm vanishes")
 
-    if domain is None:
-        domain = (barrier.a, barrier.b) if component == "tr" else (barrier.a, barrier.x_c)
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (hi > lo):
-        raise DomainError(f"empty spatial domain {domain}")
+    hi = barrier.b if component == "tr" else barrier.x_c
+    xs, wx = _piece_grid(barrier, barrier.a, hi)
+    tr, ref = fam.split_basis(xs)
+    M = tr if component == "tr" else ref
 
-    xs, wx = _piece_grid(barrier, lo, hi)
-    Mf = fam.basis(xs)
-    Mr = _ref_basis(fam, xs, Mf)
-    M = (Mf - Mr) if component == "tr" else Mr
-
-    if window is None:
-        t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
-        for _ in range(5):
-            probe = _density_scan(M, packet, wx, 0.0, t_hi / 239, 240)
-            pk = float(probe.max())
-            if probe[0] < _ROUTE_A_TAIL * pk and probe[-1] < _ROUTE_A_TAIL * pk:
-                break
-            t_hi *= 1.5
-        else:
-            raise WindowError("could not bracket the scattering event in time")
-        t_lo = 0.0
+    t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
+    for _ in range(5):
+        probe = _density_scan(M, packet, wx, 0.0, t_hi / 239, 240)
+        pk = float(probe.max())
+        if probe[0] < _ROUTE_A_TAIL * pk and probe[-1] < _ROUTE_A_TAIL * pk:
+            break
+        t_hi *= 1.5
     else:
-        t_lo, t_hi = float(window[0]), float(window[1])
-        probe = _density_scan(M, packet, wx, t_lo, (t_hi - t_lo) / 119, 120)
-        if max(probe[0], probe[-1]) > _ROUTE_A_TAIL * float(probe.max()):
-            raise WindowError(
-                "integrand tails exceed 1e-10 of peak at the window ends; "
-                "extend the time window"
-            )
+        raise WindowError("could not bracket the scattering event in time")
 
     # composite Simpson with interval halving until the value settles
     prev = None
-    for I in _simpson_levels(functools.partial(_density_scan, M, packet, wx), t_lo, t_hi):
-        if prev is not None and abs(I - prev) <= max(rtol * abs(I), 1e-12):
+    for I in _simpson_levels(functools.partial(_density_scan, M, packet, wx), 0.0, t_hi):
+        if prev is not None and abs(I - prev) <= max(_ROUTE_A_RTOL * abs(I), 1e-12):
             return I / C_bar
         prev = I
     raise ConvergenceError(
-        f"route-A time quadrature did not settle to rtol={rtol} by n=2049"
+        f"route-A time quadrature did not settle to rtol={_ROUTE_A_RTOL} by n=2049"
     )
 
 
@@ -221,44 +170,34 @@ def _simpson_levels(scan, t_lo, t_hi):
 # packet-level times, route B (spectrally weighted dwell average)
 # ---------------------------------------------------------------------------
 
-def larmor_time_routeB(packet: SpectralPacket, barrier: BarrierSpec,
-                       component: str) -> float:
-    """Packet time as the density-weighted spectral average of dwell times.
+def route_b(packet: SpectralPacket, fam: SolutionFamily, table,
+            component: str) -> dict:
+    """Packet time as the spectral average of the per-k dwell times.
 
-    tau = sum |G|^2 C(k) tau_dwell(k) dk / sum |G|^2 C(k) dk.  This is the
-    weighting that reproduces route A identically; see `routeB_variants` for
-    the linear-in-G diagnostic form.
-    """
-    if component not in ("tr", "ref"):
-        raise DomainError(f"component must be tr|ref, got {component!r}")
-    fam = solve_family(barrier, packet.ks)
-    return _routeB(packet, fam, _dwell(fam), component)["density"]
+    `fam` is the family on the packet grid and `table` its `dwell_tables`.
 
-
-def routeB_variants(packet: SpectralPacket, barrier: BarrierSpec,
-                    component: str) -> dict:
-    """Both route-B weightings plus the weight-normalization check.
-
-    * "density": |G|^2 C weights (the value `larmor_time_routeB` returns);
+    * "density": tau = sum |G|^2 C tau_dwell dk / sum |G|^2 C dk, the
+      weighting that reproduces route A identically;
     * "literal": linear-in-G weights G C / int(G C dk) — complex-valued;
     * "literal_identity_residual": |int G(k) C(k) dk − C_bar| / C_bar, the
       normalization identity the linear form would need; nonzero in general,
       so a large residual flags that the density weighting is the operative
       one (route A agrees with it).
 
-    Raises UndefinedTimeError for "ref" when the reflected spectral norm
-    vanishes.
+    Raises UndefinedTimeError when the spectral norm C_bar vanishes: for
+    "ref" below 1e-12, for "tr" when it underflows to 0 (an opaque barrier).
     """
-    fam = solve_family(barrier, packet.ks)
-    return _routeB(packet, fam, _dwell(fam), component)
-
-
-def _routeB(packet, fam, table, component) -> dict:
-    """`routeB_variants` over the family's dwell table."""
+    if component not in ("tr", "ref"):
+        raise DomainError(f"component must be tr|ref, got {component!r}")
     tau_tr, tau_ref, defined = table
     C_bar, C = _spectral_coef_norm(packet, fam, component)
     if component == "ref" and C_bar <= _R_DEFINED:
         raise UndefinedTimeError("reflected spectral norm vanishes")
+    if not C_bar > 0:
+        raise UndefinedTimeError(
+            "transmitted spectral norm underflows to 0: the barrier is opaque "
+            "to this packet and the transmission time is undefined"
+        )
     # k points without a reflection dwell time carry zero weight
     tau = tau_tr if component == "tr" else np.where(defined, tau_ref, 0.0)
     tw = _trap_w(len(packet.ks)) * packet.dk
@@ -324,7 +263,7 @@ def hartman_scan(V0: float, k: float, lengths, a: float = 0.0):
     for j, L in enumerate(lengths):
         fam = solve_family(make_rectangular(a, a + float(L), V0), k)
         tau_ph[j] = float(phase_time(fam).traversal[0])
-        tau_dw[j] = float(_dwell(fam)[0][0])
+        tau_dw[j] = float(dwell_tables(fam)[0][0])
     return lengths, tau_ph, tau_dw
 
 
@@ -355,18 +294,18 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     both sub-processes and its diagnostic variant.
     """
     fam = solve_family(barrier, packet.ks)
-    table = _dwell(fam)
+    table = dwell_tables(fam)
     tau_tr, tau_ref, defined = table
     if np.any(tau_tr < -1e-12) or np.any(tau_ref[defined] < -1e-12):
         raise DomainError("negative dwell time — integration fault")
 
     A_tr = _routeA(packet, fam, "tr")
-    variants = _routeB(packet, fam, table, "tr")
+    variants = route_b(packet, fam, table, "tr")
     B_tr = variants["density"]
     R_bar, _ = _spectral_coef_norm(packet, fam, "ref")
     if R_bar > _R_DEFINED:
         A_ref = _routeA(packet, fam, "ref")
-        B_ref = _routeB(packet, fam, table, "ref")["density"]
+        B_ref = route_b(packet, fam, table, "ref")["density"]
         ref_resid = abs(A_ref - B_ref) / abs(B_ref)
     else:
         A_ref = B_ref = None

@@ -322,19 +322,6 @@ def _plane_sum(C, ks, xs):
     return out
 
 
-def _ref_basis(fam: SolutionFamily, xs, full):
-    """Masked reflection basis from the full basis `full` on the ascending
-    grid xs: the mirror identity z [Psi_full(x) - Psi_full(2 x_c - x)] on the
-    rows with x <= x_c, zero beyond (interior grids; uniform ones use _split)."""
-    x_c = fam.barrier.x_c
-    n = int(np.searchsorted(xs, x_c, side="right"))
-    M = np.zeros_like(full)
-    M[:n] = fam.basis((2 * x_c - xs[:n])[::-1])[::-1]
-    np.subtract(full[:n], M[:n], out=M[:n])
-    M[:n] *= fam.z
-    return M
-
-
 def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
               dx: float = 0.02, margin: float = 6.0) -> np.ndarray:
     """Uniform snapshot grid covering the dispersed support at time t.

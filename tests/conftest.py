@@ -21,13 +21,9 @@ def free_barrier():
 
 
 @pytest.fixture(scope="session")
-def canonical_sol(canonical_barrier):
-    return ss.solve_stationary(canonical_barrier, 1.0)
-
-
-@pytest.fixture(scope="session")
-def canonical_dec(canonical_barrier):
-    return ss.decompose(canonical_barrier, 1.0)
+def canonical_fam(canonical_barrier):
+    """The one-k family at k = 1 on the canonical barrier."""
+    return ss.solve_family(canonical_barrier, [1.0])
 
 
 @pytest.fixture(scope="session")

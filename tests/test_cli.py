@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import scatsplit as ss
 from scatsplit import cli, stationary
 from scatsplit.cli import main
 
@@ -186,6 +187,16 @@ def test_larmor_run_and_ladder_validation(tmp_path):
     assert main(["larmor", "--config", neg, "--out", str(tmp_path)]) == 2
 
 
+def test_larmor_opaque_barrier_is_refused_by_name(tmp_path, capsys):
+    # T underflows to 0 over the whole packet: route B has no transmitted
+    # norm to divide by, and the refusal must say so instead of crashing
+    opaque = CANONICAL.replace("b = 1.0", "b = 16.0").replace("v0 = 2.0", "v0 = 1000.0")
+    ini = write(tmp_path, "run.ini", opaque + PACKET + "[run]\nomega_ladder = 0.0005 0.00025\n")
+    assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) in (2, 3)
+    err = capsys.readouterr().err
+    assert "transmitted spectral norm underflows to 0" in err
+
+
 @pytest.mark.parametrize("command, run", [
     ("solve", "k_min = abc"),
     ("solve", "k_max = 2.0.0"),
@@ -242,6 +253,14 @@ def test_json_float_arrays_render_as_per_value_floats():
         '[\n  1,\n  NaN,\n  "Infinity",\n  "-Infinity",\n  -0\n]')
     assert cli._render_json([0.25, None, np.float64(-0.0)]) == "[\n  0.25,\n  null,\n  -0\n]"
     assert cli._render_json(np.array([])) == "[]"
+    # tau_dwell_ref at a transmission resonance: the undefined entry is null
+    kres = math.sqrt(2 * 2.0 + math.pi**2)
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, [1.0, kres, 1.5]))
+    masked = np.ma.masked_array(tau_ref, mask=~defined)
+    per_value = [t if d else None for t, d in zip(tau_ref, defined)]
+    assert cli._render_json(masked, 2) == cli._render_json(per_value, 2)
+    assert cli._render_json(masked).count("null") == 1
 
 
 LADDER = "[run]\nomega_ladder = 0.0005 0.00025 0.000125\n"

@@ -16,21 +16,28 @@ def clock_packet(canonical_barrier):
                                    n=256)
 
 
+def _spin_run(barrier, omega, ks):
+    """A spin run on the k grid ks.  The amplitudes do not depend on the
+    packet's spectrum, so flat weights serve."""
+    ks = np.asarray(ks, dtype=float)
+    flat = np.ones(len(ks), dtype=complex)
+    pk = ss.SpectralPacket(ks=ks, g=flat, G=flat, x0=-40.0, sigma=8.0, k0=1.0)
+    return ss.make_spin_run(barrier, omega, pk)
+
+
 def test_zero_field_identity(canonical_barrier):
-    for k in (0.6, 1.0, 2.3):
-        up, dn, r_up, r_dn = ss.spin_resolved_amplitudes(canonical_barrier, 0.0, k)
-        sol = ss.solve_stationary(canonical_barrier, k)
-        assert up == dn == sol.A_full_T
-        assert r_up == r_dn == sol.A_full_R
+    ks = [0.6, 1.0, 2.3]
+    run = _spin_run(canonical_barrier, 0.0, ks)
+    fam = ss.solve_family(canonical_barrier, ks)
+    assert np.array_equal(run.A_T_up, fam.A_T) and np.array_equal(run.A_T_dn, fam.A_T)
+    assert np.array_equal(run.A_R_up, fam.A_R) and np.array_equal(run.A_R_dn, fam.A_R)
 
 
 def test_per_spin_unitarity(canonical_barrier):
-    for k in (0.7, 1.3, 2.1):
-        for om in (1e-3, 0.1):
-            up, dn, r_up, r_dn = ss.spin_resolved_amplitudes(
-                canonical_barrier, om, k)
-            assert abs(abs(up) ** 2 + abs(r_up) ** 2 - 1.0) < 1e-10
-            assert abs(abs(dn) ** 2 + abs(r_dn) ** 2 - 1.0) < 1e-10
+    for om in (1e-3, 0.1):
+        run = _spin_run(canonical_barrier, om, [0.7, 1.3, 2.1])
+        assert np.max(np.abs(np.abs(run.A_T_up) ** 2 + np.abs(run.A_R_up) ** 2 - 1.0)) < 1e-10
+        assert np.max(np.abs(np.abs(run.A_T_dn) ** 2 + np.abs(run.A_R_dn) ** 2 - 1.0)) < 1e-10
 
 
 def test_precession_angles_odd_in_omega(canonical_barrier, clock_packet):
@@ -99,7 +106,8 @@ def test_clock_disagrees_with_presence_time(canonical_barrier, clock_packet):
     om = ss.default_omega(clock_packet)
     res = ss.clock_times(ss.make_spin_run(canonical_barrier, om, clock_packet),
                          clock_packet)
-    tau_presence = ss.larmor_time_routeB(clock_packet, canonical_barrier, "tr")
+    fam = ss.solve_family(canonical_barrier, clock_packet.ks)
+    tau_presence = ss.route_b(clock_packet, fam, ss.dwell_tables(fam), "tr")["density"]
     assert res.tau_tr < 0.5 * tau_presence
 
 

@@ -11,12 +11,12 @@ from conftest import random_symmetric_barrier
 T_CANONICAL = 0.09096685039584551
 
 
-def test_canonical_transmission(canonical_sol):
-    assert canonical_sol.T_coef == pytest.approx(T_CANONICAL, rel=0, abs=1e-15)
+def test_canonical_transmission(canonical_fam):
+    assert canonical_fam.T[0] == pytest.approx(T_CANONICAL, rel=0, abs=1e-15)
 
 
-def test_unitarity_canonical(canonical_sol):
-    assert abs(canonical_sol.T_coef + canonical_sol.R_coef - 1.0) < 1e-12
+def test_unitarity_canonical(canonical_fam):
+    assert abs(canonical_fam.T[0] + canonical_fam.R[0] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("L,V0,k", [
@@ -28,69 +28,67 @@ def test_unitarity_canonical(canonical_sol):
 ])
 def test_amplitudes_match_closed_form(L, V0, k):
     bar = ss.make_rectangular(0.0, L, V0)
-    sol = ss.solve_stationary(bar, k)
+    fam = ss.solve_family(bar, [k])
     a_t, a_r = rect_amplitudes(L, V0, k)
-    assert abs(sol.A_full_T - a_t) < 1e-13
-    assert abs(sol.A_full_R - a_r) < 1e-13
+    assert abs(fam.A_T[0] - a_t) < 1e-13
+    assert abs(fam.A_R[0] - a_r) < 1e-13
 
 
 def test_shifted_interval_reflection_phase():
     # moving the barrier multiplies the reflected amplitude by exp(2ika)
     a_t, a_r = rect_amplitudes(1.0, 2.0, 1.3, a=-4.0)
-    sol = ss.solve_stationary(ss.make_rectangular(-4.0, -3.0, 2.0), 1.3)
-    assert abs(sol.A_full_T - a_t) < 1e-13
-    assert abs(sol.A_full_R - a_r) < 1e-13
+    fam = ss.solve_family(ss.make_rectangular(-4.0, -3.0, 2.0), [1.3])
+    assert abs(fam.A_T[0] - a_t) < 1e-13
+    assert abs(fam.A_R[0] - a_r) < 1e-13
 
 
 def test_resonance_full_transmission():
     k_res = resonance_k(1.0, 1.0, n=1)
-    sol = ss.solve_stationary(ss.make_rectangular(0.0, 1.0, 1.0), k_res)
-    assert sol.T_coef == pytest.approx(1.0, abs=1e-12)
-    assert sol.R_coef < 1e-12
+    fam = ss.solve_family(ss.make_rectangular(0.0, 1.0, 1.0), [k_res])
+    assert fam.T[0] == pytest.approx(1.0, abs=1e-12)
+    assert fam.R[0] < 1e-12
 
 
 def test_free_particle():
-    sol = ss.solve_stationary(ss.make_rectangular(0.0, 3.0, 0.0), 0.7)
-    assert sol.A_full_T == pytest.approx(1.0, abs=1e-14)
-    assert abs(sol.A_full_R) < 1e-14
+    fam = ss.solve_family(ss.make_rectangular(0.0, 3.0, 0.0), [0.7])
+    assert fam.A_T[0] == pytest.approx(1.0, abs=1e-14)
+    assert abs(fam.A_R[0]) < 1e-14
 
 
 def test_invalid_k_rejected():
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ss.DomainError):
-            ss.solve_stationary(bar, bad)
+            ss.solve_family(bar, [bad])
 
 
 def test_field_continuity_at_edges(canonical_barrier):
-    sol = ss.solve_stationary(canonical_barrier, 1.7)
+    fam = ss.solve_family(canonical_barrier, [1.7])
     eps = 1e-9
     for edge in canonical_barrier.edges:
-        lo = ss.evaluate_full(sol, np.array([edge - eps]))[0]
-        hi = ss.evaluate_full(sol, np.array([edge + eps]))[0]
+        lo, hi = fam.basis([edge - eps, edge + eps])[:, 0]
         assert abs(hi - lo) < 1e-7  # C^1 field, eps * |psi'| slack
 
 
 def test_multi_segment_continuity():
     bar = ss.make_symmetric(-1.0, [(0.5, 3.0), (0.5, 1.0)])
-    sol = ss.solve_stationary(bar, 1.2)
+    fam = ss.solve_family(bar, [1.2])
     eps = 1e-9
     for edge in bar.edges:
-        lo = ss.evaluate_full(sol, np.array([edge - eps]))[0]
-        hi = ss.evaluate_full(sol, np.array([edge + eps]))[0]
+        lo, hi = fam.basis([edge - eps, edge + eps])[:, 0]
         assert abs(hi - lo) < 1e-7
 
 
 def test_deep_barrier_no_overflow():
     # kappa * L ~ 250: naive transfer matrices overflow, scaled sweep must not
     bar = ss.make_rectangular(0.0, 8.0, 500.0)
-    sol = ss.solve_stationary(bar, 1.0)
-    assert np.isfinite(sol.T_coef)
-    assert sol.T_coef > 0
-    assert abs(sol.T_coef + sol.R_coef - 1.0) < 1e-10
+    fam = ss.solve_family(bar, [1.0])
+    assert np.isfinite(fam.T[0])
+    assert fam.T[0] > 0
+    assert abs(fam.T[0] + fam.R[0] - 1.0) < 1e-10
     # interior field representable too
     xs = np.linspace(0.0, 8.0, 50)
-    vals = ss.evaluate_full(sol, xs)
+    vals = fam.basis(xs)
     assert np.all(np.isfinite(vals))
 
 
@@ -98,17 +96,17 @@ def test_unitarity_guard_trips_on_nan():
     # direct API misuse that would produce garbage must raise, not return
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     with pytest.raises(ss.DomainError):
-        ss.solve_stationary(bar, float("inf"))
+        ss.solve_family(bar, [float("inf")])
 
 
-def test_probability_current_constancy(canonical_sol, canonical_barrier):
+def test_probability_current_constancy(canonical_fam):
     # current of the full state equals k*T in every region, to stencil accuracy
-    k = canonical_sol.k
+    k = canonical_fam.ks[0]
     h = 2e-4
     for lo, hi in [(-3.0, -1.0), (0.1, 0.9), (1.5, 3.5)]:
         xs = np.arange(lo, hi, h)
-        j = ss.probability_current(ss.evaluate_full(canonical_sol, xs), h)
-        expect = k * canonical_sol.T_coef
+        j = ss.probability_current(canonical_fam.basis(xs)[:, 0], h)
+        expect = k * canonical_fam.T[0]
         assert np.max(np.abs(j - expect)) < 1e-6
 
 
@@ -141,12 +139,11 @@ def test_solve_family_exact_degeneracy():
     fam = _assert_family_matches_transfer(bar, np.array([0.6, 1.0, 1.4]))
     assert list(fam.kind[:, 1]) == ["evan", "deg", "deg", "evan"]
     xs = np.linspace(-1.0, 2.5, 71)
-    sol = ss.solve_stationary(bar, 1.0)
     eps = 1e-9
     for edge in bar.edges:
-        lo, hi = ss.evaluate_full(sol, [edge - eps, edge + eps])
+        lo, hi = fam.basis([edge - eps, edge + eps])[:, 1]
         assert abs(hi - lo) < 1e-7
-    assert np.all(np.isfinite(ss.evaluate_full(sol, xs)))
+    assert np.all(np.isfinite(fam.basis(xs)[:, 1]))
 
 
 def test_family_basis_columns_are_the_scalar_states():
@@ -156,7 +153,7 @@ def test_family_basis_columns_are_the_scalar_states():
     M = ss.solve_family(bar, ks).basis(xs)
     for j, k in enumerate(ks):
         np.testing.assert_allclose(
-            M[:, j], ss.evaluate_full(ss.solve_stationary(bar, float(k)), xs),
+            M[:, j], ss.solve_family(bar, [k]).basis(xs)[:, 0],
             rtol=1e-13, atol=1e-13)
 
 
@@ -164,9 +161,8 @@ def test_solve_family_rejects_bad_grids(canonical_barrier):
     for bad in ([], [1.0, 0.0], [1.0, float("nan")], [[1.0, 2.0]]):
         with pytest.raises(ss.DomainError):
             ss.solve_family(canonical_barrier, bad)
-    sol = ss.solve_stationary(canonical_barrier, 1.0)
     with pytest.raises(ss.DomainError):
-        ss.evaluate_full(sol, [1.0, 0.0])
+        ss.solve_family(canonical_barrier, [1.0]).basis([1.0, 0.0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -176,18 +172,18 @@ def test_unitarity_random_barriers(data):
     rng = np.random.default_rng(seed)
     bar = random_symmetric_barrier(rng)
     k = float(rng.uniform(0.2, 4.0))
-    sol = ss.solve_stationary(bar, k)
-    assert abs(sol.T_coef + sol.R_coef - 1.0) < 1e-10
+    fam = ss.solve_family(bar, [k])
+    assert abs(fam.T[0] + fam.R[0] - 1.0) < 1e-10
 
 
-def test_segment_record_layout(canonical_sol, canonical_barrier):
-    fam = canonical_sol.family
+def test_segment_record_layout(canonical_fam, canonical_barrier):
+    fam = canonical_fam
     shape = (len(canonical_barrier.segments), 1)
     for arr in (fam.kind, fam.wn, fam.c_plus, fam.c_minus):
         assert arr.shape == shape
     assert fam.kind[0, 0] == "evan"   # V0 = 2 > E = 0.5
     assert fam.wn[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
-    assert fam.ks.tolist() == [canonical_sol.k]
+    assert fam.ks.tolist() == [1.0]
 
 
 def _select_sweep(barrier, ks):
