@@ -5,7 +5,7 @@ Subcommands
     decompose  sub-process amplitude table with identity residuals  -> CSV + JSON
     evolve     packet snapshots at requested times                  -> CSVs + JSON
     times      dwell / packet-route / phase time report             -> JSON
-    larmor     spin-clock ladder and extrapolated times             -> JSON
+    larmor     spin-clock readings and zero-field clock times       -> JSON
 
 Config files are INI with sections [barrier], [packet], [run]; unknown keys
 are rejected by name.  Artifacts embed the config echo, its SHA-256, the tool
@@ -13,8 +13,8 @@ version, units convention and tolerance profile; floats are printed with 17
 significant digits and keys in fixed order, so identical configs produce
 byte-identical outputs.
 
-Exit codes: 0 success, 2 config/usage error, 3 numerical tolerance failure,
-4 internal error.
+Exit codes: 0 success, 2 config/usage error or undefined time, 3 numerical
+tolerance failure, 4 internal error.
 """
 
 from __future__ import annotations
@@ -478,7 +478,7 @@ def cmd_larmor(cfg: RunConfig) -> None:
 
     runs = [make_spin_run(cfg.barrier, w, packet) for w in sorted(ladder, reverse=True)]
     fam = solve_family(cfg.barrier, packet.ks)
-    result = clock_times(runs[0], packet, runs=runs[1:], family=fam)
+    clock = clock_times(packet, fam)
     table = dwell_tables(fam)
     tau_B_tr = route_b(packet, fam, table, "tr")["density"]
     try:
@@ -493,19 +493,18 @@ def cmd_larmor(cfg: RunConfig) -> None:
     payload["per_omega_tau_tr"] = [r.tau_clock_tr for r in runs]
     payload["per_omega_tau_ref"] = [r.tau_clock_ref for r in runs]
     payload["extrapolated"] = {
-        "tau_clock_tr": result.tau_tr,
-        "tau_clock_ref": result.tau_ref,
-        "error_tr": result.error_tr,
-        "error_ref": result.error_ref,
-        "ladder_used": list(result.omega_ladder),
+        "tau_clock_tr": clock.tau_tr,
+        "tau_clock_ref": clock.tau_ref,
     }
     payload["comparison"] = {
         "tau_L_tr_routeB": tau_B_tr,
         "tau_L_ref_routeB": tau_B_ref,
-        "clock_minus_routeB_tr": result.tau_tr - tau_B_tr,
+        "clock_minus_routeB_tr": clock.tau_tr - tau_B_tr,
     }
-    payload["warnings"] = list(result.warnings)
-    payload["diagnostics"] = result.diagnostics
+    payload["diagnostics"] = {
+        "sigma_z_T": [r.sigma_z_T for r in runs],
+        "sigma_z_R": [r.sigma_z_R for r in runs],
+    }
     _write_json(cfg.out_dir / "larmor.json", payload)
 
 
@@ -544,6 +543,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command, args.out, args.oracle,
                           None, args.tolerance_profile)
         _COMMANDS[args.command](cfg)
+    except UndefinedTimeError as exc:
+        print(f"undefined time: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,30 +5,44 @@ confined to [a, b] splits the potential seen by the two spin-z components
 into V -/+ omega/2.  Each component scatters as an independent scalar
 problem; the in-plane precession angle of the transmitted (reflected)
 subensemble, read well after the event and divided by omega, is the clock
-time.  Extrapolating the ladder omega, omega/2, omega/4 to zero removes the
-quadratic-in-omega bias of the reading.
+time at that field (`make_spin_run`).
+
+Its zero-field limit (`clock_times`) is Buttiker's in-plane Larmor time
+(Phys. Rev. B 27, 6178 (1983); Baz', Sov. J. Nucl. Phys. 4, 182 (1967)).
+Expanding the cross moment sum w A(V - omega/2) conj A(V + omega/2) to first
+order in omega gives
+
+    tau = -sum w Im(dA/dV conj A) / sum w |A|^2,   w = |G|^2 trap dk,
+
+where V shifts every height on [a, b].  First-order perturbation theory with
+the mirror-image right-incidence state gives the height derivatives in closed
+form on the field-free family Psi, with x_c the barrier midpoint:
+
+    dA_T/dV = exp(-2ik x_c)/(ik) int_a^b Psi(x) Psi(2 x_c - x) dx
+    dA_R/dV = 1/(ik) int_a^b Psi(x)^2 dx
 
 Only the in-plane angle is used as the time; the out-of-plane component
-(population imbalance between the spin-z channels) is reported as a
+(population imbalance between the spin-z channels) is reported per run as a
 diagnostic, not a clock reading.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .potentials import BarrierSpec, shifted
 from .stationary import SolutionFamily, solve_family
+from .times import _spectral_coef_norm
 from .wavepacket import SpectralPacket, _trap_w
 
-_PERTURBATIVE_DRIFT = 0.05   # relative time change per halving that flags omega
-_CONV_FACTOR = 1.2           # required shrink factor of successive differences
-_ARG_NOISE = 1e-12           # precession angles are trusted to ~this many rad
+# below this spectral reflection the reflected reading is withheld: what is
+# left is reflection off the field step itself, with no zero-field limit
+_R_READABLE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,110 +98,72 @@ def make_spin_run(barrier: BarrierSpec, omega: float,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ClockResult:
+class ClockResult(NamedTuple):
+    """Zero-field clock times; unpacks as (tau_tr, tau_ref)."""
     tau_tr: float
-    tau_ref: float | None
-    error_tr: float
-    error_ref: float | None
-    omega_ladder: tuple
-    per_rung_tr: tuple
-    per_rung_ref: tuple
-    warnings: tuple = ()
-    diagnostics: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        yield self.tau_tr
-        yield self.tau_ref
+    tau_ref: float | None    # None where the packet barely reflects
 
 
-def _richardson(taus):
-    # tau(omega) = tau0 + c * omega^2 + ...; halving the frequency per rung
-    r01 = (4 * taus[1] - taus[0]) / 3
-    r12 = (4 * taus[2] - taus[1]) / 3
-    return r12, abs(r12 - r01)
+def _height_derivatives(fam: SolutionFamily):
+    """(dA_T/dV, dA_R/dV) per k for a shift V of every height on [a, b].
 
-
-def clock_times(run: SpinScatteringRun, packet: SpectralPacket,
-                runs: Iterable[SpinScatteringRun] = (),
-                family: SolutionFamily | None = None) -> ClockResult:
-    """Zero-frequency clock times from the run's frequency and two halvings.
-
-    `runs` are readings already made on the same barrier and packet; a rung
-    whose frequency equals one of theirs exactly is taken from it, not solved
-    again.  `family` is the field-free family on the packet grid (solved here
-    when not given).
-
-    Returns an unpackable (tau_tr, tau_ref) result carrying the ladder,
-    per-rung readings, Richardson error estimates, and perturbative-regime
-    warnings.  Raises if the rung differences do not shrink (the reading is
-    then not in its linear regime and no limit can be quoted).
+    Psi is two exponentials per segment (a line where E = V), so both
+    integrals are sums of closed-form segment integrals.  The mirror image of
+    segment j is segment n - 1 - j, of the same width and height, at the
+    reversed local offset.  Every exponential is bounded by 1 (evanescent
+    terms decay from their anchor edge), so opaque barriers do not overflow.
     """
-    if run.omega == 0:
-        raise DomainError("clock extrapolation needs a nonzero base frequency")
-    if family is None:
-        family = solve_family(run.barrier, packet.ks)
-    given = (run, *runs)
-    for r in (*given, family):
-        if r.barrier != run.barrier or not np.array_equal(r.ks, packet.ks):
-            raise DomainError("clock runs and family must share the barrier and k grid")
-    ladder = (run.omega, run.omega / 2, run.omega / 4)
-    made = {r.omega: r for r in given}
-    rungs = [made[om] if om in made else make_spin_run(run.barrier, om, packet)
-             for om in ladder]
+    bar = fam.barrier
+    w = np.diff(bar.edges)[:, None]
+    q, cp, cm = fam.wn, fam.c_plus, fam.c_minus
+    CP, CM = cp[::-1], cm[::-1]
+    osc, evan = fam.kind == "osc", fam.kind == "evan"
+    qs = np.where(osc | evan, q, 1.0)
+    ph = np.exp(1j * q * w)
+    ew = np.exp(-q * w) * w
+    sinc = np.sin(q * w) / qs                   # int_0^w exp(2iqd) dd = ph sinc
+    F = -np.expm1(-2 * q * w) / (2 * qs)        # int_0^w exp(-2 kappa d) dd
+    # int Psi^2 = cp^2 Ep + cm^2 Em + 2 cp cm X
+    Ep = np.where(osc, ph * sinc, np.where(evan, F, w))
+    Em = np.where(osc, sinc / ph, np.where(evan, F, w**3 / 3))
+    X = np.where(osc, w, np.where(evan, ew, w**2 / 2))
+    # int Psi(x) Psi(2 x_c - x) = cp CP Yp + cm CM Ym + (cp CM + cm CP) Z
+    Yp = np.where(osc, ph * w, np.where(evan, ew, w))
+    Ym = np.where(osc, w / ph, np.where(evan, ew, w**3 / 6))
+    Z = np.where(osc, sinc, np.where(evan, F, w**2 / 2))
+    square = np.sum(cp**2 * Ep + cm**2 * Em + 2 * cp * cm * X, axis=0)
+    mirror = np.sum(cp * CP * Yp + cm * CM * Ym + (cp * CM + cm * CP) * Z, axis=0)
+    ik = 1j * fam.ks
+    return np.exp(-2j * fam.ks * bar.x_c) / ik * mirror, square / ik
 
-    taus_tr = [r.tau_clock_tr for r in rungs]
-    # read the reflected subensemble only if it exists without the field;
-    # otherwise the "reflection" is scattering off the field step itself and
-    # its angle has no zero-frequency limit
+
+def _reading(w, dA, A) -> float:
+    """-sum w Im(dA conj A) / sum w |A|^2, with dA and A scaled by 1/max|A|
+    so that neither sum underflows where |A|^2 does."""
+    s = 1 / np.max(np.abs(A))
+    dA, A = dA * s, A * s
+    return -float(np.sum(w * (dA * np.conj(A)).imag)) / float(np.sum(w * np.abs(A) ** 2))
+
+
+def clock_times(packet: SpectralPacket, family: SolutionFamily) -> ClockResult:
+    """Zero-field clock times (tau_tr, tau_ref) in closed form.
+
+    `family` is the field-free family on the packet grid; no further family
+    is solved.  tau_ref is None when the spectral reflection is at or below
+    1e-10.  Raises UndefinedTimeError when the transmitted spectral norm
+    underflows to 0 (an opaque barrier).
+    """
+    if not np.array_equal(family.ks, packet.ks):
+        raise DomainError("clock family must be solved on the packet's k grid")
+    _spectral_coef_norm(packet, family, "tr")  # refuses a vanishing norm by name
+    dA_T, dA_R = _height_derivatives(family)
     w = np.abs(packet.G) ** 2 * _trap_w(len(packet.ks)) * packet.dk
-    R0 = float(np.sum(w * family.R))
-    taus_ref = [r.tau_clock_ref for r in rungs] if R0 > 1e-10 else None
-
-    warnings = []
-    # clock readings divide an angle by omega, so float noise in the angle
-    # shows up magnified by 1/omega; differences below that floor mean the
-    # ladder has bottomed out, not that it diverges
-    noise = _ARG_NOISE / abs(run.omega)
-    d1, d2 = abs(taus_tr[1] - taus_tr[0]), abs(taus_tr[2] - taus_tr[1])
-    scale = max(abs(taus_tr[0]), 1e-30)
-    if d1 / scale > _PERTURBATIVE_DRIFT:
-        warnings.append("omega_too_large_tr")
-    if d2 > d1 / _CONV_FACTOR and d2 > max(1e-12 * scale, noise):
-        raise ConvergenceError(
-            "transmission clock reading not converging under frequency halving",
-            diagnostics={"omega_ladder": ladder, "tau_rungs": tuple(taus_tr),
-                         "diffs": (d1, d2)},
-        )
-    tau_tr, err_tr = _richardson(taus_tr)
-
-    tau_ref = err_ref = None
-    if taus_ref is not None:
-        e1, e2 = abs(taus_ref[1] - taus_ref[0]), abs(taus_ref[2] - taus_ref[1])
-        rscale = max(abs(taus_ref[0]), 1e-30)
-        if e1 / rscale > _PERTURBATIVE_DRIFT:
-            warnings.append("omega_too_large_ref")
-        if e2 > e1 / _CONV_FACTOR and e2 > max(1e-12 * rscale, noise):
-            raise ConvergenceError(
-                "reflection clock reading not converging under frequency halving",
-                diagnostics={"omega_ladder": ladder, "tau_rungs": tuple(taus_ref),
-                             "diffs": (e1, e2)},
-            )
-        tau_ref, err_ref = _richardson(taus_ref)
-
-    return ClockResult(
-        tau_tr=tau_tr, tau_ref=tau_ref, error_tr=err_tr, error_ref=err_ref,
-        omega_ladder=ladder,
-        per_rung_tr=tuple(taus_tr),
-        per_rung_ref=tuple(taus_ref) if taus_ref else (),
-        warnings=tuple(warnings),
-        diagnostics={
-            "sigma_z_T": tuple(r.sigma_z_T for r in rungs),
-            "sigma_z_R": tuple(r.sigma_z_R for r in rungs),
-        },
-    )
+    tau_tr = _reading(w, dA_T, family.A_T)
+    tau_ref = (_reading(w, dA_R, family.A_R)
+               if float(np.sum(w * family.R)) > _R_READABLE else None)
+    return ClockResult(tau_tr, tau_ref)
 
 
-def default_omega(packet: SpectralPacket, frac: float = 1e-3) -> float:
-    """Base rung of the frequency ladder: a small fraction of the mean energy."""
-    return frac * packet.k0**2 / 2
+def default_omega(packet: SpectralPacket) -> float:
+    """A weak precession frequency: 1e-3 of the packet's mean energy."""
+    return 1e-3 * packet.k0**2 / 2

@@ -86,13 +86,15 @@ def dwell_tables(fam: SolutionFamily):
     per unit incident flux, integrated by 24-node Gauss-Legendre per constant
     piece of [a, b] split at x_c.  The test suite checks it against adaptive
     quadrature (tests/analytic.py) to 1e-12 relative on ordinary, stepped,
-    wide and well barriers and to 2e-8 on an opaque one (T ~ 1e-53).  tau_ref
-    is NaN where R <= 1e-12.
+    wide and well barriers and to 2e-8 on an opaque one (T ~ 1e-53).  tau_tr
+    is NaN where the flux k T underflows to 0, tau_ref where R <= 1e-12.
     """
     bar = fam.barrier
     xs, wx = _piece_grid(bar, bar.a, bar.b)
     Mt, Mr = fam.split_basis(xs)
-    tau_tr = wx @ np.abs(Mt) ** 2 / (fam.ks * fam.T)
+    flux = fam.ks * fam.T
+    tau_tr = np.divide(wx @ np.abs(Mt) ** 2, flux,
+                       out=np.full(len(fam.ks), np.nan), where=flux > 0)
     defined = fam.R > _R_DEFINED
     tau_ref = np.full(len(fam.ks), np.nan)
     tau_ref[defined] = (wx @ np.abs(Mr[:, defined]) ** 2) / (fam.ks * fam.R)[defined]
@@ -105,9 +107,21 @@ def dwell_tables(fam: SolutionFamily):
 
 def _spectral_coef_norm(packet, fam, component):
     """(C_bar, C): per-k transmission or reflection coefficient on the packet
-    grid and its spectral average."""
+    grid and its spectral average.
+
+    Raises UndefinedTimeError when C_bar vanishes: for "ref" at or below
+    1e-12, for "tr" when it underflows to 0 (an opaque barrier).
+    """
     C = fam.T if component == "tr" else fam.R
-    return float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(C))) * packet.dk), C
+    C_bar = float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(C))) * packet.dk)
+    if component == "ref" and C_bar <= _R_DEFINED:
+        raise UndefinedTimeError("reflected spectral norm vanishes")
+    if not C_bar > 0:
+        raise UndefinedTimeError(
+            "transmitted spectral norm underflows to 0: the barrier is opaque "
+            "to this packet and the transmission time is undefined"
+        )
+    return C_bar, C
 
 
 def _routeA(packet, fam, component):
@@ -120,9 +134,6 @@ def _routeA(packet, fam, component):
     """
     barrier = fam.barrier
     C_bar, _ = _spectral_coef_norm(packet, fam, component)
-    if component == "ref" and C_bar <= _R_DEFINED:
-        raise UndefinedTimeError("reflected spectral norm vanishes")
-
     hi = barrier.b if component == "tr" else barrier.x_c
     xs, wx = _piece_grid(barrier, barrier.a, hi)
     tr, ref = fam.split_basis(xs)
@@ -189,17 +200,12 @@ def route_b(packet: SpectralPacket, fam: SolutionFamily, table,
     """
     if component not in ("tr", "ref"):
         raise DomainError(f"component must be tr|ref, got {component!r}")
-    tau_tr, tau_ref, defined = table
+    tau_tr, tau_ref, _ = table
     C_bar, C = _spectral_coef_norm(packet, fam, component)
-    if component == "ref" and C_bar <= _R_DEFINED:
-        raise UndefinedTimeError("reflected spectral norm vanishes")
-    if not C_bar > 0:
-        raise UndefinedTimeError(
-            "transmitted spectral norm underflows to 0: the barrier is opaque "
-            "to this packet and the transmission time is undefined"
-        )
-    # k points without a reflection dwell time carry zero weight
-    tau = tau_tr if component == "tr" else np.where(defined, tau_ref, 0.0)
+    # k points without a dwell time carry zero weight (their k C underflows
+    # to 0, or C is below 1e-12)
+    tau = tau_tr if component == "tr" else tau_ref
+    tau = np.where(np.isnan(tau), 0.0, tau)
     tw = _trap_w(len(packet.ks)) * packet.dk
     lit_norm = complex(np.sum(packet.G * C * tw))
     lit = complex(np.sum(packet.G * C * tau * tw) / lit_norm) if lit_norm != 0 else complex("nan")
@@ -302,14 +308,13 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     A_tr = _routeA(packet, fam, "tr")
     variants = route_b(packet, fam, table, "tr")
     B_tr = variants["density"]
-    R_bar, _ = _spectral_coef_norm(packet, fam, "ref")
-    if R_bar > _R_DEFINED:
-        A_ref = _routeA(packet, fam, "ref")
+    try:
         B_ref = route_b(packet, fam, table, "ref")["density"]
-        ref_resid = abs(A_ref - B_ref) / abs(B_ref)
+    except UndefinedTimeError:
+        A_ref = B_ref = ref_resid = None
     else:
-        A_ref = B_ref = None
-        ref_resid = None
+        A_ref = _routeA(packet, fam, "ref")
+        ref_resid = abs(A_ref - B_ref) / abs(B_ref)
 
     stride = max(1, len(packet.ks) // phase_points)
     ph = phase_time(solve_family(barrier, packet.ks[::stride]))

@@ -300,6 +300,29 @@ def transfer_amplitudes(edges, heights, k):
     return 1 / alpha, beta / alpha
 
 
+def ladder_clock(edges, heights, ks, weights, omega):
+    """Zero-field spin-clock times (tau_tr, tau_ref) by Richardson over the
+    finite-field readings at omega, omega/2 and omega/4.
+
+    At field w the two spin components see every height shifted by -/+ w/2
+    (amplitudes from `transfer_amplitudes`); the reading is
+    arg(sum weights A_up conj A_dn) / w, for the transmitted and the reflected
+    amplitudes.  tau(w) = tau0 + c2 w^2 + c4 w^4 + ..., so (4 tau(w/2) -
+    tau(w)) / 3 removes the w^2 term from each pair of rungs and
+    (16 r(w/2) - r(w)) / 15 the w^4 term from the two results."""
+    rungs = []
+    for w in (omega, omega / 2, omega / 4):
+        up = [transfer_amplitudes(edges, [h - w / 2 for h in heights], k) for k in ks]
+        dn = [transfer_amplitudes(edges, [h + w / 2 for h in heights], k) for k in ks]
+        rungs.append([
+            cmath.phase(sum(c * u[i] * d[i].conjugate()
+                            for c, u, d in zip(weights, up, dn))) / w
+            for i in (0, 1)])
+    r01, r12 = ([(4 * t2 - t1) / 3 for t1, t2 in zip(lo, hi)]
+                for lo, hi in zip(rungs, rungs[1:]))
+    return tuple((16 * b - a) / 15 for a, b in zip(r01, r12))
+
+
 def plane_wave_sum(ks, coeffs, xs):
     """[sum_k c_k exp(i k x) for x in xs] by direct summation, one complex
     exponential per (k, x)."""

@@ -187,13 +187,26 @@ def test_larmor_run_and_ladder_validation(tmp_path):
     assert main(["larmor", "--config", neg, "--out", str(tmp_path)]) == 2
 
 
+OPAQUE = CANONICAL.replace("b = 1.0", "b = 16.0").replace("v0 = 2.0", "v0 = 1000.0")
+
+
 def test_larmor_opaque_barrier_is_refused_by_name(tmp_path, capsys):
-    # T underflows to 0 over the whole packet: route B has no transmitted
+    # T underflows to 0 over the whole packet: the clock has no transmitted
     # norm to divide by, and the refusal must say so instead of crashing
-    opaque = CANONICAL.replace("b = 1.0", "b = 16.0").replace("v0 = 2.0", "v0 = 1000.0")
-    ini = write(tmp_path, "run.ini", opaque + PACKET + "[run]\nomega_ladder = 0.0005 0.00025\n")
-    assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) in (2, 3)
+    ini = write(tmp_path, "run.ini", OPAQUE + PACKET + "[run]\nomega_ladder = 0.0005 0.00025\n")
+    assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("undefined time: ")
+    assert "transmitted spectral norm underflows to 0" in err
+
+
+def test_times_opaque_barrier_is_refused_by_name(tmp_path, capsys):
+    # the dwell table marks the underflowed k undefined without a divide
+    # warning, and route A refuses by name instead of searching for a window
+    ini = write(tmp_path, "run.ini", OPAQUE + PACKET)
+    assert main(["times", "--config", ini, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("undefined time: ")
     assert "transmitted spectral norm underflows to 0" in err
 
 
@@ -267,8 +280,8 @@ LADDER = "[run]\nomega_ladder = 0.0005 0.00025 0.000125\n"
 
 
 def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
-    # three user rungs (two spin families each) and one field-free family;
-    # the clock takes its omega/2 and omega/4 rungs from the user's
+    # three user rungs (two spin families each) and one field-free family,
+    # which alone gives the zero-field clock
     calls = []
 
     def counted(barrier, ks):
@@ -282,4 +295,5 @@ def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
     assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) == 0
     assert calls == [256] * 7
     meta = json.loads((tmp_path / "larmor.json").read_text())
-    assert meta["extrapolated"]["ladder_used"] == meta["omega_ladder"]
+    assert meta["omega_ladder"] == [0.0005, 0.00025, 0.000125]
+    assert len(meta["diagnostics"]["sigma_z_T"]) == len(meta["diagnostics"]["sigma_z_R"]) == 3

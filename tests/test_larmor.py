@@ -1,13 +1,10 @@
 """Spin-precession clock: spin-resolved scattering and the zero-field limit."""
 
-import math
-
 import numpy as np
 import pytest
 
 import scatsplit as ss
-
-KRES = math.sqrt(2 * 2.0 + math.pi**2)  # full-transmission point of the rectangle
+from analytic import ladder_clock
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +45,10 @@ def test_precession_angles_odd_in_omega(canonical_barrier, clock_packet):
     assert abs(plus.theta_R + minus.theta_R) < 1e-9
 
 
-def test_clock_needs_nonzero_omega(canonical_barrier, clock_packet):
-    run = ss.make_spin_run(canonical_barrier, 0.0, clock_packet)
-    with pytest.raises(ss.DomainError):
-        ss.clock_times(run, clock_packet)
-
-
 def test_free_clock_reads_transit_time():
     free = ss.make_rectangular(0.0, 2.0, 0.0)
     pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=free, n=256)
-    res = ss.clock_times(ss.make_spin_run(free, ss.default_omega(pk), pk), pk)
+    res = ss.clock_times(pk, ss.solve_family(free, pk.ks))
     # ensemble free transit: L * <1/k> over the transmitted weights
     w = np.abs(pk.G) ** 2
     w = w / np.sum(w)
@@ -65,37 +56,20 @@ def test_free_clock_reads_transit_time():
     assert abs(res.tau_tr - expected) < 0.01 * expected
     # no reflected subensemble without a barrier: the reading is withheld
     assert res.tau_ref is None
-    assert res.per_rung_ref == ()
 
 
 def test_canonical_clock_values(canonical_barrier, clock_packet):
-    om = ss.default_omega(clock_packet)
-    res = ss.clock_times(ss.make_spin_run(canonical_barrier, om, clock_packet),
-                         clock_packet)
-    tau_tr, tau_ref = res  # unpackable
+    fam = ss.solve_family(canonical_barrier, clock_packet.ks)
+    tau_tr, tau_ref = ss.clock_times(clock_packet, fam)  # unpackable
     assert tau_tr == pytest.approx(0.3156753608, abs=1e-6)
     assert tau_ref == pytest.approx(0.3091737241, abs=1e-6)
-    assert res.error_tr < 1e-9 and res.error_ref < 1e-9
-    assert res.warnings == ()
-
-
-def test_clock_stable_across_base_frequencies(canonical_barrier, clock_packet):
-    taus = []
-    for frac in (1e-3, 5e-4, 2.5e-4):
-        om = ss.default_omega(clock_packet, frac)
-        res = ss.clock_times(
-            ss.make_spin_run(canonical_barrier, om, clock_packet), clock_packet)
-        taus.append((res.tau_tr, res.tau_ref))
-    for a, b in zip(taus, taus[1:]):
-        assert abs(a[0] - b[0]) < 0.01 * abs(a[0])
-        assert abs(a[1] - b[1]) < 0.01 * abs(a[1])
 
 
 def test_deep_barrier_clock_finite():
     # kappa L ~ 20: the clock reads a short, finite time for both channels
     deep = ss.make_rectangular(0.0, 2.0, 50.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=deep, n=256)
-    res = ss.clock_times(ss.make_spin_run(deep, ss.default_omega(pk), pk), pk)
+    res = ss.clock_times(pk, ss.solve_family(deep, pk.ks))
     assert 0.0 < res.tau_tr < 0.02
     assert res.tau_ref is not None and 0.0 < res.tau_ref < 0.02
 
@@ -103,33 +77,53 @@ def test_deep_barrier_clock_finite():
 def test_clock_disagrees_with_presence_time(canonical_barrier, clock_packet):
     # the precession reading is several times shorter than the
     # density-integrated presence time for the same subensemble
-    om = ss.default_omega(clock_packet)
-    res = ss.clock_times(ss.make_spin_run(canonical_barrier, om, clock_packet),
-                         clock_packet)
     fam = ss.solve_family(canonical_barrier, clock_packet.ks)
+    res = ss.clock_times(clock_packet, fam)
     tau_presence = ss.route_b(clock_packet, fam, ss.dwell_tables(fam), "tr")["density"]
     assert res.tau_tr < 0.5 * tau_presence
 
 
-def test_large_omega_flags_or_raises(canonical_barrier):
-    pk = ss.make_gaussian_packet(-40.0, 8.0, KRES, barrier=canonical_barrier,
-                                 n=256)
-    res = ss.clock_times(ss.make_spin_run(canonical_barrier, 1.0, pk), pk)
-    assert "omega_too_large_ref" in res.warnings
-    with pytest.raises(ss.ConvergenceError) as exc:
-        ss.clock_times(ss.make_spin_run(canonical_barrier, 2.0, pk), pk)
-    assert "tau_rungs" in exc.value.diagnostics
-
-
 def test_clock_reuses_given_rungs_and_family(canonical_barrier, clock_packet):
-    om = ss.default_omega(clock_packet)
-    runs = [ss.make_spin_run(canonical_barrier, om / d, clock_packet) for d in (1, 2, 4)]
-    fam = ss.solve_family(canonical_barrier, clock_packet.ks)
-    fresh = ss.clock_times(runs[0], clock_packet)
-    reused = ss.clock_times(runs[0], clock_packet, runs=runs[1:], family=fam)
-    for name in ("tau_tr", "tau_ref", "error_tr", "error_ref", "omega_ladder",
-                 "per_rung_tr", "per_rung_ref", "warnings", "diagnostics"):
-        assert getattr(reused, name) == getattr(fresh, name)
-    other = ss.solve_family(ss.make_rectangular(0.0, 1.0, 2.5), clock_packet.ks)
+    # the clock reads the family it is given, which must be on the packet grid
+    other = ss.solve_family(canonical_barrier, clock_packet.ks[::2])
     with pytest.raises(ss.DomainError):
-        ss.clock_times(runs[0], clock_packet, family=other)
+        ss.clock_times(clock_packet, other)
+
+
+@pytest.mark.parametrize("barrier, omega", [
+    (ss.make_rectangular(0.0, 1.0, 2.0), 5e-4),
+    (ss.make_symmetric(0.0, [(0.3, 1.0), (0.4, 3.0)]), 5e-4),
+    (ss.make_rectangular(0.0, 2.0, 50.0), 5e-4),
+    (ss.make_rectangular(0.0, 1.0, -2.0), 5e-4),
+    # kappa w ~ 313: the readings vary on the scale V0 - E ~ 1000, and a
+    # larger field keeps the precession angle (omega tau) above rounding
+    (ss.make_rectangular(0.0, 7.0, 1000.0), 1.0),
+], ids=["canonical", "two_step", "deep", "well", "opaque"])
+def test_closed_form_matches_field_ladder(barrier, omega):
+    # the closed form against the finite-field readings at omega, omega/2 and
+    # omega/4 from plain transfer matrices, extrapolated to zero field
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=barrier, n=256)
+    res = ss.clock_times(pk, ss.solve_family(barrier, pk.ks))
+    trap = np.ones(len(pk.ks))
+    trap[[0, -1]] = 0.5
+    ladder = ladder_clock(barrier.edges, barrier.heights, pk.ks,
+                          np.abs(pk.G) ** 2 * trap * pk.dk, omega)
+    for tau, want in zip(res, ladder):
+        assert abs(tau - want) <= 1e-8 * abs(tau)
+
+
+def test_clock_reads_where_transmission_underflows():
+    # kappa w ~ 369: |A_T|^2 is subnormal or 0 across the packet, so the
+    # moments sum w Im(dA conj A) underflow unless scaled; the readings must
+    # continue those of a thinner opaque barrier (the reflected time saturates
+    # with width, the transmitted one grows by under 1e-8 per unit width)
+    taus = []
+    for b in (7.0, 8.25):
+        bar = ss.make_rectangular(0.0, b, 1000.0)
+        pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=128)
+        fam = ss.solve_family(bar, pk.ks)
+        taus.append(ss.clock_times(pk, fam))
+    assert np.any(fam.T == 0) and np.all(fam.T < 1e-300)
+    (thin_tr, thin_ref), (thick_tr, thick_ref) = taus
+    assert abs(thick_tr - thin_tr) < 1e-3 * thin_tr
+    assert abs(thick_ref - thin_ref) < 1e-9 * thin_ref

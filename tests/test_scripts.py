@@ -8,7 +8,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, code=0):
+    """Run a script; check its exit code and return its stdout lines (or its
+    stderr when the exit code is nonzero)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -16,8 +18,8 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    assert proc.returncode == code, proc.stderr
+    return (proc.stdout if code == 0 else proc.stderr).splitlines()
 
 
 def test_barrier_report():
@@ -27,6 +29,15 @@ def test_barrier_report():
     assert any(ln.strip().startswith("presence, reflection     route A") for ln in out)
     assert any(ln.strip().startswith("phase delay near k0") for ln in out)
     assert out[-1].strip().startswith("clock / presence-time ratio:")
+
+
+def test_barrier_report_names_a_refusal():
+    # a packet centred on the first transmission resonance: route A refuses
+    # the nearly empty reflected part, and the script says so without a
+    # traceback
+    err = run_script("barrier_report.py", "--n-k", "128", "--v0", "1",
+                     "--k0", "3.4452292233013115", code=1)
+    assert err == ["refused: WindowError: could not bracket the scattering event in time"]
 
 
 def test_hartman_scan():

@@ -83,6 +83,16 @@ def test_dwell_tables_nan_at_resonance(canonical_barrier):
     assert np.isnan(tau_ref[1]) and np.isfinite(tau_ref[0])
 
 
+def test_dwell_tables_nan_where_flux_underflows():
+    # kappa w ~ 369: k T underflows to 0 on part of the grid (T itself is
+    # subnormal there or 0); those k have no dwell time, and no divide warning
+    fam = ss.solve_family(ss.make_rectangular(0.0, 8.25, 1000.0), np.linspace(0.2, 1.8, 64))
+    tau_tr = ss.dwell_tables(fam)[0]
+    flux = fam.ks * fam.T
+    assert np.any(flux == 0) and np.any(flux > 0)
+    assert np.array_equal(np.isnan(tau_tr), flux == 0)
+
+
 # ---------------------------------------------------- packet-averaged times
 
 
