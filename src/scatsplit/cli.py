@@ -406,24 +406,14 @@ def cmd_evolve(cfg: RunConfig) -> None:
 
 
 def _evolve_oracle(cfg, packet, ts) -> dict:
-    from .oracle import GridSpec, crank_nicolson_evolve
+    from .oracle import CROSS_CHECK_DX, cross_check_start, crank_nicolson_evolve
 
     t0, t1 = ts[0], ts[-1]
     if t1 <= t0:
         return {"skipped": "need at least two distinct times"}
-    s0 = snapshot(packet, cfg.barrier, t0, dx=0.004)
-    xs = s0.x_grid
-    # widen so nothing reaches the hard-wall edges over the comparison window
-    k_hi = float(packet.ks[-1])
-    pad = k_hi * (t1 - t0) + 30.0
-    dx = float(xs[1] - xs[0])
-    n_pad = int(pad / dx) + 1
-    lo = float(xs[0]) - n_pad * dx
-    n = len(xs) + 2 * n_pad
-    grid = GridSpec(x_min=lo, x_max=lo + (n - 1) * dx, n=n, dt=dx)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[n_pad : n_pad + len(xs)] = s0.psi_full
-    nsteps = max(1, round((t1 - t0) / grid.dt))
+    s0 = snapshot(packet, cfg.barrier, t0, dx=CROSS_CHECK_DX)
+    grid, psi0, nsteps = cross_check_start(s0.x_grid, s0.psi_full,
+                                           float(packet.ks[-1]), t1 - t0)
     psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, nsteps * grid.dt)
     ref = snapshot(packet, cfg.barrier, t0 + nsteps * grid.dt, xs=grid.xs)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,27 +79,37 @@ def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
     return xs, wx
 
 
-def dwell_tables(fam: SolutionFamily):
-    """Per-k dwell times (tau_tr, tau_ref, ref_defined mask) over the family's
-    k grid.
+class DwellTable(NamedTuple):
+    """Per-k dwell times and interior norms over a family's k grid."""
 
-    Interior norm of each masked sub-state (`SolutionFamily.split_basis`)
-    per unit incident flux, integrated by 24-node Gauss-Legendre per constant
-    piece of [a, b] split at x_c.  The test suite checks it against adaptive
-    quadrature (tests/analytic.py) to 1e-12 relative on ordinary, stepped,
-    wide and well barriers and to 2e-8 on an opaque one (T ~ 1e-53).  tau_tr
-    is NaN where the flux k T underflows to 0, tau_ref where R <= 1e-12.
+    tau_tr: np.ndarray       # NaN where the flux k T underflows to 0
+    tau_ref: np.ndarray      # NaN where R <= 1e-12
+    ref_defined: np.ndarray  # R > 1e-12
+    norm_tr: np.ndarray      # interior norm over k, I / k = C tau, at every k
+    norm_ref: np.ndarray     # 0 where R < 1e-12
+
+
+def dwell_tables(fam: SolutionFamily) -> DwellTable:
+    """Per-k dwell times over the family's k grid.
+
+    Interior norm I of each masked sub-state (`SolutionFamily.split_basis`)
+    per unit incident flux, tau = I / (k C), integrated by 24-node
+    Gauss-Legendre per constant piece of [a, b] split at x_c.  The test suite
+    checks it against adaptive quadrature (tests/analytic.py) to 1e-12
+    relative on ordinary, stepped, wide and well barriers and to 2e-8 on an
+    opaque one (T ~ 1e-53).  I / k itself is kept too: it stays defined
+    where the flux k T underflows to 0.
     """
     bar = fam.barrier
     xs, wx = _piece_grid(bar, bar.a, bar.b)
     Mt, Mr = fam.split_basis(xs)
+    I_tr, I_ref = wx @ np.abs(Mt) ** 2, wx @ np.abs(Mr) ** 2
     flux = fam.ks * fam.T
-    tau_tr = np.divide(wx @ np.abs(Mt) ** 2, flux,
-                       out=np.full(len(fam.ks), np.nan), where=flux > 0)
+    tau_tr = np.divide(I_tr, flux, out=np.full(len(fam.ks), np.nan), where=flux > 0)
     defined = fam.R > _R_DEFINED
     tau_ref = np.full(len(fam.ks), np.nan)
-    tau_ref[defined] = (wx @ np.abs(Mr[:, defined]) ** 2) / (fam.ks * fam.R)[defined]
-    return tau_tr, tau_ref, defined
+    tau_ref[defined] = I_ref[defined] / (fam.ks * fam.R)[defined]
+    return DwellTable(tau_tr, tau_ref, defined, I_tr / fam.ks, I_ref / fam.ks)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +192,16 @@ def _simpson_levels(scan, t_lo, t_hi):
 # packet-level times, route B (spectrally weighted dwell average)
 # ---------------------------------------------------------------------------
 
-def route_b(packet: SpectralPacket, fam: SolutionFamily, table,
+def route_b(packet: SpectralPacket, fam: SolutionFamily, table: DwellTable,
             component: str) -> dict:
     """Packet time as the spectral average of the per-k dwell times.
 
     `fam` is the family on the packet grid and `table` its `dwell_tables`.
 
     * "density": tau = sum |G|^2 C tau_dwell dk / sum |G|^2 C dk, the
-      weighting that reproduces route A identically;
+      weighting that reproduces route A identically; C tau_dwell is taken as
+      the interior norm I / k, so a k whose flux k C underflows keeps its
+      weight, as it does in route A;
     * "literal": linear-in-G weights G C / int(G C dk) — complex-valued;
     * "literal_identity_residual": |int G(k) C(k) dk − C_bar| / C_bar, the
       normalization identity the linear form would need; nonzero in general,
@@ -200,17 +213,22 @@ def route_b(packet: SpectralPacket, fam: SolutionFamily, table,
     """
     if component not in ("tr", "ref"):
         raise DomainError(f"component must be tr|ref, got {component!r}")
-    tau_tr, tau_ref, _ = table
     C_bar, C = _spectral_coef_norm(packet, fam, component)
-    # k points without a dwell time carry zero weight (their k C underflows
-    # to 0, or C is below 1e-12)
-    tau = tau_tr if component == "tr" else tau_ref
-    tau = np.where(np.isnan(tau), 0.0, tau)
+    # norm_ref is 0 where R < 1e-12: the family's z is exactly 0 there
+    tau, norm = ((table.tau_tr, table.norm_tr) if component == "tr"
+                 else (table.tau_ref, table.norm_ref))
     tw = _trap_w(len(packet.ks)) * packet.dk
-    lit_norm = complex(np.sum(packet.G * C * tw))
-    lit = complex(np.sum(packet.G * C * tau * tw) / lit_norm) if lit_norm != 0 else complex("nan")
+    # the linear form with C scaled by the power of two above its largest
+    # value, so a subnormal C neither loses its digits nor overflows the
+    # quotient; k without a dwell time carry no weight
+    scale = 2.0 ** np.frexp(C.max())[1]
+    lin = packet.G * (C / scale) * tw
+    den = complex(np.sum(lin))
+    lit = (complex(np.sum(lin * np.where(np.isnan(tau), 0.0, tau))) / den
+           if den != 0 else complex("nan"))
+    lit_norm = den * scale
     return {
-        "density": float(np.sum(np.abs(packet.G) ** 2 * C * tau * tw) / C_bar),
+        "density": float(np.sum(np.abs(packet.G) ** 2 * norm * tw) / C_bar),
         "literal": lit,
         "literal_normalizer": lit_norm,
         "literal_identity_residual": abs(lit_norm - C_bar) / C_bar,
@@ -301,7 +319,7 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     """
     fam = solve_family(barrier, packet.ks)
     table = dwell_tables(fam)
-    tau_tr, tau_ref, defined = table
+    tau_tr, tau_ref, defined = table.tau_tr, table.tau_ref, table.ref_defined
     if np.any(tau_tr < -1e-12) or np.any(tau_ref[defined] < -1e-12):
         raise DomainError("negative dwell time — integration fault")
 

@@ -213,19 +213,11 @@ def test_criterion_8_oracle_equivalence():
     # time-domain: spectral synthesis vs Crank-Nicolson on the same grid
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
-    s0 = ss.snapshot(pk, bar, 0.0, dx=0.004)
-    xs = s0.x_grid
-    dx = float(xs[1] - xs[0])
-    n_pad = int((float(pk.ks[-1]) * 4.0 + 30.0) / dx) + 1
-    lo = float(xs[0]) - n_pad * dx
-    n = len(xs) + 2 * n_pad
-    grid = orc.GridSpec(lo, lo + (n - 1) * dx, n, dx)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[n_pad:n_pad + len(xs)] = s0.psi_full
-    steps = round(4.0 / grid.dt)
+    s0 = ss.snapshot(pk, bar, 0.0, dx=orc.CROSS_CHECK_DX)
+    grid, psi0, steps = orc.cross_check_start(s0.x_grid, s0.psi_full, float(pk.ks[-1]), 4.0)
     psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
     ref = ss.snapshot(pk, bar, steps * grid.dt, xs=grid.xs)
-    l2 = math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * dx))
+    l2 = math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))
 
     # stationary: sweep solver vs restart finite differences
     worst_fd = 0.0

@@ -210,6 +210,19 @@ def test_times_opaque_barrier_is_refused_by_name(tmp_path, capsys):
     assert "transmitted spectral norm underflows to 0" in err
 
 
+@pytest.mark.parametrize("width", ["8.0", "8.25"])
+def test_times_with_subnormal_transmission(tmp_path, width):
+    # T is subnormal on part of the packet (on all of it at 8.25, where k T
+    # also underflows to 0 on the slowest k): the literal diagnostic must not
+    # overflow, and route B must keep the underflowed k, which route A keeps
+    bar = OPAQUE.replace("b = 16.0", f"b = {width}")
+    ini = write(tmp_path, "run.ini", bar + PACKET.replace("n_k = 256", "n_k = 128"))
+    assert main(["times", "--config", ini, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "times.json").read_text())
+    assert meta["residuals"]["route_tr"] < 1e-3
+    assert all(math.isfinite(v) for v in meta["routeB_literal_diagnostic"].values())
+
+
 @pytest.mark.parametrize("command, run", [
     ("solve", "k_min = abc"),
     ("solve", "k_max = 2.0.0"),
@@ -269,7 +282,7 @@ def test_json_float_arrays_render_as_per_value_floats():
     # tau_dwell_ref at a transmission resonance: the undefined entry is null
     kres = math.sqrt(2 * 2.0 + math.pi**2)
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
-    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, [1.0, kres, 1.5]))
+    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, [1.0, kres, 1.5]))[:3]
     masked = np.ma.masked_array(tau_ref, mask=~defined)
     per_value = [t if d else None for t, d in zip(tau_ref, defined)]
     assert cli._render_json(masked, 2) == cli._render_json(per_value, 2)

@@ -154,19 +154,63 @@ def test_cn_input_checks():
 
 
 def test_cn_step_matches_dense_solve():
-    # (1 + i dt H / 2) psi1 = (1 - i dt H / 2) psi0 with the 3-point
-    # Laplacian and hard walls; no node sits on a potential jump
+    # (M + i dt K / 2) psi1 = (M - i dt K / 2) psi0 with K = -L/2 + M V, the
+    # Numerov mass matrix M = tridiag(1, 10, 1) / 12, the 3-point L and hard
+    # walls; every node is at least 1e-3 from a jump, and the four nodes
+    # around each jump carry its shifts
     bar = ss.make_symmetric(0.0, [(0.33, 2.0), (0.41, -1.0)])
     grid = orc.GridSpec(-2.03, 3.0, 41, 0.01)
     xs, dx, dt = grid.xs, grid.dx, grid.dt
     assert np.min(np.abs(np.subtract.outer(xs, bar.edges))) > 1e-3
-    H = (np.diag(1.0 / dx**2 + ss.potential_at(bar, xs))
-         - np.diag(np.full(40, 0.5 / dx**2), 1) - np.diag(np.full(40, 0.5 / dx**2), -1))
+    V = ss.potential_at(bar, xs)
+    for xe, vm, vp in zip(bar.edges, np.r_[0.0, bar.heights], np.r_[bar.heights, 0.0]):
+        j = int(np.searchsorted(xs, xe)) - 1
+        V[j - 1:j + 3] += orc._jump_shifts((xe - xs[j]) / dx, vm, vp, dx)
+    ones = np.ones(40)
+    M = (10 * np.eye(41) + np.diag(ones, 1) + np.diag(ones, -1)) / 12
+    L = (np.diag(ones, 1) + np.diag(ones, -1) - 2 * np.eye(41)) / dx**2
+    K = -L / 2 + M @ np.diag(V)
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-    want = np.linalg.solve(np.eye(41) + 0.5j * dt * H, (np.eye(41) - 0.5j * dt * H) @ psi0)
+    want = np.linalg.solve(M + 0.5j * dt * K, (M - 0.5j * dt * K) @ psi0)
     got = orc.CrankNicolson(bar, grid).step(psi0)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_cn_spatial_order_at_fixed_dt():
+    # a packet crossing x = 0 at the cross-check dt, each grid against the
+    # same scheme at dx = 0.005: with no jump the compact Laplacian's
+    # error falls 16x per halving of dx; the jumps, off the nodes at every dx
+    # here, stay bounded at the cross-check dx
+    def run(bar, dx):
+        grid = orc.GridSpec(-30.0, 20.0, round(50.0 / dx) + 1, orc.CROSS_CHECK_DT)
+        psi0 = np.exp(-(grid.xs + 12.0) ** 2 / 16 + 2j * grid.xs) / (8 * math.pi) ** 0.25
+        return orc.crank_nicolson_evolve(bar, grid, psi0, 6.0)
+
+    def errors(bar, dxs):
+        ref = run(bar, 0.005)
+        return [math.sqrt(float(np.sum(np.abs(run(bar, dx) - ref[::round(dx / 0.005)]) ** 2) * dx))
+                for dx in dxs]
+
+    e = errors(ss.make_rectangular(0.0, 1.0, 0.0), (0.04, 0.02, 0.01))
+    assert e[0] > 12 * e[1] > 144 * e[2]
+    for bar, bound in ((ss.make_rectangular(0.013, 0.513, 50.0), 2.5e-5),
+                       (ss.make_rectangular(0.013, 1.013, -5.0), 3e-6)):
+        assert errors(bar, (orc.CROSS_CHECK_DX,))[0] < bound
+
+
+def test_cross_check_grid_resolves_jumps_off_nodes():
+    # synthesis against Crank-Nicolson on the cross-check grid while the
+    # packet scatters off a two-step barrier whose four jumps sit at
+    # different offsets between nodes (1.3e-2 with the nodes sampling the
+    # step as it is, 3.5e-3 for the 3-point Laplacian at dx = 0.004)
+    bar = ss.make_symmetric(-0.5, [(0.4137, 3.0), (0.3311, 1.0)])
+    pk = ss.make_gaussian_packet(bar.a - 25.0, 5.0, 1.2, barrier=bar, n=256)
+    s0 = ss.snapshot(pk, bar, 14.0, dx=orc.CROSS_CHECK_DX)
+    grid, psi0, steps = orc.cross_check_start(s0.x_grid, s0.psi_full, float(pk.ks[-1]), 8.0)
+    psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
+    ref = ss.snapshot(pk, bar, 14.0 + steps * grid.dt, xs=grid.xs)
+    assert math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx)) < 2e-5
 
 
 def test_cn_singular_factor_is_typed(monkeypatch):

@@ -28,7 +28,7 @@ def test_free_dwell_is_transit_time():
 
 
 def test_canonical_dwell_frozen(canonical_fam):
-    tau_tr, tau_ref, _ = ss.dwell_tables(canonical_fam)
+    tau_tr, tau_ref, _ = ss.dwell_tables(canonical_fam)[:3]
     assert abs(tau_tr[0] - DWELL_TR_CANONICAL) < 1e-10
     assert abs(tau_ref[0] - DWELL_REF_CANONICAL) < 1e-10
 
@@ -44,7 +44,7 @@ def test_dwell_tables_match_adaptive():
         (ss.make_rectangular(0.0, 6.0, 50.0), [1.0], 2e-8),
     ]
     for bar, ks, rtol in cases:
-        tau_tr, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, ks))
+        tau_tr, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, ks))[:3]
         assert defined.all()
         for i, k in enumerate(ks):
             fam = ss.solve_family(bar, [k])
@@ -67,17 +67,17 @@ def test_reflection_dwell_undefined_without_reflection(canonical_barrier):
     # at a transmission resonance R ~ 1e-33 and on a free barrier R = 0:
     # no reflected state to average over
     kres = math.sqrt(2 * 2.0 + math.pi**2)
-    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(canonical_barrier, [kres]))
+    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(canonical_barrier, [kres]))[:3]
     assert defined.tolist() == [False] and np.isnan(tau_ref[0])
     free = ss.make_rectangular(0.0, 2.0, 0.0)
-    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(free, [1.0]))
+    _, tau_ref, defined = ss.dwell_tables(ss.solve_family(free, [1.0]))[:3]
     assert defined.tolist() == [False] and np.isnan(tau_ref[0])
 
 
 def test_dwell_tables_nan_at_resonance(canonical_barrier):
     kres = math.sqrt(2 * 2.0 + math.pi**2)
     fam = ss.solve_family(canonical_barrier, np.array([1.0, kres]))
-    tau_tr, tau_ref, defined = ss.dwell_tables(fam)
+    tau_tr, tau_ref, defined = ss.dwell_tables(fam)[:3]
     assert defined.tolist() == [True, False]
     assert np.isfinite(tau_tr).all()
     assert np.isnan(tau_ref[1]) and np.isfinite(tau_ref[0])
