@@ -35,18 +35,19 @@ def main():
 def report(args):
     bar = ss.make_rectangular(args.a, args.b, args.v0)
     fam = ss.solve_family(bar, [args.k0])
-    A_T, A_R, z = complex(fam.A_T[0]), complex(fam.A_R[0]), complex(fam.z[0])
+    A_T, A_R = complex(fam.A_T[0]), complex(fam.A_R[0])
+    z, tr_in = complex(fam.z[0]), complex(fam.A_tr_In[0])
     T, R = abs(A_T) ** 2, abs(A_R) ** 2
     print(f"barrier [{bar.a}, {bar.b}], V0={args.v0}, k0={args.k0} "
           f"(E={args.k0 ** 2 / 2:.4f})")
     print(f"  T = {T:.12f}   R = {R:.12f}   T+R-1 = {T + R - 1:.1e}")
 
-    print(f"  incoming split: tr {1.0 - z:.6f}  ref {z:.6f}")
+    print(f"  incoming split: tr {tr_in:.6f}  ref {z:.6f}")
     if fam.degenerate[0]:
         print("  (reflection-free: reflection sub-state is empty)")
     else:
         print(f"  modulus residuals: |A_tr_In|-|A_T| "
-              f"{abs(1.0 - z) - abs(A_T):.1e}   |A_ref_In|-|A_R| "
+              f"{abs(tr_in) - abs(A_T):.1e}   |A_ref_In|-|A_R| "
               f"{abs(z) - abs(A_R):.1e}")
 
     pk = ss.make_gaussian_packet(bar.a - 5 * args.sigma, args.sigma, args.k0,

@@ -343,7 +343,7 @@ def cmd_solve(cfg: RunConfig) -> None:
 def cmd_decompose(cfg: RunConfig) -> None:
     ks = _k_grid(cfg)
     fam = solve_family(cfg.barrier, ks)
-    tr_in = 1.0 - fam.z
+    tr_in = fam.A_tr_In
     _write_csv(
         cfg.out_dir / "decompose.csv", cfg,
         ["k", "re_A_tr_In", "im_A_tr_In", "re_A_ref_In", "im_A_ref_In",

@@ -35,8 +35,4 @@ class WindowError(ToleranceError):
 
 
 class ConvergenceError(ToleranceError):
-    """An extrapolation/iteration failed to converge with diagnostics."""
-
-    def __init__(self, msg, diagnostics=None):
-        super().__init__(msg)
-        self.diagnostics = diagnostics
+    """An extrapolation/iteration failed to converge."""

@@ -15,8 +15,9 @@ order in omega gives
     tau = -sum w Im(dA/dV conj A) / sum w |A|^2,   w = |G|^2 trap dk,
 
 where V shifts every height on [a, b].  First-order perturbation theory with
-the mirror-image right-incidence state gives the height derivatives in closed
-form on the field-free family Psi, with x_c the barrier midpoint:
+the mirror-image right-incidence state gives the height derivatives on the
+field-free family Psi, with x_c the barrier midpoint and both integrals in
+closed form from `SolutionFamily.interior_integrals`:
 
     dA_T/dV = exp(-2ik x_c)/(ik) int_a^b Psi(x) Psi(2 x_c - x) dx
     dA_R/dV = 1/(ik) int_a^b Psi(x)^2 dx
@@ -38,7 +39,7 @@ from .errors import DomainError
 from .potentials import BarrierSpec, shifted
 from .stationary import SolutionFamily, solve_family
 from .times import _spectral_coef_norm
-from .wavepacket import SpectralPacket, _trap_w
+from .wavepacket import SpectralPacket
 
 # below this spectral reflection the reflected reading is withheld: what is
 # left is reflection off the field step itself, with no zero-field limit
@@ -76,7 +77,7 @@ def make_spin_run(barrier: BarrierSpec, omega: float,
     dn = solve_family(shifted(barrier, +omega / 2), ks)
     at_u, at_d, ar_u, ar_d = up.A_T, dn.A_T, up.A_R, dn.A_R
     # cross moments and channel norms of both subensembles on the k grid
-    w = np.abs(packet.G) ** 2 * _trap_w(len(ks)) * packet.dk
+    w = packet.spectral_weight
     zT = complex(np.sum(w * at_u * np.conj(at_d)))
     zR = complex(np.sum(w * ar_u * np.conj(ar_d)))
     nT = np.array([np.sum(w * np.abs(at_u) ** 2), np.sum(w * np.abs(at_d) ** 2)])
@@ -104,39 +105,6 @@ class ClockResult(NamedTuple):
     tau_ref: float | None    # None where the packet barely reflects
 
 
-def _height_derivatives(fam: SolutionFamily):
-    """(dA_T/dV, dA_R/dV) per k for a shift V of every height on [a, b].
-
-    Psi is two exponentials per segment (a line where E = V), so both
-    integrals are sums of closed-form segment integrals.  The mirror image of
-    segment j is segment n - 1 - j, of the same width and height, at the
-    reversed local offset.  Every exponential is bounded by 1 (evanescent
-    terms decay from their anchor edge), so opaque barriers do not overflow.
-    """
-    bar = fam.barrier
-    w = np.diff(bar.edges)[:, None]
-    q, cp, cm = fam.wn, fam.c_plus, fam.c_minus
-    CP, CM = cp[::-1], cm[::-1]
-    osc, evan = fam.kind == "osc", fam.kind == "evan"
-    qs = np.where(osc | evan, q, 1.0)
-    ph = np.exp(1j * q * w)
-    ew = np.exp(-q * w) * w
-    sinc = np.sin(q * w) / qs                   # int_0^w exp(2iqd) dd = ph sinc
-    F = -np.expm1(-2 * q * w) / (2 * qs)        # int_0^w exp(-2 kappa d) dd
-    # int Psi^2 = cp^2 Ep + cm^2 Em + 2 cp cm X
-    Ep = np.where(osc, ph * sinc, np.where(evan, F, w))
-    Em = np.where(osc, sinc / ph, np.where(evan, F, w**3 / 3))
-    X = np.where(osc, w, np.where(evan, ew, w**2 / 2))
-    # int Psi(x) Psi(2 x_c - x) = cp CP Yp + cm CM Ym + (cp CM + cm CP) Z
-    Yp = np.where(osc, ph * w, np.where(evan, ew, w))
-    Ym = np.where(osc, w / ph, np.where(evan, ew, w**3 / 6))
-    Z = np.where(osc, sinc, np.where(evan, F, w**2 / 2))
-    square = np.sum(cp**2 * Ep + cm**2 * Em + 2 * cp * cm * X, axis=0)
-    mirror = np.sum(cp * CP * Yp + cm * CM * Ym + (cp * CM + cm * CP) * Z, axis=0)
-    ik = 1j * fam.ks
-    return np.exp(-2j * fam.ks * bar.x_c) / ik * mirror, square / ik
-
-
 def _reading(w, dA, A) -> float:
     """-sum w Im(dA conj A) / sum w |A|^2, with dA and A scaled by 1/max|A|
     so that neither sum underflows where |A|^2 does."""
@@ -156,8 +124,11 @@ def clock_times(packet: SpectralPacket, family: SolutionFamily) -> ClockResult:
     if not np.array_equal(family.ks, packet.ks):
         raise DomainError("clock family must be solved on the packet's k grid")
     _spectral_coef_norm(packet, family, "tr")  # refuses a vanishing norm by name
-    dA_T, dA_R = _height_derivatives(family)
-    w = np.abs(packet.G) ** 2 * _trap_w(len(packet.ks)) * packet.dk
+    I = family.interior_integrals()
+    ik = 1j * family.ks
+    dA_T = np.exp(-2j * family.ks * family.barrier.x_c) / ik * I.mirror
+    dA_R = I.square / ik
+    w = packet.spectral_weight
     tau_tr = _reading(w, dA_T, family.A_T)
     tau_ref = (_reading(w, dA_R, family.A_R)
                if float(np.sum(w * family.R)) > _R_READABLE else None)

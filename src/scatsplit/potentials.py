@@ -89,16 +89,6 @@ class BarrierSpec:
         e[-1] = self.b  # exact by the width-sum invariant
         return e
 
-    @property
-    def has_wells(self) -> bool:
-        """True if any height is negative.  Accepted, but flagged in artifact
-        metadata as untested territory (possible bound states below 0)."""
-        return any(v < 0 for _, v in self.segments)
-
-    @property
-    def height_max(self) -> float:
-        return max(v for _, v in self.segments)
-
 
 def _fix_last_width(a, b, widths):
     """Adjust the last width so the float left-to-right sum equals b - a exactly."""

@@ -21,12 +21,14 @@ path; one k is a grid of length one.
 The tests check the family against plain unscaled 2x2 transfer matrices
 (tests/analytic.py) to 1e-12 absolute in the amplitudes, on random barriers
 with wells, on E = V exactly and across the evanescent/oscillatory switch,
-and against 50-digit closed forms for rectangles to 1e-13.
+and against 50-digit closed forms for rectangles to 1e-13; the interior
+integrals against adaptive quadrature to 1e-12, up to kappa * width = 400.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,18 @@ DEGENERATE_R = 1e-12
 
 # segment kinds, indexed by osc + 2 * evan
 _KINDS = np.array(["deg", "osc", "evan"])
+
+
+class InteriorIntegrals(NamedTuple):
+    """Integrals of the full state Psi over the barrier, arrays over k, with
+    Psi~(x) = Psi(2 x_c - x) its mirror image."""
+
+    left: np.ndarray    # int_a^x_c |Psi|^2
+    right: np.ndarray   # int_x_c^b |Psi|^2
+    cross: np.ndarray   # int_a^x_c conj(Psi) Psi~
+    odd: np.ndarray     # int_a^x_c |Psi - Psi~|^2
+    square: np.ndarray  # int_a^b Psi^2
+    mirror: np.ndarray  # int_a^b Psi Psi~
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +91,13 @@ class SolutionFamily:
     purely left-moving A_T exp(ik(2 x_c - x)), so requiring the reflected
     amplitude of Psi_ref to be A_R fixes
 
-      z = A_ref_In = A_R / (A_R - A_T exp(2ik x_c)).
+      z = A_ref_In = A_R / (A_R - A_T exp(2ik x_c)),
+      A_tr_In = -A_T exp(2ik x_c) / (A_R - A_T exp(2ik x_c)).
 
-    The denominator has modulus 1 by unitarity and mirror symmetry, so z is
-    defined for every barrier, opaque ones included; A_tr_In = 1 - z makes
-    the amplitude sum exact.  z is exactly 0 where the state is degenerate
-    (R < 1e-12, no reflection sub-state).
+    The denominator has modulus 1 by unitarity and mirror symmetry, so both
+    are defined for every barrier, opaque ones included.  The smaller share
+    is kept as computed, the larger (modulus >= 1/sqrt(2)) is 1 minus it, so
+    the sum is exact.  z = 0 and A_tr_In = 1 where R < 1e-12 (`degenerate`).
 
     The masked sub-states (`split_basis`) split the line at x_c:
     psi_ref = Psi_ref for x <= x_c and 0 beyond, psi_tr = Psi_full - psi_ref.
@@ -95,6 +110,7 @@ class SolutionFamily:
     A_T: np.ndarray
     A_R: np.ndarray
     z: np.ndarray
+    A_tr_In: np.ndarray
     degenerate: np.ndarray
     kind: np.ndarray
     wn: np.ndarray
@@ -151,20 +167,56 @@ class SolutionFamily:
     def split_basis(self, xs):
         """(tr, ref): x-by-k masked sub-state matrices on the ascending grid xs.
 
-        ref is z [Psi_full(x) - Psi_full(2 x_c - x)] on the rows with
-        x <= x_c and zero beyond; tr = basis(xs) - ref.  The mirrored rows
-        are one more basis evaluation, on the reversed mirror grid.
+        Rows with x <= x_c: ref = z [Psi(x) - Psi(2 x_c - x)] and tr =
+        A_tr_In Psi(x) + z Psi(2 x_c - x); beyond, ref = 0 and tr = Psi.  The
+        mirrored rows are one more basis evaluation, on the reversed grid.
         """
         tr = self.basis(xs)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         x_c = self.barrier.x_c
         n = int(np.searchsorted(xs, x_c, side="right"))
+        mirror = self.basis((2 * x_c - xs[:n])[::-1])[::-1] * self.z
         ref = np.zeros_like(tr)
-        ref[:n] = self.basis((2 * x_c - xs[:n])[::-1])[::-1]
-        np.subtract(tr[:n], ref[:n], out=ref[:n])
-        ref[:n] *= self.z
-        tr -= ref
+        ref[:n] = tr[:n] * self.z - mirror
+        tr[:n] = tr[:n] * self.A_tr_In + mirror
         return tr, ref
+
+    def interior_integrals(self) -> InteriorIntegrals:
+        """Per-k integrals of the full state over the barrier, in closed form.
+
+        With u = x - x_j on segment j of width w, Psi and its mirror image
+        (on segment n - 1 - j, at offset w - u) are pairs on the basis
+        (exp(iqu), exp(-iqu)), (exp(-kappa (w - u)), exp(-kappa u)) or (1, u).
+        Each integral sums pair products against bounded closed-form basis
+        integrals over the pieces of [a, x_c], an odd count's middle segment
+        cut at x_c; opaque barriers do not overflow.
+        """
+        n = len(self.barrier.segments)
+        j = np.arange((n + 1) // 2)
+        w = np.diff(self.barrier.edges)[j, None]
+        q, osc, evan = self.wn[j], self.kind[j] == "osc", self.kind[j] == "evan"
+        u = np.where((2 * j == n - 1)[:, None], w / 2, w) + 0 * q  # piece lengths, per k
+        cp, cm, ph = self.c_plus[n - 1 - j], self.c_minus[n - 1 - j], np.exp(1j * q * w)
+        f = np.array([self.c_plus[j], self.c_minus[j]])
+        g = np.array([np.where(osc, cm / ph, np.where(evan, cm, cp + cm * w)),
+                      np.where(osc, cp * ph, np.where(evan, cp, -cm))])
+        # B[a, b] = int phi_a phi_b and C[a, b] = int conj(phi_a) phi_b on [0, u]
+        qs = np.where(osc | evan, q, 1.0)
+        E = np.exp(1j * q * u) * np.sin(q * u) / qs  # int exp(2iqu)
+        F = -np.expm1(-2 * q * u) / (2 * qs)         # int exp(-2 kappa u)
+        B12 = np.where(osc, u, np.where(evan, np.exp(-q * w) * u, u**2 / 2))
+        B = np.array([[np.where(osc, E, np.where(evan, F * np.exp(-2 * q * (w - u)), u)), B12],
+                      [B12, np.where(osc, np.conj(E), np.where(evan, F, u**3 / 3))]])
+        C = np.where(osc, np.array([[u, np.conj(E)], [E, u]]), B)
+
+        def form(M, a, b):
+            return np.einsum("ajk,abjk,bjk->k", a, M, b)
+
+        return InteriorIntegrals(
+            left=form(C, f.conj(), f).real, right=form(C, g.conj(), g).real,
+            cross=form(C, f.conj(), g), odd=form(C, (f - g).conj(), f - g).real,
+            square=form(B, f, f) + form(B, g, g), mirror=2 * form(B, f, g),
+        )
 
 
 def _expi(x, q, out=None):
@@ -253,10 +305,16 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
                        np.where(is_evan, 0.5 * (uL - vL / qs) * fL, vL * fL))
 
     degenerate = np.abs(A_R) ** 2 < DEGENERATE_R
-    z = A_R / (A_R - A_T * np.exp(2j * ks * barrier.x_c))
+    mirrored = A_T * np.exp(2j * ks * barrier.x_c)
+    z, tr_in = A_R / (A_R - mirrored), -mirrored / (A_R - mirrored)
+    # the smaller share as computed, the larger as 1 minus it (class docstring)
+    big_z = np.abs(A_R) > np.abs(A_T)
+    z, tr_in = np.where(big_z, 1 - tr_in, z), np.where(big_z, tr_in, 1 - z)
     z[degenerate] = 0.0
+    tr_in[degenerate] = 1.0
     return SolutionFamily(
-        barrier=barrier, ks=ks, A_T=A_T, A_R=A_R, z=z, degenerate=degenerate,
+        barrier=barrier, ks=ks, A_T=A_T, A_R=A_R, z=z, A_tr_In=tr_in,
+        degenerate=degenerate,
         kind=_KINDS[is_osc + 2 * is_evan], wn=wn, c_plus=c_plus, c_minus=c_minus,
     )
 

@@ -12,6 +12,10 @@ Three independent notions of time are computed and cross-compared:
   transmitted amplitude's phase, reported both as a delay and as an effective
   traversal time (delay + free flight).
 
+The dwell times, route B and the phase times read the closed-form kernel
+`SolutionFamily.interior_integrals`.  Route A stays numerical, on a
+Gauss-Legendre grid of its own, so it checks the kernel instead of sharing it.
+
 The traversal phase time saturates with barrier length for opaque barriers
 while the transmission dwell time grows like the inverse tunneling
 probability — the package's headline contrast between the two families.
@@ -40,7 +44,7 @@ from .errors import (
     UndefinedTimeError,
     WindowError,
 )
-from .potentials import BarrierSpec, make_rectangular
+from .potentials import BarrierSpec, make_rectangular, potential_at
 from .stationary import SolutionFamily, solve_family
 from .wavepacket import SpectralPacket, _density_scan, _trap_w
 
@@ -49,35 +53,12 @@ _R_DEFINED = 1e-12
 _ROUTE_A_TAIL = 1e-10
 _ROUTE_A_RTOL = 1e-6
 _PIECE_NODES = 24
+_SUBPIECE_QL = 16.0  # route A's sub-pieces span at most 16 / |q| or 16 / kappa
 
 
 # ---------------------------------------------------------------------------
 # dwell times (per wavenumber)
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def _gauss_legendre():
-    """The _PIECE_NODES-point Gauss-Legendre rule on [-1, 1], built once per
-    process (read-only; numpy.polynomial is imported on first use)."""
-    nodes, weights = np.polynomial.legendre.leggauss(_PIECE_NODES)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _piece_grid(barrier: BarrierSpec, lo: float, hi: float):
-    """Gauss-Legendre nodes and weights on [lo, hi], 24 per piece between
-    height jumps and the mask point x_c (the integrands are analytic within
-    each piece; nodes are ascending and never on a piece end)."""
-    cuts = sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
-                  | ({barrier.x_c} if lo < barrier.x_c < hi else set()))
-    nodes, weights = _gauss_legendre()
-    mid = (np.array(cuts[1:]) + np.array(cuts[:-1])) / 2
-    half = (np.array(cuts[1:]) - np.array(cuts[:-1])) / 2
-    xs = (mid[:, None] + half[:, None] * nodes).ravel()
-    wx = (half[:, None] * weights).ravel()
-    return xs, wx
-
 
 class DwellTable(NamedTuple):
     """Per-k dwell times and interior norms over a family's k grid."""
@@ -93,28 +74,60 @@ def dwell_tables(fam: SolutionFamily) -> DwellTable:
     """Per-k dwell times over the family's k grid.
 
     Interior norm I of each masked sub-state (`SolutionFamily.split_basis`)
-    per unit incident flux, tau = I / (k C), integrated by 24-node
-    Gauss-Legendre per constant piece of [a, b] split at x_c.  The test suite
-    checks it against adaptive quadrature (tests/analytic.py) to 1e-12
-    relative on ordinary, stepped, wide and well barriers and to 2e-8 on an
-    opaque one (T ~ 1e-53).  I / k itself is kept too: it stays defined
-    where the flux k T underflows to 0.
+    per unit incident flux, tau = I / (k C).  With H, H', X and D the
+    family's `interior_integrals` left, right, cross and odd, neither form
+    below cancels (H + H' - 2 Re X, equal to D, would near narrow resonances):
+
+        I_tr  = |A_tr_In|^2 H + (1 + |z|^2) H' + 2 Re(conj(A_tr_In) z X)
+        I_ref = |z|^2 D
+
+    I / k itself is kept too: it stays defined where k T underflows to 0.
     """
-    bar = fam.barrier
-    xs, wx = _piece_grid(bar, bar.a, bar.b)
-    Mt, Mr = fam.split_basis(xs)
-    I_tr, I_ref = wx @ np.abs(Mt) ** 2, wx @ np.abs(Mr) ** 2
+    H, H_right, X, D = fam.interior_integrals()[:4]
+    tr_in, z = fam.A_tr_In, fam.z
+    I_tr = (np.abs(tr_in) ** 2 * H + (1 + np.abs(z) ** 2) * H_right
+            + 2 * (np.conj(tr_in) * z * X).real)
+    I_ref = np.abs(z) ** 2 * D
     flux = fam.ks * fam.T
     tau_tr = np.divide(I_tr, flux, out=np.full(len(fam.ks), np.nan), where=flux > 0)
     defined = fam.R > _R_DEFINED
-    tau_ref = np.full(len(fam.ks), np.nan)
-    tau_ref[defined] = I_ref[defined] / (fam.ks * fam.R)[defined]
+    tau_ref = np.divide(I_ref, fam.ks * fam.R, out=np.full(len(fam.ks), np.nan), where=defined)
     return DwellTable(tau_tr, tau_ref, defined, I_tr / fam.ks, I_ref / fam.ks)
 
 
 # ---------------------------------------------------------------------------
 # packet-level times, route A (space-time double integral)
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _gauss_legendre():
+    """The _PIECE_NODES-point Gauss-Legendre rule on [-1, 1], built once per
+    process (read-only; numpy.polynomial is imported on first use)."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PIECE_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _piece_grid(barrier: BarrierSpec, lo: float, hi: float, ks):
+    """Gauss-Legendre nodes and weights on [lo, hi], 24 per sub-piece.
+
+    Pieces end at height jumps and x_c (the integrands are analytic within
+    each) and are cut into equal sub-pieces with q * length <= _SUBPIECE_QL,
+    q = sqrt|k^2 - 2V| largest over ks, which resolves densities decaying as
+    exp(-2 kappa x) or oscillating as exp(2iqx).  Nodes ascend, off the ends.
+    """
+    cuts = np.array(sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
+                           | ({barrier.x_c} if lo < barrier.x_c < hi else set())))
+    V = potential_at(barrier, (cuts[1:] + cuts[:-1]) / 2)
+    q = np.sqrt(np.maximum(np.abs(ks[0] ** 2 - 2 * V), np.abs(ks[-1] ** 2 - 2 * V)))
+    n = np.maximum(1, np.ceil(q * np.diff(cuts) / _SUBPIECE_QL)).astype(int)
+    ends = np.concatenate([np.linspace(l, r, m + 1)[:-1]
+                           for l, r, m in zip(cuts[:-1], cuts[1:], n)] + [cuts[-1:]])
+    nodes, weights = _gauss_legendre()
+    mid, half = (ends[1:] + ends[:-1]) / 2, (ends[1:] - ends[:-1]) / 2
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+
 
 def _spectral_coef_norm(packet, fam, component):
     """(C_bar, C): per-k transmission or reflection coefficient on the packet
@@ -124,7 +137,8 @@ def _spectral_coef_norm(packet, fam, component):
     1e-12, for "tr" when it underflows to 0 (an opaque barrier).
     """
     C = fam.T if component == "tr" else fam.R
-    C_bar = float(np.sum(np.abs(packet.G) ** 2 * C * _trap_w(len(C))) * packet.dk)
+    scale = 2.0 ** np.frexp(C.max())[1]  # keeps a subnormal C's digits, exactly
+    C_bar = float(np.sum(packet.spectral_weight * (C / scale))) * scale
     if component == "ref" and C_bar <= _R_DEFINED:
         raise UndefinedTimeError("reflected spectral norm vanishes")
     if not C_bar > 0:
@@ -146,10 +160,9 @@ def _routeA(packet, fam, component):
     barrier = fam.barrier
     C_bar, _ = _spectral_coef_norm(packet, fam, component)
     hi = barrier.b if component == "tr" else barrier.x_c
-    xs, wx = _piece_grid(barrier, barrier.a, hi)
+    xs, wx = _piece_grid(barrier, barrier.a, hi, packet.ks)
     tr, ref = fam.split_basis(xs)
     M = tr if component == "tr" else ref
-
     t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
     for _ in range(5):
         probe = _density_scan(M, packet, wx, 0.0, t_hi / 239, 240)
@@ -228,7 +241,7 @@ def route_b(packet: SpectralPacket, fam: SolutionFamily, table: DwellTable,
            if den != 0 else complex("nan"))
     lit_norm = den * scale
     return {
-        "density": float(np.sum(np.abs(packet.G) ** 2 * norm * tw) / C_bar),
+        "density": float(np.sum(packet.spectral_weight * norm) / C_bar),
         "literal": lit,
         "literal_normalizer": lit_norm,
         "literal_identity_residual": abs(lit_norm - C_bar) / C_bar,
@@ -249,10 +262,10 @@ class PhaseTimes:
 def phase_time(fam: SolutionFamily) -> PhaseTimes:
     """Group-delay table from the energy derivative of the transmitted phase.
 
-    Fourth-order accuracy via Richardson over two central stencils, whose
-    amplitudes at E +/- h and E +/- 2h are four more families on the same
-    barrier; phase differences enter as arguments of amplitude ratios, which
-    stay on the principal branch for the small steps used.  The family itself
+    In closed form by Winful's split into the full state's dwell time and a
+    self-interference term (Phys. Rev. Lett. 91, 260401 (2003)), with the
+    norm from `interior_integrals`: traversal = int_a^b |Psi|^2 dx / k -
+    Im(A_R exp(-2ika)) / k^2 and delay = traversal - (b - a)/k.  The family
     must be dense enough that neighboring phases differ by < pi/2, otherwise
     any consumer unwrapping the table would alias — violations raise.
     """
@@ -263,15 +276,11 @@ def phase_time(fam: SolutionFamily) -> PhaseTimes:
             "transmitted phase jumps by >= pi/2 between neighboring k; "
             "densify the k grid for an unambiguous phase table"
         )
-    E = ks**2 / 2
-    h = np.minimum(np.maximum(1e-7, 1e-5 * E), E / 8)
-    p1, m1, p2, m2 = (solve_family(fam.barrier, np.sqrt(2 * (E + n * h))).A_T
-                      for n in (1, -1, 2, -2))
-    d1 = np.angle(p1 * np.conj(m1)) / (2 * h)
-    d2 = np.angle(p2 * np.conj(m2)) / (4 * h)
-    delay = (4 * d1 - d2) / 3
-    traversal = delay + (fam.barrier.b - fam.barrier.a) / ks
-    return PhaseTimes(ks=ks, delay=delay, traversal=traversal)
+    bar = fam.barrier
+    I = fam.interior_integrals()
+    traversal = ((I.left + I.right) / ks
+                 - (fam.A_R * np.exp(-2j * ks * bar.a)).imag / ks**2)
+    return PhaseTimes(ks=ks, delay=traversal - (bar.b - bar.a) / ks, traversal=traversal)
 
 
 def hartman_scan(V0: float, k: float, lengths, a: float = 0.0):
@@ -347,7 +356,8 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
             f"route A and route B disagree beyond 1e-3: {residuals}"
         )
     meta = {
-        "piece_points": _PIECE_NODES,
+        "routeA_subpieces": len(_piece_grid(barrier, barrier.a, barrier.b,
+                                            packet.ks)[0]) // _PIECE_NODES,
         "routeA_tail_threshold": _ROUTE_A_TAIL,
         "literal_routeB_tr": variants["literal"],
     }

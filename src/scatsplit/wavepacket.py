@@ -106,9 +106,14 @@ class SpectralPacket:
         return float(self.ks[1] - self.ks[0])
 
     @property
+    def spectral_weight(self) -> np.ndarray:
+        """|G|^2 trap dk per k: the grid trapezoid weights of the density."""
+        return np.abs(self.G) ** 2 * _trap_w(len(self.ks)) * self.dk
+
+    @property
     def norm_G(self) -> float:
         """Grid trapezoid of |G|^2 (1 by construction)."""
-        return float(np.sum(np.abs(self.G) ** 2 * _trap_w(len(self.ks))) * self.dk)
+        return float(np.sum(self.spectral_weight))
 
 
 def _trap_w(n):
@@ -472,8 +477,7 @@ def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,
 
 def spectral_transmitted_norm(packet: SpectralPacket, barrier: BarrierSpec) -> float:
     """T from the spectrum: trapezoid of |G|^2 T(k) (the asymptotic value of T_t)."""
-    Tk = solve_family(barrier, packet.ks).T
-    return float(np.sum(np.abs(packet.G) ** 2 * Tk * _trap_w(len(packet.ks))) * packet.dk)
+    return float(np.sum(packet.spectral_weight * solve_family(barrier, packet.ks).T))
 
 
 def check_kgrid(packet: SpectralPacket, barrier: BarrierSpec, t: float,

@@ -4,15 +4,17 @@ Everything here is derived from textbook matching conditions, deliberately
 NOT reusing any package code, so that agreement is evidence and not
 tautology.  The closed forms use mpmath high-precision arithmetic; the branch
 sweep is the float midpoint test for the reflection sub-state; the plain
-transfer matrices, the plane-wave sum and the adaptive integral at the end are
-the references for the vectorized solver, the chirp-z field synthesis and the
-dwell-time quadrature.
+transfer matrices, the plane-wave sum and the adaptive and fine-grid integrals
+at the end are the references for the vectorized solver, the chirp-z field
+synthesis and the closed-form interior integrals; the Richardson stencil on
+the transfer matrices is the reference for the closed-form phase times.
 """
 
 import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 from scipy.integrate import quad
 
 mp.mp.dps = 50
@@ -300,6 +302,24 @@ def transfer_amplitudes(edges, heights, k):
     return 1 / alpha, beta / alpha
 
 
+def richardson_phase_delay(edges, heights, k):
+    """d arg(A_T)/dE at E = k^2/2 by Richardson over two central stencils.
+
+    The amplitudes at E +/- h and E +/- 2h come from `transfer_amplitudes`,
+    h = min(max(1e-7, 1e-5 E), E/8); the phase differences enter as
+    arguments of amplitude ratios, which stay on the principal branch for
+    such small steps.  Fourth order in h."""
+    E = k * k / 2
+    h = min(max(1e-7, 1e-5 * E), E / 8)
+
+    def amp(n):
+        return transfer_amplitudes(edges, heights, math.sqrt(2 * (E + n * h)))[0]
+
+    d1 = cmath.phase(amp(1) * amp(-1).conjugate()) / (2 * h)
+    d2 = cmath.phase(amp(2) * amp(-2).conjugate()) / (4 * h)
+    return (4 * d1 - d2) / 3
+
+
 def ladder_clock(edges, heights, ks, weights, omega):
     """Zero-field spin-clock times (tau_tr, tau_ref) by Richardson over the
     finite-field readings at omega, omega/2 and omega/4.
@@ -339,3 +359,39 @@ def adaptive_integral(f, lo, hi, points=(), epsrel=1e-8):
     value, _ = quad(f, lo, hi, points=inner or None, limit=200,
                     epsabs=epsrel * 1e-2, epsrel=epsrel)
     return value
+
+
+def piecewise_quad(f, cuts, epsrel=1e-13):
+    """Integral of the complex function f over [cuts[0], cuts[-1]], as a sum
+    of adaptive (QUADPACK) integrals of its real and imaginary parts over
+    the consecutive pieces of the ascending list `cuts`.
+
+    A piece's scale is its length times the largest |f| at its ends and
+    middle; pieces should be short enough that |f| varies by a modest factor
+    over each.  Each piece is integrated to epsrel times its own scale, so
+    integrands of any size (e^-800 under an opaque barrier) keep their
+    relative accuracy, and a part that cancels to nearly 0 stops at that
+    scale.  Pieces whose scale is below 1e-17 of the sum of all scales are
+    left out: together they cannot move the result by epsrel."""
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    scales = [(hi - lo) * max(abs(f(lo)), abs(f((lo + hi) / 2)), abs(f(hi)))
+              for lo, hi in pieces]
+    floor = 1e-17 * math.fsum(scales)
+    re, im = [], []
+    for (lo, hi), scale in zip(pieces, scales):
+        if scale <= floor:
+            continue
+        opts = dict(epsabs=epsrel * scale, epsrel=epsrel, limit=200)
+        re.append(quad(lambda x: f(x).real, lo, hi, **opts)[0])
+        im.append(quad(lambda x: f(x).imag, lo, hi, **opts)[0])
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def gauss_legendre_nodes(cuts, n_sub, n=24):
+    """(xs, wx): n-point Gauss-Legendre nodes and weights on each of n_sub
+    equal sub-pieces of every piece between consecutive `cuts`."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    ends = np.concatenate([np.linspace(lo, hi, n_sub + 1)[:-1]
+                           for lo, hi in zip(cuts[:-1], cuts[1:])] + [cuts[-1:]])
+    mid, half = (ends[1:] + ends[:-1]) / 2, (ends[1:] - ends[:-1]) / 2
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()

@@ -292,9 +292,8 @@ def test_json_float_arrays_render_as_per_value_floats():
 LADDER = "[run]\nomega_ladder = 0.0005 0.00025 0.000125\n"
 
 
-def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
-    # three user rungs (two spin families each) and one field-free family,
-    # which alone gives the zero-field clock
+def _count_solves(monkeypatch):
+    """The k-grid lengths of every solve_family call, however it is reached."""
     calls = []
 
     def counted(barrier, ks):
@@ -304,9 +303,27 @@ def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
     for name in ("cli", "larmor", "times", "wavepacket"):
         monkeypatch.setattr(importlib.import_module(f"scatsplit.{name}"),
                             "solve_family", counted)
+    return calls
+
+
+def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
+    # three user rungs (two spin families each) and one field-free family,
+    # which alone gives the zero-field clock
+    calls = _count_solves(monkeypatch)
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + LADDER)
     assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) == 0
     assert calls == [256] * 7
     meta = json.loads((tmp_path / "larmor.json").read_text())
     assert meta["omega_ladder"] == [0.0005, 0.00025, 0.000125]
     assert len(meta["diagnostics"]["sigma_z_T"]) == len(meta["diagnostics"]["sigma_z_R"]) == 3
+
+
+def test_times_solves_two_families(tmp_path, monkeypatch):
+    # the packet grid and the strided phase grid; the phase times need no
+    # stencil families
+    calls = _count_solves(monkeypatch)
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\nphase_points = 33\n")
+    assert main(["times", "--config", ini, "--out", str(tmp_path)]) == 0
+    assert calls == [256, 37]
+    meta = json.loads((tmp_path / "times.json").read_text())
+    assert meta["quadrature"]["routeA_subpieces"] == 2

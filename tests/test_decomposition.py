@@ -131,11 +131,16 @@ def test_masked_substates_partition(canonical_fam):
     xs = np.linspace(-5.0, 6.0, 1201)
     tr, ref = canonical_fam.split_basis(xs)
     full = canonical_fam.basis(xs)
-    # psi_tr is defined as the pointwise complement full - psi_ref; that
-    # identity is exact (the recombined sum can differ by one rounding step)
-    np.testing.assert_array_equal(tr, full - ref)
+    # left of x_c psi_tr is A_tr_In Psi(x) + z Psi(2 x_c - x), beyond it is
+    # Psi: both exactly; the recombined sum differs by rounding steps only
+    x_c = canonical_fam.barrier.x_c
+    left = xs <= x_c
+    mirror = canonical_fam.basis((2 * x_c - xs[left])[::-1])[::-1]
+    np.testing.assert_array_equal(
+        tr[left], full[left] * canonical_fam.A_tr_In + mirror * canonical_fam.z)
+    np.testing.assert_array_equal(tr[~left], full[~left])
     np.testing.assert_allclose(tr + ref, full, rtol=1e-14, atol=0)
-    assert np.all(ref[xs > canonical_fam.barrier.x_c] == 0)
+    assert np.all(ref[~left] == 0)
 
 
 def test_masked_ref_current_zero(canonical_fam):

@@ -12,7 +12,6 @@ def test_rectangular_basics():
     assert bar.a == 0.0 and bar.b == 1.0
     assert bar.x_c == 0.5
     assert tuple(bar.heights) == (2.0,)
-    assert not bar.has_wells
 
 
 def test_edges_are_exact():
@@ -63,11 +62,6 @@ def test_potential_at_edge_convention():
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     assert ss.potential_at(bar, np.array([0.0]))[0] == 2.0
     assert ss.potential_at(bar, np.array([1.0]))[0] == 0.0
-
-
-def test_wells_flagged():
-    bar = ss.make_symmetric(0.0, [(0.5, -1.0)])
-    assert bar.has_wells
 
 
 def test_shifted_preserves_symmetry():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatsplit as ss
-from analytic import rect_amplitudes, resonance_k, transfer_amplitudes
+from analytic import piecewise_quad, rect_amplitudes, resonance_k, transfer_amplitudes
 from conftest import random_symmetric_barrier
 
 # frozen from the closed-form rectangular transmission probability
@@ -247,3 +249,72 @@ def test_solve_family_bit_identical_to_select_sweep():
         got = getattr(fam, name)
         assert got.dtype.kind == arr.dtype.kind and got.shape == arr.shape
         assert np.array_equal(got, arr), name
+
+
+# ----------------------------------------------- closed-form interior kernel
+
+
+def _decay_pieces(bar, k, span=16.0):
+    """The segment ends and x_c, with each segment cut into pieces no longer
+    than span / kappa (kappa at the tallest height)."""
+    kappa = max(math.sqrt(max(2 * v - k * k, 0.0)) for v in bar.heights)
+    cuts = {bar.x_c}
+    for lo, hi in zip(bar.edges[:-1], bar.edges[1:]):
+        cuts |= set(np.linspace(lo, hi, max(1, math.ceil(kappa * (hi - lo) / span)) + 1))
+    return sorted(float(c) for c in cuts)
+
+
+@pytest.mark.parametrize("bar, k", [
+    (ss.make_rectangular(0.0, 1.0, 2.0), 1.0),
+    (ss.make_rectangular(0.0, 1.0, 0.5), 1.0),                       # E = V exactly
+    (ss.make_symmetric(-0.5, [(0.4, 3.0), (0.35, 1.0)]), 1.4),
+    (ss.BarrierSpec(0.0, 2.25, ((0.75, 4.0), (0.75, -3.0), (0.75, 4.0))), 1.1),
+    (ss.make_rectangular(0.0, 3.0, 1000.0), 1.0),                    # kappa w ~ 134
+    (ss.make_symmetric(0.0, [(2.0, 1000.0), (0.5, -5.0)]), 0.9),     # kappa w ~ 224, a well
+    (ss.make_rectangular(0.0, 8.95, 1000.0), 1.0),                   # kappa w ~ 400
+], ids=["canonical", "E_eq_V", "two_step", "odd_well", "opaque134", "opaque_well", "opaque400"])
+def test_interior_integrals_match_adaptive(bar, k):
+    # every output of the closed-form kernel against adaptive quadrature of
+    # the family's own states on pieces a few decay lengths long
+    fam = ss.solve_family(bar, [k])
+    got = fam.interior_integrals()
+    x_c = bar.x_c
+    cuts = _decay_pieces(bar, k)
+    left, right = [c for c in cuts if c <= x_c], [c for c in cuts if c >= x_c]
+
+    def psi(x):
+        return complex(fam.basis([x])[0, 0])
+
+    def mirror(x):
+        return complex(fam.basis([2 * x_c - x])[0, 0])
+
+    want = {
+        "left": piecewise_quad(lambda x: abs(psi(x)) ** 2, left),
+        "right": piecewise_quad(lambda x: abs(psi(x)) ** 2, right),
+        "cross": piecewise_quad(lambda x: psi(x).conjugate() * mirror(x), left),
+        "odd": piecewise_quad(lambda x: abs(psi(x) - mirror(x)) ** 2, left),
+        "square": piecewise_quad(lambda x: psi(x) ** 2, cuts),
+        "mirror": piecewise_quad(lambda x: psi(x) * mirror(x), cuts),
+    }
+    for name, value in want.items():
+        assert abs(getattr(got, name)[0] - value) <= 1e-12 * abs(value), name
+
+
+@pytest.mark.parametrize("bar", [
+    ss.make_rectangular(0.0, 1.0, 2.0),
+    ss.make_symmetric(0.0, [(0.3, 1.0), (0.4, 3.0)]),
+    ss.make_rectangular(0.0, 2.0, 50.0),
+    ss.make_rectangular(0.0, 1.0, -2.0),
+], ids=["canonical", "two_step", "deep", "well"])
+def test_buttiker_height_derivative_identity(bar):
+    # -Im(dA_T/dV conj A_T + dA_R/dV conj A_R) = int_a^b |Psi|^2 / k (Buttiker,
+    # Phys. Rev. B 27, 6178 (1983)), with the height derivatives from the
+    # bilinear integrals and the norm from the sesquilinear ones
+    ks = np.linspace(0.4, 3.0, 27)
+    fam = ss.solve_family(bar, ks)
+    I = fam.interior_integrals()
+    dA_T = np.exp(-2j * ks * bar.x_c) / (1j * ks) * I.mirror
+    dA_R = I.square / (1j * ks)
+    lhs = -(dA_T * np.conj(fam.A_T) + dA_R * np.conj(fam.A_R)).imag
+    rhs = (I.left + I.right) / ks
+    assert np.max(np.abs(lhs - rhs) / rhs) <= 1e-13

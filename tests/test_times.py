@@ -8,7 +8,11 @@ import pytest
 import scatsplit as ss
 from scatsplit import times as tm
 from scatsplit import wavepacket as wp
-from analytic import adaptive_integral, rect_phase_delay
+import mpmath as mp
+
+from analytic import (
+    adaptive_integral, gauss_legendre_nodes, rect_phase_delay, richardson_phase_delay,
+)
 
 # high-precision reference values for the k=1, V0=2, L=1 rectangle, frozen
 # from 50-digit quadrature of the masked sub-states
@@ -93,6 +97,46 @@ def test_dwell_tables_nan_where_flux_underflows():
     assert np.array_equal(np.isnan(tau_tr), flux == 0)
 
 
+def _fine_interior_norms(fam, n_sub=200):
+    """(I_tr, I_ref) per k by 24-node Gauss-Legendre on n_sub equal
+    sub-pieces of each segment left of x_c (and of its mirror image), with
+    psi_tr = A_tr_In Psi + z Psi(2 x_c - x) and psi_ref = z (Psi - Psi(2 x_c
+    - x)) left of x_c and the two shares taken from their defining quotients."""
+    bar = fam.barrier
+    x_c = bar.x_c
+    mirrored = fam.A_T * np.exp(2j * fam.ks * x_c)
+    tr_in, z = -mirrored / (fam.A_R - mirrored), fam.A_R / (fam.A_R - mirrored)
+    xs, wx = gauss_legendre_nodes(np.append(bar.edges[bar.edges < x_c], x_c), n_sub)
+    psi, mirror = fam.basis(xs), fam.basis((2 * x_c - xs)[::-1])[::-1]
+    right = wx @ np.abs(mirror) ** 2  # int_x_c^b |Psi|^2 by the mirror image
+    I_tr = wx @ np.abs(tr_in * psi + z * mirror) ** 2 + right
+    I_ref = wx @ np.abs(z * (psi - mirror)) ** 2
+    return I_tr, I_ref
+
+
+def test_dwell_norms_where_one_minus_z_rounds():
+    # T ~ 1e-88: 1 - z rounds to 0 or one ulp, while A_tr_In keeps its digits;
+    # every k's interior norm must match the fine-grid value
+    bar = ss.make_rectangular(0.0, 10.0, 50.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=64)
+    fam = ss.solve_family(bar, pk.ks)
+    table = ss.dwell_tables(fam)
+    I_tr, I_ref = _fine_interior_norms(fam)
+    np.testing.assert_allclose(table.norm_tr * fam.ks, I_tr, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(table.norm_ref * fam.ks, I_ref, rtol=1e-8, atol=0)
+
+
+def test_reflection_norm_near_a_narrow_resonance():
+    # next to a double barrier's first resonance |Psi|^2 inside is about 1e6
+    # times |Psi - Psi(2 x_c - x)|^2, so H + H' - 2 Re X would lose 6 digits
+    # of the reflection norm; the odd part is integrated on its own
+    bar = ss.make_symmetric(0.0, [(0.5, 30.0), (1.0, 0.0)])
+    fam = ss.solve_family(bar, 1.3901844833703938 + np.array([1e-4, 1e-6, 1e-8]))
+    _, I_ref = _fine_interior_norms(fam, n_sub=100)
+    np.testing.assert_allclose(ss.dwell_tables(fam).norm_ref * fam.ks, I_ref,
+                               rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------- packet-averaged times
 
 
@@ -138,6 +182,25 @@ def test_routeB_literal_variant_is_diagnostic(canonical_packet, canonical_barrie
     assert abs(v["literal"].imag) > 0.1
 
 
+def test_opaque_time_report_matches_fine_grid():
+    # kappa w ~ 358: both routes must agree with route B formed test-side from
+    # fine-grid interior norms, summed in 50-digit arithmetic where T is
+    # subnormal
+    bar = ss.make_rectangular(0.0, 8.0, 1000.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=128)
+    rep = ss.build_time_report(pk, bar)
+    fam = ss.solve_family(bar, pk.ks)
+    I_tr, _ = _fine_interior_norms(fam)
+    trap = np.ones(len(pk.ks))
+    trap[[0, -1]] = 0.5
+    w = [mp.mpf(float(v)) for v in np.abs(pk.G) ** 2 * trap]
+    num = mp.fsum(wi * mp.mpf(float(I)) / mp.mpf(float(k)) for wi, I, k in zip(w, I_tr, pk.ks))
+    den = mp.fsum(wi * abs(mp.mpc(complex(a))) ** 2 for wi, a in zip(w, fam.A_T))
+    want = float(num / den)
+    assert abs(rep.tau_L_tr_routeA - want) <= 1e-6 * want
+    assert abs(rep.tau_L_tr_routeB - want) <= 1e-6 * want
+
+
 # ------------------------------------------------------------- phase times
 
 
@@ -151,6 +214,20 @@ def test_phase_delay_against_reference(canonical_barrier):
         assert abs(ph.delay[j] - rect_phase_delay(1.0, 2.0, k)) < 1e-8
     got = ss.phase_time(ss.solve_family(canonical_barrier, [2.5])).delay[0]
     assert abs(got - rect_phase_delay(1.0, 2.0, 2.5)) < 1e-8
+
+
+@pytest.mark.parametrize("bar", [
+    ss.make_symmetric(-0.5, [(0.4, 3.0), (0.35, 1.0)]),
+    ss.make_symmetric(0.0, [(0.5, 2.5), (0.6, -1.5)]),
+    ss.make_symmetric(0.0, [(0.3, 1.0), (0.4, 3.0), (0.2, 0.5)]),
+], ids=["two_step", "well", "three_step"])
+def test_phase_time_matches_richardson_stencil(bar):
+    # Winful's closed form against a fourth-order energy derivative of the
+    # transfer-matrix phase; the difference is the stencil's own error
+    ks = np.linspace(0.5, 2.6, 15)
+    ph = ss.phase_time(ss.solve_family(bar, ks))
+    want = np.array([richardson_phase_delay(bar.edges, bar.heights, k) for k in ks])
+    assert np.max(np.abs(ph.delay - want)) < 5e-10
 
 
 def test_phase_free_delay_zero():
@@ -210,11 +287,29 @@ def test_gauss_legendre_rule_is_leggauss_once():
     assert not nodes.flags.writeable and not weights.flags.writeable
 
 
+@pytest.mark.parametrize("bar, ks", [
+    (ss.make_rectangular(0.0, 8.95, 1000.0), np.linspace(0.8, 1.2, 9)),   # kappa w ~ 400
+    (ss.make_rectangular(0.78, 13.12, -30.17), np.linspace(6.0, 10.0, 17)),  # q w ~ 170
+    (ss.make_rectangular(0.0, 20.0, 2.0), np.linspace(5.0, 12.0, 17)),     # q w ~ 230
+    (ss.make_symmetric(0.0, [(2.0, 1000.0), (0.5, -5.0)]), np.linspace(0.8, 1.2, 9)),
+], ids=["opaque", "deep_well", "overhead", "opaque_well"])
+def test_route_a_grid_matches_kernel(bar, ks):
+    # route A's space grid resolves the decay or oscillation of every
+    # density it integrates, so it checks the closed-form norms instead of
+    # sharing an error with them
+    fam = ss.solve_family(bar, ks)
+    table = ss.dwell_tables(fam)
+    for i, hi, want in ((0, bar.b, table.norm_tr), (1, bar.x_c, table.norm_ref)):
+        xs, wx = tm._piece_grid(bar, bar.a, hi, ks)
+        got = wx @ np.abs(fam.split_basis(xs)[i]) ** 2 / ks
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
 def test_nested_simpson_matches_fresh_grids(canonical_packet, canonical_barrier):
     # each halving reuses the nodes it has; every level must be the Simpson
     # value of a freshly sampled full grid, and no node is sampled twice
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
-    xs, wx = tm._piece_grid(canonical_barrier, 0.0, 1.0)
+    xs, wx = tm._piece_grid(canonical_barrier, 0.0, 1.0, canonical_packet.ks)
     M = fam.basis(xs)
     t_lo, t_hi = -5.0, 130.0
     sampled = []
