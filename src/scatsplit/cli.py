@@ -417,6 +417,11 @@ def _evolve_oracle(cfg, packet, ts) -> dict:
     psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, nsteps * grid.dt)
     ref = snapshot(packet, cfg.barrier, t0 + nsteps * grid.dt, xs=grid.xs)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))
+    if cfg.tolerance_profile == "strict" and l2 > 1e-4:
+        raise ToleranceError(
+            f"time-domain cross-check exceeded 1e-4: l2_vs_synthesis = {l2:.3e} "
+            f"(dt = {grid.dt}, dx = {grid.dx:.6g})"
+        )
     return {"l2_vs_synthesis": l2, "dt": grid.dt, "dx": grid.dx,
             "steps": nsteps}
 

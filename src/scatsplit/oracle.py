@@ -16,19 +16,22 @@ step that divides every segment width and keeps the most demanding k's phase
 error (or, under the barrier, growth-rate error) within budget, with NumPy
 arrays over k and only the last six rows kept.
 
-Crank-Nicolson steps the time-dependent equation with the unconditionally
-stable implicit midpoint scheme on a uniform grid with reflecting ends, in
-space with the compact fourth-order (Numerov) Laplacian, which keeps both
-sides of the step tridiagonal (Moyer, Am. J. Phys. 72, 351 (2004)).  The
-right-hand side is M psi with the Numerov mass matrix M, so a step is one
-LAPACK tridiagonal solve and an axpy.  Numerov's dispersion error
-k^6 dx^4 / 480 over the midpoint rule's time error k^6 dt^2 / 96 is
-dx^4 / (5 dt^2) at every k, 2e-3 on the cross-check grid (dx = 0.02,
-dt = 0.004).  A potential jump sampled at the nodes would cap the order at
-one (two where it sits midway between nodes), so the four nodes around each
-jump take moment-matched potential shifts, which keep the Hamiltonian real
-symmetric and the step unitary.  SciPy, which provides the
-solve, is imported only when a propagator is built.
+Crank-Nicolson steps the time-dependent equation on a uniform grid with
+reflecting ends, in space with the compact fourth-order (Numerov) Laplacian,
+which keeps both sides of the step tridiagonal (Moyer, Am. J. Phys. 72, 351
+(2004)), and in time with the diagonal Pade (2,2) approximant of
+exp(-i H dt), fourth order and unitary.  It factors into two Crank-Nicolson
+steps with complex time steps (van Dijk and Toyama, Phys. Rev. E 75, 036707
+(2007)); each one's right-hand side is M psi with the Numerov mass matrix M, so
+a step is two LAPACK tridiagonal solves, each followed by an axpy.  Numerov's
+dispersion error k^6 dx^4 / 480 over the Pade time error k^10 dt^4 / 23040
+(both per unit time) is 48 (dx/dt)^4 / k^4; on the cross-check grid
+(dx = 0.02, dt = 0.04) that is 3 / k^4, so the two balance near k = 1.3 and
+the time error dominates above it.  A potential jump sampled at the nodes
+would cap the order at one (two where it sits midway between nodes), so the
+four nodes around each jump take moment-matched potential shifts, which keep
+the Hamiltonian real symmetric and the step unitary.  SciPy, which provides
+the solve, is imported only when a propagator is built.
 """
 
 from __future__ import annotations
@@ -194,6 +197,12 @@ _EDGE_DENSITY_TOL = 1e-10
 
 _NORM_DRIFT_PER_STEP = 1e-12
 
+_CHECK_INTERVAL = 0.8  # time between boundary and norm checks
+
+# i / z_j at the roots z_j = 3 -+ i sqrt(3) of the Pade (2,2) denominator
+# 1 - z/2 + z^2/12: factor j's time step is dt times this
+_PADE_STEPS = tuple(1j / complex(3.0, s * math.sqrt(3.0)) for s in (-1, 1))
+
 
 def _lapack():
     """LAPACK's complex tridiagonal factor and solve (zgttrf, zgttrs).
@@ -206,18 +215,20 @@ def _lapack():
 
 
 class CrankNicolson:
-    """Implicit-midpoint propagator with a compact (Numerov) Laplacian on a
-    fixed grid with reflecting ends.
+    """Fourth-order (Pade (2,2)) propagator with a compact (Numerov)
+    Laplacian on a fixed grid with reflecting ends.
 
     With M = tridiag(1, 10, 1) / 12 and L = tridiag(1, -2, 1) / dx^2 the
     Hamiltonian is H = -M^-1 L / 2 + V, real symmetric because M and L
-    commute, so the step is unitary.  Multiplying the midpoint rule
-    (1 + i dt H / 2) psi1 = (1 - i dt H / 2) psi0 through by M keeps both
-    sides tridiagonal: A psi1 = (2M - A) psi0 with A = M + i dt/2 (-L/2 + M V).
-    LAPACK's zgttrf factors A once, and each step is one zgttrs solve of
-    A y = M psi followed by 2y - psi.  A is not symmetric: its lower entry in
-    row j + 1 carries V_j / 12 and its upper entry in row j carries
-    V_{j+1} / 12.
+    commute.  The step is R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) at
+    z = -i dt H, unitary because the two roots z_j = 3 +- i sqrt(3) of the
+    denominator are conjugate.  It factors as the product over j of
+    (1 + z/z_j) / (1 - z/z_j) = 2 (M + c_j K)^-1 M - 1, with K = -L/2 + M V
+    and c_j = i dt / z_j; the single root z = 2 (c = i dt / 2) would be the
+    implicit midpoint rule.  LAPACK's zgttrf factors both M + c_j K once, and
+    each factor of a step is one zgttrs solve of (M + c_j K) y = M psi
+    followed by 2y - psi.  M + c_j K is not symmetric: its lower entry in row
+    j + 1 carries V_j / 12 and its upper entry in row j carries V_{j+1} / 12.
 
     V is the potential at the nodes plus the shifts of `_jump_shifts` around
     each jump; the shifts of neighbouring jumps add.
@@ -238,36 +249,42 @@ class CrankNicolson:
             for i, shift in zip(range(j - 1, j + 3), shifts):
                 if 0 <= i < grid.n:
                     V[i] += shift
-        half = 0.5j * dt
-        main = 10 / 12 + half * (1 / (dx * dx) + V * (10 / 12))
-        off = 1 / 12 + half * (-0.5 / (dx * dx) + V / 12)
         zgttrf, self._zgttrs = _lapack()
-        *self._lu, info = zgttrf(off[:-1], main, off[1:])
-        if info != 0:
-            raise ToleranceError(
-                f"Crank-Nicolson system matrix is singular (zgttrf info={info})"
-            )
+        self._factors = []
+        for c in (dt * s for s in _PADE_STEPS):
+            main = 10 / 12 + c * (1 / (dx * dx) + V * (10 / 12))
+            off = 1 / 12 + c * (-0.5 / (dx * dx) + V / 12)
+            *lu, info = zgttrf(off[:-1], main, off[1:])
+            if info != 0:
+                raise ToleranceError(
+                    f"Crank-Nicolson system matrix is singular (zgttrf info={info})"
+                )
+            self._factors.append(lu)
         self._dx = dx
 
     def step(self, psi: np.ndarray) -> np.ndarray:
-        # M psi by multiplications only: a division per node costs more than
-        # the tridiagonal solve's own arithmetic
-        rhs = np.empty((len(psi), 1), dtype=complex, order="F")
-        m = rhs[:, 0]
-        np.multiply(psi, 10 / 12, out=m)
-        m[1:] += psi[:-1] * (1 / 12)
-        m[:-1] += psi[1:] * (1 / 12)
-        x, _ = self._zgttrs(*self._lu, rhs, overwrite_b=1)
-        y = x[:, 0]
-        y *= 2
-        y -= psi
-        return y
+        for lu in self._factors:
+            # M psi by multiplications only: a division per node costs more
+            # than the tridiagonal solve's own arithmetic
+            rhs = np.empty((len(psi), 1), dtype=complex, order="F")
+            m = rhs[:, 0]
+            np.multiply(psi, 10 / 12, out=m)
+            m[1:] += psi[:-1] * (1 / 12)
+            m[:-1] += psi[1:] * (1 / 12)
+            x, _ = self._zgttrs(*lu, rhs, overwrite_b=1)
+            y = x[:, 0]
+            y *= 2
+            y -= psi
+            psi = y
+        return psi
 
-    def evolve(self, psi0: np.ndarray, nsteps: int, check_every: int = 200) -> np.ndarray:
-        """Run nsteps, watching for boundary contamination and norm drift."""
+    def evolve(self, psi0: np.ndarray, nsteps: int) -> np.ndarray:
+        """Run nsteps, watching for boundary contamination and norm drift
+        every _CHECK_INTERVAL of time and at the last step."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (self.grid.n,):
             raise DomainError("initial field does not match the grid")
+        check_every = max(1, round(_CHECK_INTERVAL / self.grid.dt))
         norm0 = _grid_norm(psi, self._dx)
         for i in range(nsteps):
             psi = self.step(psi)
@@ -324,10 +341,10 @@ def _grid_norm(psi, dx):
     return float(np.sum(np.abs(psi) ** 2 * w) * dx)
 
 
-# The time-domain cross-check's grid: at dx = 5 dt the Numerov dispersion error
-# is dx^4 / (5 dt^2) = 2e-3 of the time error at every k
+# The time-domain cross-check's grid: at dx = dt / 2 the Numerov dispersion
+# error is 48 (dx/dt)^4 / k^4 = 3 / k^4 of the Pade time error
 CROSS_CHECK_DX = 0.02
-CROSS_CHECK_DT = 0.004
+CROSS_CHECK_DT = 0.04
 
 
 def cross_check_start(xs, psi, k_hi: float, span: float):

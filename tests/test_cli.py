@@ -161,6 +161,47 @@ def test_evolve_oracle_agrees(tmp_path):
     assert meta["oracle"]["l2_vs_synthesis"] < 1e-4
 
 
+def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
+    # a Crank-Nicolson field off by 1e-3 everywhere: reported under the
+    # default profile, refused with exit 3 under strict
+    from scatsplit import oracle
+
+    evolve = oracle.crank_nicolson_evolve
+    monkeypatch.setattr(oracle, "crank_nicolson_evolve",
+                        lambda *args: evolve(*args) * (1 + 1e-3))
+    ini = write(tmp_path, "run.ini",
+                CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
+                + "[run]\ntimes = 0.0 1.0\ndx = 0.05\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 0
+    meta = json.loads((tmp_path / "evolve.json").read_text())
+    assert meta["oracle"]["l2_vs_synthesis"] > 1e-4
+    capsys.readouterr()
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle",
+                 "--tolerance-profile", "strict"]) == 3
+    err = capsys.readouterr().err
+    assert "l2_vs_synthesis" in err and "dt = 0.04" in err and "dx = 0.02" in err
+
+
+@pytest.mark.parametrize("x0, times, profile", [
+    # across the barrier; strict refuses the mid-crossing sample at t = 6
+    # for its conservation identities, whatever the oracle reads
+    ("-15.0", "6.0 12.0", "default"),
+    # the same packet in free flight, quiet at both samples
+    ("-40.0", "0.0 6.0", "strict"),
+], ids=["crossing", "free_flight_strict"])
+def test_evolve_oracle_fast_packet(tmp_path, x0, times, profile):
+    # k0 = 2.2, sigma = 2.5 over 6 time units: the implicit midpoint rule at
+    # dt = 0.004 read 1.8e-4 on both, above the 1e-4 gate
+    ini = write(tmp_path, "run.ini",
+                "[barrier]\nkind = rectangular\na = 0.0\nb = 1.0\nv0 = 2.0\n"
+                f"[packet]\nx0 = {x0}\nsigma = 2.5\nk0 = 2.2\nn_k = 512\n"
+                f"[run]\ntimes = {times}\ndx = 0.05\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle",
+                 "--tolerance-profile", profile]) == 0
+    meta = json.loads((tmp_path / "evolve.json").read_text())
+    assert meta["oracle"]["l2_vs_synthesis"] < 1e-5
+
+
 def test_times_payload(tmp_path):
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\nphase_points = 33\n")
     assert main(["times", "--config", ini, "--out", str(tmp_path)]) == 0

@@ -154,10 +154,12 @@ def test_cn_input_checks():
 
 
 def test_cn_step_matches_dense_solve():
-    # (M + i dt K / 2) psi1 = (M - i dt K / 2) psi0 with K = -L/2 + M V, the
+    # the Pade (2,2) step as two dense factors (M + c_j K)^-1 (M - c_j K),
+    # c_j = i dt / z_j at z_j = 3 -+ i sqrt(3), with K = -L/2 + M V, the
     # Numerov mass matrix M = tridiag(1, 10, 1) / 12, the 3-point L and hard
-    # walls; every node is at least 1e-3 from a jump, and the four nodes
-    # around each jump carry its shifts
+    # walls, and as R22 = (I - Z/2 + Z^2/12)^-1 (I + Z/2 + Z^2/12) at
+    # Z = -i dt M^-1 K; every node is at least 1e-3 from a jump, and the four
+    # nodes around each jump carry its shifts
     bar = ss.make_symmetric(0.0, [(0.33, 2.0), (0.41, -1.0)])
     grid = orc.GridSpec(-2.03, 3.0, 41, 0.01)
     xs, dx, dt = grid.xs, grid.dx, grid.dt
@@ -172,9 +174,49 @@ def test_cn_step_matches_dense_solve():
     K = -L / 2 + M @ np.diag(V)
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-    want = np.linalg.solve(M + 0.5j * dt * K, (M - 0.5j * dt * K) @ psi0)
     got = orc.CrankNicolson(bar, grid).step(psi0)
+    want = psi0
+    for z in (3 - 1j * math.sqrt(3), 3 + 1j * math.sqrt(3)):
+        c = 1j * dt / z
+        want = np.linalg.solve(M + c * K, (M - c * K) @ want)
     assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    Z = -1j * dt * np.linalg.solve(M, K)
+    I = np.eye(41)
+    r22 = np.linalg.solve(I - Z / 2 + Z @ Z / 12, (I + Z / 2 + Z @ Z / 12) @ psi0)
+    assert np.max(np.abs(got - r22)) < 1e-13 * np.max(np.abs(r22))
+
+
+def test_cn_time_order():
+    # a free Gaussian on a fine grid (dx = 0.005), so the time error
+    # dominates: the Pade step's error against the exact packet falls about
+    # 16x per halving of dt (the midpoint rule's would fall 4x)
+    free = ss.make_rectangular(0.0, 1.0, 0.0)
+    xs = np.linspace(-30.0, 30.0, 12001)
+    psi0 = np.array([free_gaussian(x, 0.0, -4.0, 4.0, 2.0) for x in xs])
+    ref = np.array([free_gaussian(x, 4.0, -4.0, 4.0, 2.0) for x in xs])
+    errors = []
+    for dt in (0.08, 0.04, 0.02):
+        grid = orc.GridSpec(-30.0, 30.0, 12001, dt)
+        out = orc.crank_nicolson_evolve(free, grid, psi0, 4.0)
+        errors.append(math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx)))
+    assert errors[0] > 14 * errors[1] > 196 * errors[2]
+
+
+def test_cn_watches_the_walls_between_checks_of_the_last_step():
+    # a fast packet reflects off the right wall around t = 2 and is 30 units
+    # clear of both walls by the last step (t = 8), so only a check made in
+    # between sees it touch the edge
+    free = ss.make_rectangular(0.0, 1.0, 0.0)
+    grid = orc.GridSpec(-60.0, 0.0, 3001, orc.CROSS_CHECK_DT)
+    psi0 = np.array([free_gaussian(x, 0.0, -10.0, 2.0, 5.0) for x in grid.xs])
+    cn = orc.CrankNicolson(free, grid)
+    nsteps = round(8.0 / grid.dt)
+    psi = psi0
+    for _ in range(nsteps):
+        psi = cn.step(psi)
+    assert max(abs(psi[0]) ** 2, abs(psi[-1]) ** 2) < 1e-12
+    with pytest.raises(ss.ToleranceError, match="boundary contamination at step"):
+        cn.evolve(psi0, nsteps)
 
 
 def test_cn_spatial_order_at_fixed_dt():
