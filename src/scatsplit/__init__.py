@@ -30,7 +30,6 @@ from .wavepacket import (
     KGridSpec,
     PacketSnapshot,
     SpectralPacket,
-    check_kgrid,
     default_kgrid,
     event_window,
     make_gaussian_packet,
@@ -87,7 +86,6 @@ __all__ = [
     "UndefinedTimeError",
     "WindowError",
     "build_time_report",
-    "check_kgrid",
     "clock_times",
     "crank_nicolson_evolve",
     "default_kgrid",

@@ -175,28 +175,17 @@ class RunConfig:
     tolerance_profile: str
 
 
-def _getfloat(sec, key, where, default=None):
+def _getnum(sec, key, where, default=None, kind=float):
     raw = sec.get(key)
     if raw is None:
         if default is not None:
             return default
         raise ConfigError(f"missing key '{key}' in [{where}]")
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}' in [{where}] is not a number: {raw!r}") from None
-
-
-def _getint(sec, key, where, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key '{key}' in [{where}]")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{where}] is not an integer: {raw!r}") from None
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"key '{key}' in [{where}] is not {noun}: {raw!r}") from None
 
 
 def _check_keys(sec, allowed, where):
@@ -211,10 +200,10 @@ def _parse_barrier(cp) -> BarrierSpec:
     sec = cp["barrier"]
     _check_keys(sec, _BARRIER_KEYS, "barrier")
     kind = sec.get("kind", "rectangular").strip()
-    a = _getfloat(sec, "a", "barrier")
+    a = _getnum(sec, "a", "barrier")
     if kind == "rectangular":
-        b = _getfloat(sec, "b", "barrier")
-        v0 = _getfloat(sec, "v0", "barrier")
+        b = _getnum(sec, "b", "barrier")
+        v0 = _getnum(sec, "v0", "barrier")
         try:
             return make_rectangular(a, b, v0)
         except (DomainError, ValueError) as exc:
@@ -250,10 +239,10 @@ def _parse_packet(cp) -> dict | None:
     sec = cp["packet"]
     _check_keys(sec, _PACKET_KEYS, "packet")
     return {
-        "x0": _getfloat(sec, "x0", "packet"),
-        "sigma": _getfloat(sec, "sigma", "packet"),
-        "k0": _getfloat(sec, "k0", "packet"),
-        "n": _getint(sec, "n_k", "packet", default=2048),
+        "x0": _getnum(sec, "x0", "packet"),
+        "sigma": _getnum(sec, "sigma", "packet"),
+        "k0": _getnum(sec, "k0", "packet"),
+        "n": _getnum(sec, "n_k", "packet", default=2048, kind=int),
     }
 
 
@@ -303,9 +292,9 @@ def _need_packet(cfg: RunConfig):
 
 
 def _k_grid(cfg: RunConfig) -> np.ndarray:
-    lo = _getfloat(cfg.run, "k_min", "run", default=0.5)
-    hi = _getfloat(cfg.run, "k_max", "run", default=2.0)
-    n = _getint(cfg.run, "n_k", "run", default=64)
+    lo = _getnum(cfg.run, "k_min", "run", default=0.5)
+    hi = _getnum(cfg.run, "k_max", "run", default=2.0)
+    n = _getnum(cfg.run, "n_k", "run", default=64, kind=int)
     if not (0 < lo < hi) or n < 2:
         raise ConfigError(f"bad k grid in [run]: k_min={lo}, k_max={hi}, n_k={n}")
     return np.linspace(lo, hi, n)
@@ -371,7 +360,7 @@ def cmd_evolve(cfg: RunConfig) -> None:
         raise ConfigError(f"'times' in [run] must be numbers, got {raw!r}") from None
     if not ts:
         raise ConfigError("'times' in [run] is empty")
-    dx = _getfloat(cfg.run, "dx", "run", default=0.02)
+    dx = _getnum(cfg.run, "dx", "run", default=0.02)
 
     scalars = []
     strict = cfg.tolerance_profile == "strict"
@@ -428,7 +417,7 @@ def _evolve_oracle(cfg, packet, ts) -> dict:
 
 def cmd_times(cfg: RunConfig) -> None:
     packet = _need_packet(cfg)
-    phase_points = _getint(cfg.run, "phase_points", "run", default=65)
+    phase_points = _getnum(cfg.run, "phase_points", "run", default=65, kind=int)
     report = build_time_report(packet, cfg.barrier, phase_points=phase_points)
     payload = _meta(cfg)
     payload["tau_dwell_tr"] = {

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .potentials import BarrierSpec, make_rectangular, potential_at
 from .stationary import SolutionFamily, solve_family
-from .wavepacket import SpectralPacket, _density_scan, _trap_w
+from .wavepacket import SpectralPacket, _density_scan, _event_spans, _trap_w
 
 _R_DEFINED = 1e-12
 
@@ -149,35 +149,30 @@ def _spectral_coef_norm(packet, fam, component):
     return C_bar, C
 
 
-def _routeA(packet, fam, component):
-    """Packet time from the space-time integral of the sub-process density.
+def _routeA(packet, fam, component, window):
+    """(tau, n): packet time from the space-time integral of the sub-process
+    density, and the Simpson node count it settled at.
 
     tau = (1/C_bar) * int dt int |psi_c(x, t)|^2 dx over [a, b] for
     transmission and [a, x_c] for reflection, with C_bar the spectral
-    transmitted/reflected norm.  The time window [0, t_hi] is grown until the
-    space integrand falls below 1e-10 of its peak at both ends.
+    transmitted/reflected norm, over the window (t_lo, t_hi) of
+    `_event_spans` (t_lo < 0 covers a precursor).  WindowError unless the
+    first Simpson level is below 1e-10 of its peak at both ends.
     """
     barrier = fam.barrier
     C_bar, _ = _spectral_coef_norm(packet, fam, component)
     hi = barrier.b if component == "tr" else barrier.x_c
     xs, wx = _piece_grid(barrier, barrier.a, hi, packet.ks)
-    tr, ref = fam.split_basis(xs)
-    M = tr if component == "tr" else ref
-    t_hi = 3.0 * (barrier.b - packet.x0) / packet.k0 + 40.0 / packet.k0
-    for _ in range(5):
-        probe = _density_scan(M, packet, wx, 0.0, t_hi / 239, 240)
-        pk = float(probe.max())
-        if probe[0] < _ROUTE_A_TAIL * pk and probe[-1] < _ROUTE_A_TAIL * pk:
-            break
-        t_hi *= 1.5
-    else:
-        raise WindowError("could not bracket the scattering event in time")
-
-    # composite Simpson with interval halving until the value settles
+    M = fam.split_basis(xs)[0 if component == "tr" else 1]
     prev = None
-    for I in _simpson_levels(functools.partial(_density_scan, M, packet, wx), 0.0, t_hi):
-        if prev is not None and abs(I - prev) <= max(_ROUTE_A_RTOL * abs(I), 1e-12):
-            return I / C_bar
+    for I, fs in _simpson_levels(functools.partial(_density_scan, M, packet, wx), *window):
+        if prev is None:
+            tail = max(fs[0], fs[-1]) / fs.max()
+            if not tail < _ROUTE_A_TAIL:
+                raise WindowError(f"route A's window [{window[0]:.6g}, {window[1]:.6g}] does not "
+                                  f"bracket the {component} event: ends at {tail:.2e} of the peak")
+        elif abs(I - prev) <= max(_ROUTE_A_RTOL * abs(I), 1e-12):
+            return I / C_bar, len(fs)
         prev = I
     raise ConvergenceError(
         f"route-A time quadrature did not settle to rtol={_ROUTE_A_RTOL} by n=2049"
@@ -185,13 +180,13 @@ def _routeA(packet, fam, component):
 
 
 def _simpson_levels(scan, t_lo, t_hi):
-    """Composite Simpson values of a time integrand on [t_lo, t_hi] with
-    n = 129, 257, ..., 2049 nodes.  scan(t0, dt, n) samples the integrand on
-    t0 + j dt, j < n; each halving samples only the new odd nodes."""
+    """(value, samples) of composite Simpson on [t_lo, t_hi] with n = 129,
+    257, ..., 2049 nodes.  scan(t0, dt, n) samples the integrand on t0 + j dt,
+    j < n; each halving samples only the new odd nodes."""
     n, h = 129, (t_hi - t_lo) / 128
     fs = scan(t_lo, h, n)
     while True:
-        yield h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
+        yield h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum()), fs
         if n == 2049:
             return
         h /= 2
@@ -262,12 +257,10 @@ class PhaseTimes:
 def phase_time(fam: SolutionFamily) -> PhaseTimes:
     """Group-delay table from the energy derivative of the transmitted phase.
 
-    In closed form by Winful's split into the full state's dwell time and a
-    self-interference term (Phys. Rev. Lett. 91, 260401 (2003)), with the
-    norm from `interior_integrals`: traversal = int_a^b |Psi|^2 dx / k -
-    Im(A_R exp(-2ika)) / k^2 and delay = traversal - (b - a)/k.  The family
-    must be dense enough that neighboring phases differ by < pi/2, otherwise
-    any consumer unwrapping the table would alias — violations raise.
+    In closed form (`SolutionFamily.traversal_time`, Winful's split) and
+    delay = traversal - (b - a)/k.  The family must be dense enough that
+    neighboring phases differ by < pi/2, otherwise any consumer unwrapping
+    the table would alias — violations raise.
     """
     ks = fam.ks
     steps = np.angle(fam.A_T[1:] * np.conj(fam.A_T[:-1]))
@@ -277,9 +270,7 @@ def phase_time(fam: SolutionFamily) -> PhaseTimes:
             "densify the k grid for an unambiguous phase table"
         )
     bar = fam.barrier
-    I = fam.interior_integrals()
-    traversal = ((I.left + I.right) / ks
-                 - (fam.A_R * np.exp(-2j * ks * bar.a)).imag / ks**2)
+    traversal = fam.traversal_time()
     return PhaseTimes(ks=ks, delay=traversal - (bar.b - bar.a) / ks, traversal=traversal)
 
 
@@ -332,15 +323,16 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     if np.any(tau_tr < -1e-12) or np.any(tau_ref[defined] < -1e-12):
         raise DomainError("negative dwell time — integration fault")
 
-    A_tr = _routeA(packet, fam, "tr")
     variants = route_b(packet, fam, table, "tr")
     B_tr = variants["density"]
+    t_lo, t_hi, recurrence = _event_spans(packet, fam)
+    A_tr, n_tr = _routeA(packet, fam, "tr", (t_lo, t_hi))
     try:
         B_ref = route_b(packet, fam, table, "ref")["density"]
     except UndefinedTimeError:
-        A_ref = B_ref = ref_resid = None
+        A_ref = B_ref = ref_resid = n_ref = None
     else:
-        A_ref = _routeA(packet, fam, "ref")
+        A_ref, n_ref = _routeA(packet, fam, "ref", (t_lo, t_hi))
         ref_resid = abs(A_ref - B_ref) / abs(B_ref)
 
     stride = max(1, len(packet.ks) // phase_points)
@@ -359,6 +351,9 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
         "routeA_subpieces": len(_piece_grid(barrier, barrier.a, barrier.b,
                                             packet.ks)[0]) // _PIECE_NODES,
         "routeA_tail_threshold": _ROUTE_A_TAIL,
+        "routeA_window": [t_lo, t_hi],
+        "routeA_simpson_n": {"tr": n_tr, "ref": n_ref},
+        "kgrid_recurrence_time": recurrence,
         "literal_routeB_tr": variants["literal"],
     }
     return TimeReport(

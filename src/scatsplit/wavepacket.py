@@ -24,7 +24,10 @@ Re<psi_tr|psi_ref> are constant/zero only up to a genuine transient of order
 1e-3 while the packet overlaps the barrier: the masked transmission state has
 a derivative kink at x_c that sources the overlap until the interior empties.
 Post-event the identities hold to ~1e-9.  Use event_window/quiet_times to
-sample in the regime where the sharp statements apply.
+sample in the regime where the sharp statements apply.  Each time scan takes
+its window once from the spectrum (`_event_spans`); a k grid that cannot
+resolve it, or whose alias period 2 pi/dk a snapshot grid spans, is refused
+by name with the n_k it needs.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _TAIL_REL = 1e-8
 _NEG_K_FRACTION = 1e-10
 
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
+_SIGNIFICANT = 1e-10   # a k counts in a time scan above this share of the peak
 
 # rows per chirp-z block (and per block of interior basis rows); each block is
 # re-anchored at its first node, which bounds the chirp phase's rounding
@@ -328,7 +332,7 @@ def _plane_sum(C, ks, xs):
 
 
 def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
-              dx: float = 0.02, margin: float = 6.0) -> np.ndarray:
+              dx: float = 0.02) -> np.ndarray:
     """Uniform snapshot grid covering the dispersed support at time t.
 
     Uniformity matters: trapezoid norms on piecewise-stitched grids pick up
@@ -337,7 +341,7 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     """
     sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
     k_hi = float(packet.ks[-1])
-    pad = margin * sig_t + 5.0
+    pad = 6.0 * sig_t + 5.0
     x_lo = min(packet.x0, 2 * barrier.a - packet.x0 - k_hi * t) - pad
     x_hi = max(barrier.b, packet.x0 + k_hi * t) + pad
     x_c = barrier.x_c
@@ -350,33 +354,26 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
              xs=None, dx: float = 0.02) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
-    With xs=None a uniform grid is chosen automatically and widened until the
-    end densities fall below 1e-10; a user grid failing that check raises.
+    With xs=None the grid is `auto_grid`'s, refused (GridRefinementError)
+    when it spans the k grid's alias period 2 pi / dk or more.  Either grid
+    must bring the end densities below 1e-10, or WindowError is raised.
     """
     fam = solve_family(barrier, packet.ks)
-    w = _weights(packet, t)
-
     if xs is None:
-        margin = 6.0
-        for _ in range(4):
-            grid = auto_grid(packet, barrier, t, dx=dx, margin=margin)
-            snap = _snapshot_on(grid, fam, w, t)
-            edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
-            if edge < _EDGE_DENSITY:
-                return snap
-            margin *= 1.6
-        raise WindowError(
-            f"could not suppress end density below {_EDGE_DENSITY} at t={t}"
-        )
+        xs = auto_grid(packet, barrier, t, dx=dx)
+        span, period = xs[-1] - xs[0], _TWO_PI / packet.dk  # fields repeat with period
+        if span >= period:
+            raise _refine(packet, span / period,
+                          f"the snapshot grid at t={t} spans {span:.4g}, at least "
+                          f"the k grid's alias period 2 pi/dk = {period:.4g}")
     xs = _uniform_grid(xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
-    snap = _snapshot_on(xs, fam, w, t)
+    snap = _snapshot_on(xs, fam, _weights(packet, t), t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if edge > _EDGE_DENSITY:
-        raise WindowError(
-            f"supplied grid truncates the support at t={t}: end density {edge:.2e}"
-        )
+        raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates the "
+                          f"support at t={t}: end density {edge:.2e}")
     return snap
 
 
@@ -421,43 +418,83 @@ def snapshot_residuals(snap: PacketSnapshot) -> dict:
     }
 
 
-def event_window(packet: SpectralPacket, barrier: BarrierSpec,
-                 threshold: float = 1e-9):
+def _event_spans(packet: SpectralPacket, fam: SolutionFamily):
+    """(t_lo, t_hi, recurrence): the window every time scan of the passage
+    integrates over, from the spectrum once, and the time 2 pi / (k dk) at
+    the fastest counting k after which the k sum repeats the passage.
+
+    A k counts when its share of a time integral over the passage, |G|^2 C / k
+    (C = T or R; a crossing takes a time ~ 1 / k), is 1e-10 of the largest
+    or more.  The window is the free flight to within 1 of the barrier at the
+    fastest and slowest counting k, 6.5 sigma / k0 for the Gaussian tails,
+    and tau / 2 ln(w / 1e-10) at each end for a k of weight w and group delay
+    tau (`SolutionFamily.traversal_time`): its Wigner lifetime tau / 2 (Phys.
+    Rev. 98, 145 (1955)) sets a decay and a sub-process precursor.  Refused
+    (GridRefinementError, naming the resonance and the n_k needed) when A_T's
+    phase steps by pi/2 or more between k that count in T, or the window
+    reaches the recurrence time.
+    """
+    ks, bar = fam.ks, fam.barrier
+    G2 = np.abs(packet.G) ** 2 / ks
+    rel = np.array([w / w.max() if w.max() > 0 else w for w in (G2 * fam.T, G2 * fam.R)])
+    sig = rel >= _SIGNIFICANT
+    delay = np.maximum(fam.traversal_time() - (bar.b - bar.a) / ks, 0.0)
+    decay = delay / 2 * np.log(np.maximum(rel.max(axis=0) / _SIGNIFICANT, 1.0))
+    # T > 0 wherever it counts, so there A_T is a normal number, its phase sharp
+    step = np.abs(np.angle(fam.A_T[1:] * np.conj(fam.A_T[:-1]))) * (sig[0, 1:] & sig[0, :-1])
+    i = int(np.argmax(step))
+    if step[i] >= math.pi / 2:
+        k = (ks[i] + ks[i + 1]) / 2
+        raise _refine(packet, step[i] / (math.pi / 4), (
+            f"unresolved resonance near k={k:.6g}: A_T's phase steps by {step[i]:.3g} rad "
+            f"(>= pi/2) between neighbouring k, so its delay of at least "
+            f"{step[i] / (k * packet.dk):.4g} is not resolved"))
+    k_lo, k_hi = ks[sig.any(axis=0)][[0, -1]]
+    tail = DEFAULT_HALF_WIDTH * packet.sigma / packet.k0 + decay.max()
+    t_lo = (bar.a - 1.0 - packet.x0) / k_hi - tail
+    t_hi = (bar.b + 1.0 - packet.x0) / k_lo + tail
+    recurrence = _TWO_PI / (k_hi * packet.dk)
+    if t_hi - t_lo >= recurrence:
+        j = int(np.argmax(decay))
+        raise _refine(packet, (t_hi - t_lo) / recurrence, (
+            f"the event spans {t_hi - t_lo:.4g} in time (slowest k={k_lo:.4g}; longest-lived "
+            f"k={ks[j]:.6g}, group delay {delay[j]:.4g}), at least the k grid's recurrence "
+            f"time 2 pi/(k dk) = {recurrence:.4g} at k={k_hi:.4g}"))
+    return float(t_lo), float(t_hi), float(recurrence)
+
+
+def _refine(packet, factor, why):
+    """GridRefinementError for a k grid `factor` times too coarse, 10 % spared."""
+    n = len(packet.ks)
+    return GridRefinementError(f"{why}; needs n_k >= {math.ceil((n - 1) * factor * 1.1) + 1} "
+                               f"(now {n})")
+
+
+def event_window(packet: SpectralPacket, barrier: BarrierSpec):
     """(t_quiet_until, t_quiet_from): times bracketing the barrier crossing.
 
-    Probes the full-state density at {a, x_c, b} on a time scan; quiet means
-    the probe is below threshold * peak.  The conservation identities for the
-    masked sub-states hold to ~1e-9 inside the returned quiet regions, versus
-    O(1e-3) transients in between.
+    Probes the full-state density on a line across the barrier at 600 times
+    on [0, t_hi] (`_event_spans`); quiet means below 1e-9 of the peak.  The
+    conservation identities for the masked sub-states hold to ~1e-9 inside
+    the returned quiet regions, versus O(1e-3) transients in between.
     """
     fam = solve_family(barrier, packet.ks)
+    t_hi = _event_spans(packet, fam)[1]
     # a sparse line of probes across the whole barrier region: single points
     # can sit on nodes of trapped cavity modes and miss persistent density
-    probe_x = np.unique(np.concatenate([
-        np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33), barrier.edges,
-    ]))
-    Mf = fam.basis(probe_x)
-    t_transit = (barrier.b - packet.x0) / packet.k0
-
-    t_hi = 4.0 * t_transit + 60.0 / packet.k0
-    for _ in range(4):
-        dt = t_hi / 599
-        s = _density_scan(Mf, packet, np.ones(len(probe_x)), 0.0, dt, 600)
-        pk = int(np.argmax(s))
-        cut = threshold * s[pk]
-        quiet = s < cut
-        if quiet[-1] and s[-1] < cut / 4:
-            break
-        t_hi *= 1.6
-    else:
-        raise WindowError("event window scan did not reach a quiet late-time regime")
-
+    probe_x = np.unique(np.concatenate([np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33),
+                                        barrier.edges]))
+    dt = t_hi / 599
+    s = _density_scan(fam.basis(probe_x), packet, np.ones(len(probe_x)), 0.0, dt, 600)
+    pk = int(np.argmax(s))
+    quiet = s < 1e-9 * s[pk]
+    if not s[-1] < 0.25e-9 * s[pk]:
+        raise WindowError(f"event window: the barrier is not quiet by t_hi={t_hi:.6g} "
+                          f"(probe at {s[-1] / s[pk]:.2e} of its peak)")
     pre = np.flatnonzero(quiet[:pk])
     if not len(pre):
-        raise WindowError(
-            "no quiet pre-arrival regime found; the packet starts too close "
-            "to the barrier"
-        )
+        raise WindowError("no quiet pre-arrival regime found; the packet starts too "
+                          "close to the barrier")
     i_post = pk + int(np.argmax(quiet[pk:]))  # quiet[-1] holds
     return float(dt * pre[-1]), float(dt * i_post)
 
@@ -466,38 +503,10 @@ def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,
                 n_pre: int = 5, n_post: int = 5) -> np.ndarray:
     """Sample times bracketing the scattering event (quiescent regime only)."""
     t_pre, t_post = event_window(packet, barrier)
-    pre = np.linspace(0.0, t_pre, n_pre) if n_pre else np.empty(0)
-    post = (
-        np.linspace(t_post, t_post + 0.4 * max(t_post, 1.0), n_post)
-        if n_post
-        else np.empty(0)
-    )
-    return np.concatenate([pre, post])
+    return np.concatenate([np.linspace(0.0, t_pre, n_pre),
+                           np.linspace(t_post, t_post + 0.4 * max(t_post, 1.0), n_post)])
 
 
 def spectral_transmitted_norm(packet: SpectralPacket, barrier: BarrierSpec) -> float:
     """T from the spectrum: trapezoid of |G|^2 T(k) (the asymptotic value of T_t)."""
     return float(np.sum(packet.spectral_weight * solve_family(barrier, packet.ks).T))
-
-
-def check_kgrid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
-                dx: float = 0.05, drift_tol: float = 1e-4) -> float:
-    """Aliasing detector: full-grid vs stride-2 norm drift at time t.
-
-    Returns the drift; raises GridRefinementError above drift_tol with advice
-    to double the k grid.
-    """
-    ks, G = packet.ks[::2], packet.G[::2]
-    G = G / math.sqrt(float(np.sum(np.abs(G) ** 2 * _trap_w(len(ks)))) * (ks[1] - ks[0]))
-    G.setflags(write=False)
-    half = SpectralPacket(ks=ks, g=packet.g[::2], G=G, x0=packet.x0,
-                          sigma=packet.sigma, k0=packet.k0)
-    full_snap = snapshot(packet, barrier, t, dx=dx)
-    half_snap = snapshot(half, barrier, t, dx=dx)
-    drift = abs(full_snap.norm_full - half_snap.norm_full)
-    if drift > drift_tol:
-        raise GridRefinementError(
-            f"norm drift {drift:.2e} between k-grid resolutions at t={t}; "
-            f"double the k grid (currently {len(packet.ks)} points)"
-        )
-    return drift

@@ -121,8 +121,8 @@ def test_criterion_4_packet_conservation():
         pk = ss.make_gaussian_packet(bar.a - 40.0, 8.0, k0, barrier=bar, n=384)
         try:
             ts = ss.quiet_times(pk, bar, n_pre=0, n_post=10)
-        except ss.WindowError:
-            redrawn += 1  # trapped cavity resonance: never quiet at desk scale
+        except (ss.WindowError, ss.GridRefinementError):
+            redrawn += 1  # trapped cavity resonance the k grid cannot resolve
             assert redrawn <= 10
             continue
         T_vals = []

@@ -10,8 +10,9 @@ Barriers are rectangles (30 %; V0 from U(-5, 60), 10^U(-3, 3) or
 -10^U(-1, 2), width 10^U(-2, 1.2)), opaque rectangles (10 %) and symmetric
 profiles of 1-4 half segments (60 %; width 10^U(-2, 0.5), height U(-8, 60));
 packets have k0 = 10^U(-0.5, 1), sigma above 5/k0, x0 = a - 5 sigma - 5 -
-U(0, 20) and n_k in {64, 128, 256}.  Refusals are expected (most are k-grid or
-window failures); their counts per cause are printed, not bounded.
+U(0, 20) and n_k in {64, 128, 256}.  Refusals are expected (most are k grids
+too coarse for the packet); their counts per command and cause are printed
+and bounded by the counts at seed 1, so a new refusal fails the test.
 """
 
 import collections
@@ -29,16 +30,30 @@ LABELS = {2: ("config error: ", "undefined time: "), 3: ("tolerance failure: ",)
 
 # every message a refusal may carry, by cause
 CAUSES = {
-    "could_not_bracket": r"could not bracket the scattering event in time",
-    "end_density": r"could not suppress end density below",
-    "event_window": r"event window scan did not reach a quiet|no quiet pre-arrival regime",
+    "unresolved_resonance": r"unresolved resonance near k=.* needs n_k >= ",
+    "recurrence": r"at least the k grid's recurrence time .* needs n_k >= ",
+    "alias_period": r"at least the k grid's alias period .* needs n_k >= ",
+    "route_a_window": r"route A's window \[.*\] does not bracket",
+    "snapshot_window": r"snapshot grid \[.*\] truncates the support",
+    "event_window": r"event window: the barrier is not quiet|no quiet pre-arrival regime",
     "route_disagreement": r"route A and route B disagree beyond 1e-3",
+    "unitarity": r"unitarity violated by .* narrow resonance",
     "route_a_quadrature": r"route-A time quadrature did not settle",
     "phase_grid": r"transmitted phase jumps by >= pi/2",
     "spectral_tail": r"spectral tail at the grid cutoff",
     "opaque": r"transmitted spectral norm underflows to 0",
     "no_reflection": r"reflected spectral norm vanishes",
     "packet_config": r"invalid \[packet\]|packet must start well left",
+}
+
+
+# refusals per (command, cause) at seed 1; every other pair refuses none
+BOUNDS = {
+    ("evolve", "alias_period"): 7,
+    ("times", "recurrence"): 6,
+    ("times", "route_a_window"): 1,
+    ("times", "opaque"): 3,
+    ("larmor", "opaque"): 1,
 }
 
 
@@ -108,3 +123,6 @@ def test_every_refusal_is_named(tmp_path, capsys):
     with capsys.disabled():
         print("\nrefusal fuzz, runs per command and cause:",
               dict(sorted(counts.items())))
+    over = {key: n for key, n in counts.items()
+            if key[1] != "ok" and n > BOUNDS.get(key, 0)}
+    assert not over, over

@@ -32,12 +32,16 @@ def test_barrier_report():
 
 
 def test_barrier_report_names_a_refusal():
-    # a packet centred on the first transmission resonance: route A refuses
-    # the nearly empty reflected part, and the script says so without a
-    # traceback
-    err = run_script("barrier_report.py", "--n-k", "128", "--v0", "1",
-                     "--k0", "3.4452292233013115", code=1)
-    assert err == ["refused: WindowError: could not bracket the scattering event in time"]
+    # 48 k points repeat the packet's passage after 113 time units, before
+    # it ends: the k grid is refused by name, with the size it needs,
+    # and the script says so without a traceback
+    err = run_script("barrier_report.py", "--n-k", "48", code=1)
+    assert len(err) == 1
+    assert err[0].startswith("refused: GridRefinementError: the event spans 189.5 in time")
+    assert err[0].endswith("recurrence time 2 pi/(k dk) = 113.2 at k=1.605; "
+                           "needs n_k >= 88 (now 48)")
+    assert run_script("barrier_report.py", "--n-k", "88")[-1].strip().startswith(
+        "clock / presence-time ratio:")
 
 
 def test_hartman_scan():

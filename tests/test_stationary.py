@@ -101,6 +101,21 @@ def test_unitarity_guard_trips_on_nan():
         ss.solve_family(bar, [float("inf")])
 
 
+def test_unitarity_refusal_names_a_narrow_resonance():
+    # within 1e-8 of a double-barrier resonance plain transfer matrices miss
+    # unitarity by 3.6e-9 as well: the gate reads the sweep's conditioning,
+    # and the refusal names the resonance by its dwell time
+    bar = ss.make_symmetric(0.0, [(0.8, 60.0), (1.0, 0.0)])
+    k = 1.4390489260591632
+    A_T, A_R = transfer_amplitudes(bar.edges, bar.heights, k)
+    assert abs(abs(A_T) ** 2 + abs(A_R) ** 2 - 1.0) > 1e-9
+    with pytest.raises(ss.ToleranceError, match=(
+            r"^unitarity violated by -1\.428e-09 at k=1\.4390489260591632: a narrow "
+            r"resonance there \(dwell time 3\.83e\+08\) leaves the transfer sweep "
+            r"ill-conditioned")):
+        ss.solve_family(bar, [1.0, k])
+
+
 def test_probability_current_constancy(canonical_fam):
     # current of the full state equals k*T in every region, to stencil accuracy
     k = canonical_fam.ks[0]

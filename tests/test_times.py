@@ -148,14 +148,16 @@ def _route_b(packet, barrier, component):
 def test_routeA_free_packet_near_transit():
     free = ss.make_rectangular(0.0, 2.0, 0.0)
     pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=free, n=384)
-    tau = tm._routeA(pk, ss.solve_family(free, pk.ks), "tr")
+    fam = ss.solve_family(free, pk.ks)
+    tau, _ = tm._routeA(pk, fam, "tr", wp._event_spans(pk, fam)[:2])
     assert abs(tau - 2.0) < 0.04  # 2% of L/k0; finite spectral width shifts it
 
 
 def test_route_equivalence_canonical(canonical_packet, canonical_barrier):
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
     for comp in ("tr", "ref"):
-        a = tm._routeA(canonical_packet, fam, comp)
+        a, _ = tm._routeA(canonical_packet, fam, comp,
+                          wp._event_spans(canonical_packet, fam)[:2])
         b = _route_b(canonical_packet, canonical_barrier, comp)["density"]
         assert abs(a - b) < 1e-6 * abs(b)
 
@@ -276,6 +278,21 @@ def test_time_report(canonical_packet, canonical_barrier):
     assert len(rep.phase.ks) >= 2
 
 
+def test_route_a_opens_before_the_start_for_a_precursor():
+    # a benchmark times input (perfbench seed 1, op 17): a resonance of delay
+    # 23 gives both sub-process densities a precursor, still at 1e-3 of
+    # their peak at t = 0, so route A's window opens at negative t
+    bar = ss.make_symmetric(-1.7134575373394703, [
+        (1.0675551040956188, 2.0592372362112066), (0.7772206168475326, 0.20141184257192332),
+        (0.26671641571361926, 2.1131786651685824)])
+    pk = ss.make_gaussian_packet(-41.71345753733947, 8.0, 2.065772157180128,
+                                 barrier=bar, n=192)
+    rep = ss.build_time_report(pk, bar)
+    assert rep.metadata["routeA_window"][0] < -50
+    assert rep.residuals["route_tr"] <= 1e-5
+    assert rep.residuals["route_ref"] <= 1e-5
+
+
 # ---------------------------------------------------------- route-A kernels
 
 
@@ -320,10 +337,11 @@ def test_nested_simpson_matches_fresh_grids(canonical_packet, canonical_barrier)
 
     levels = list(tm._simpson_levels(scan, t_lo, t_hi))
     assert sum(sampled) == 2049
-    for i, got in enumerate(levels):
+    for i, (got, got_fs) in enumerate(levels):
         n = 128 * 2**i + 1
         h = (t_hi - t_lo) / (n - 1)
         fs = wp._density_scan(M, canonical_packet, wx, t_lo, h, n)
         want = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
         assert abs(got - want) <= 1e-13 * abs(want)
+        np.testing.assert_allclose(got_fs, fs, rtol=1e-12, atol=1e-14 * fs.max())
     assert len(levels) == 5

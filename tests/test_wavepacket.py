@@ -155,13 +155,46 @@ def test_synthesize_component_names(canonical_packet, canonical_barrier):
                       np.array([0.0]))
 
 
-def test_check_kgrid(canonical_packet, canonical_barrier):
-    drift = ss.check_kgrid(canonical_packet, canonical_barrier, 40.0, dx=0.05)
-    assert drift < 1e-6
-    coarse = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=canonical_barrier,
-                                     n=64)
-    with pytest.raises(ss.GridRefinementError):
-        ss.check_kgrid(coarse, canonical_barrier, 40.0, dx=0.05)
+def test_unresolved_resonance_refused_by_name():
+    # a benchmark evolve input (perfbench seed 1, op 16): A_T's phase steps
+    # by 2.8 rad between neighbouring k of the 256-point grid near k = 1.38
+    bar = ss.make_symmetric(-0.9194546145377411, [
+        (0.8559816225143934, 4.138701542572426), (1.392967759838563, 1.1964021156137852),
+        (0.6373654979494823, 0.4089530176537441)])
+    pk = ss.make_gaussian_packet(-40.91945461453774, 8.0, 1.368988525685961,
+                                 barrier=bar, n=256)
+    with pytest.raises(ss.GridRefinementError, match=(
+            r"^unresolved resonance near k=1\.38173: .* delay of at least 318\.6 "
+            r"is not resolved; needs n_k >= 1004 \(now 256\)$")):
+        ss.quiet_times(pk, bar)
+
+
+def test_recurring_k_grid_refused_by_name(canonical_packet, canonical_barrier):
+    # 48 k points repeat the passage after 2 pi / (k dk) = 113 at the fastest
+    # significant k, before the slowest has crossed
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=canonical_barrier, n=48)
+    with pytest.raises(ss.GridRefinementError, match=(
+            r"^the event spans 189\.5 in time .* recurrence time 2 pi/\(k dk\) = 113\.2 "
+            r"at k=1\.605; needs n_k >= 88 \(now 48\)$")):
+        ss.event_window(pk, canonical_barrier)
+    fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
+    t_lo, t_hi, recurrence = wp._event_spans(canonical_packet, fam)
+    t_pre, t_post = ss.event_window(canonical_packet, canonical_barrier)
+    assert t_lo < 0 < t_pre < t_post < t_hi < t_lo + recurrence
+
+
+def test_snapshot_grid_beyond_alias_period_refused():
+    # a CLI fuzz draw: on 64 k points the fields repeat every 2 pi / dk =
+    # 40.5 in x, and the grid at t = 0 spans 55.3
+    bar = ss.make_symmetric(-1.8924351838185167, [
+        (2.659582906631892, 27.092663817255755), (0.019483367895017128, 34.39730337655003),
+        (0.8743952422220941, 33.684224471606754)])
+    pk = ss.make_gaussian_packet(-24.1087276330321, 1.3289014368026302,
+                                 7.515304075314758, barrier=bar, n=64)
+    with pytest.raises(ss.GridRefinementError, match=(
+            r"^the snapshot grid at t=0\.0 spans 55\.3, at least the k grid's alias "
+            r"period 2 pi/dk = 40\.46; needs n_k >= 96 \(now 64\)$")):
+        ss.snapshot(pk, bar, 0.0, dx=0.05)
 
 
 # -------------------------------------------------------- chirp-z synthesis
