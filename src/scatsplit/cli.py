@@ -9,9 +9,11 @@ Subcommands
 
 Config files are INI with sections [barrier], [packet], [run]; unknown keys
 are rejected by name.  Artifacts embed the config echo, its SHA-256, the tool
-version, units convention and tolerance profile; floats are printed with 17
-significant digits and keys in fixed order, so identical configs produce
-byte-identical outputs.
+version, units convention and tolerance profile; keys come in fixed order and
+every float is the bytes of format(x, ".17g"), with NaN written NaN and the
+infinities "Infinity" and "-Infinity" (quotes included), so identical configs
+produce byte-identical outputs.  CSV bodies are rendered column by column, all
+float columns of a file in one vectorized pass (_float_cells).
 
 Exit codes: 0 success, 2 config/usage error or undefined time, 3 numerical
 tolerance failure, 4 internal error.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass
@@ -67,6 +70,151 @@ def _fmt_float(x: float) -> str:
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     return format(x, ".17g")
+
+
+# Decimal exponents E = floor(log10|x|) that _float_cells renders itself: its
+# fast path takes 1e-280 < |x| < 1e280, and E may move by one either way.
+_E_LO, _E_HI = -281, 281
+# bytes per cell: sign, d0, ".", d1..d16, "e", exponent sign, up to 3 digits
+_CELL = 24
+
+
+@functools.cache
+def _float_tables():
+    """Tables for _float_cells, built on first use (not at import).
+
+    For E in [_E_LO, _E_HI]: 10^(16-E) as a double-double (hi, lo), with hi's
+    Veltkamp halves, and the exponent bytes [sign, hundreds or NUL, tens,
+    units] as one little-endian word.  For g < 10^4: the four ASCII digits of
+    g, then (at g + 10^4) the same with trailing zeros as NUL, as words.
+    """
+    hi, lo, word = [], [], []
+    for e in range(_E_LO, _E_HI + 1):
+        p = 16 - e
+        if p >= 0:
+            h = float(10 ** p)
+            lo.append(float(10 ** p - int(h)))
+        else:
+            h = 1 / 10 ** -p  # correctly rounded, as every int / int
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10 ** -p) / (den * 10 ** -p))
+        hi.append(h)
+        s = format(e, "+03d")
+        word.append((s[0] + s[1:].rjust(3, "\0")).encode())
+    hi = np.array(hi)
+    c = 134217729.0 * hi  # 2^27 + 1
+    big = c - (c - hi)
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    shown = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    four = np.concatenate([digits + 48, (digits + 48) * shown]).astype(np.uint8)
+    return (hi, big, hi - big, np.array(lo), np.array(word, "S4").view("<u4"),
+            four.view("<u4").ravel())
+
+
+def _scaled(ax, i, tables):
+    """ax * 10^(16-E) as h + t, where i = E - _E_LO: h is the rounded product
+    and t the rest, exact when 10^(16-E) is a double (Dekker, Numer. Math.
+    18, 224 (1971)), else within 2^-47 for ax * 10^(16-E) < 1e17."""
+    hi, big, small, lo = (a[i] for a in tables[:4])
+    h = ax * hi
+    c = 134217729.0 * ax
+    ah = c - (c - ax)
+    al = ax - ah
+    return h, ((ah * big - h) + ah * small + al * big) + al * small + ax * lo
+
+
+def _float_digits(x):
+    """(q, E, slow) for a float64 array: x = +-q 10^(E-16) to 17 digits.
+
+    q = round-half-even(|x| 10^(16-E)) in [1e16, 1e17), from a double-double
+    product (exact when 0 <= 16-E <= 22).  E starts at floor(log10|x|) and
+    moves by one when the product falls outside [1e16, 1e17) before rounding
+    (1e-277 is 9.9999999999999997e-278), or when q rounds up to 1e17.  slow
+    marks what the caller must format one by one, as in Grisu3's exact
+    fallback (Loitsch, PLDI 2010): |x| outside (1e-280, 1e280), non-finite x,
+    inexact products within 2^-30 of a tie, and any q that one move of E
+    left outside [1e16, 1e17].
+    """
+    tables = _float_tables()
+    ax = np.abs(x)
+    fast = (ax > 1e-280) & (ax < 1e280)
+    ax = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    h, t = _scaled(ax, e - _E_LO, tables)
+    move = np.flatnonzero((h < 1e16) | ((h == 1e16) & (t < 0))
+                          | (h > 1e17) | ((h == 1e17) & (t >= 0)))
+    if len(move):
+        e[move] += np.where(h[move] > 5e16, 1, -1)
+        h[move], t[move] = _scaled(ax[move], e[move] - _E_LO, tables)
+    r = np.rint(t)
+    q = h.astype(np.int64) + r.astype(np.int64)
+    slow = ~fast | (q < 10**16) | (q > 10**17) | (
+        (np.abs(np.abs(t - r) - 0.5) < 2.0**-30) & ((e < -6) | (e > 16)))
+    carry = q == 10**17
+    q[carry] = 10**16
+    e[carry] += 1
+    return q, e, slow
+
+
+def _float_cells(x) -> np.ndarray:
+    """(n, _CELL) uint8 for a float array: the bytes of row i that are not
+    NUL, in order, are _fmt_float(x[i]).  NULs also sit inside a row."""
+    x = np.asarray(x, dtype=np.float64)
+    q, e, slow = _float_digits(x)
+    exponent, four = _float_tables()[4:]
+
+    # q as d0 and four groups of four digits; a group followed by zeros only
+    # is looked up with its trailing zeros as NUL
+    top, low = np.divmod(q, 10**8)
+    g = np.empty((len(x), 5), np.int32)
+    g[:, 0], rest = np.divmod(top.astype(np.int32), 10**8)
+    g[:, 1], g[:, 2] = np.divmod(rest, 10**4)
+    g[:, 3], g[:, 4] = np.divmod(low.astype(np.int32), 10**4)
+    tail = g[:, 4] == 0
+    g[:, 4] += 10000
+    for j in (3, 2, 1):
+        zero = g[:, j] == 0
+        g[:, j] += tail * np.int32(10000)
+        tail &= zero
+    dig = four[g].view(np.uint8)[:, 3:]  # d0..d16, trailing zeros NUL
+
+    # scientific: [-]d0[.d1..d16]e(+|-)dd[d]
+    out = np.zeros((len(x), _CELL), np.uint8)
+    out[:, 0] = np.signbit(x) * np.uint8(45)
+    out[:, 1] = dig[:, 0]
+    out[:, 2] = (dig[:, 1] != 0) * np.uint8(46)
+    out[:, 3:19] = dig[:, 1:]
+    out[:, 19] = 101
+    out.view("<u4")[:, 5] = exponent[e - _E_LO]
+    # fixed, -4 <= E <= 16: one block of rows per E
+    f = np.flatnonzero((e >= -4) & (e <= 16))
+    f = f[np.argsort(e[f], kind="stable")]
+    ef, d = e[f], dig[f]
+    fixed = np.zeros((len(f), _CELL), np.uint8)
+    fixed[:, 0] = out[f, 0]
+    starts = np.flatnonzero(np.diff(ef, prepend=_E_LO - 1)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(f)]):
+        k, blk, s = int(ef[a]), fixed[a:b], d[a:b]
+        if k >= 0:  # d0..dk[.dk+1..d16]; integer digits keep their zeros
+            blk[:, 1:k + 2] = np.maximum(s[:, :k + 1], 48)
+            if k < 16:
+                blk[:, k + 2] = (s[:, k + 1] != 0) * np.uint8(46)
+                blk[:, k + 3:19] = s[:, k + 1:]
+        else:  # 0.0..0d0..d16
+            blk[:, 1:3] = (48, 46)
+            blk[:, 3:2 - k] = 48
+            blk[:, 2 - k:19 - k] = s
+    out[f] = fixed
+
+    zero = np.flatnonzero(x == 0)
+    out[zero, 1:] = 0
+    out[zero, 1] = 48
+    other = np.flatnonzero(slow & (x != 0))
+    if len(other):
+        text = [_fmt_float(v).encode() for v in x[other].tolist()]
+        out[other] = np.array(text, f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    return out
 
 
 def _render_json(obj, indent=0) -> str:
@@ -140,18 +288,30 @@ def _csv_header_lines(cfg: "RunConfig") -> list[str]:
 
 
 def _write_csv(path: Path, cfg, columns: list[str], data):
-    """One sequence per column.  Rows of finite numbers take one "%.17g" row
-    format (the bytes of format(x, ".17g")); the rest go through _fmt_float."""
+    """One sequence per column.  Text columns pass through; all the others
+    are rendered together, column by column, by _float_cells (the bytes of
+    _fmt_float).  Cells go into one NUL-padded byte matrix, each followed by
+    "," or a newline, and the file is those bytes with the NULs dropped."""
     data = [np.asarray(c) for c in data]
-    text = [c.dtype.kind in "US" for c in data]
-    finite = np.all([np.isfinite(c.astype(float))
-                     for c, t in zip(data, text) if not t], axis=0)
-    fmt = ",".join("%s" if t else "%.17g" for t in text)
-    lines = _csv_header_lines(cfg) + [",".join(columns)]
-    for ok, row in zip(finite.tolist(), zip(*(c.tolist() for c in data))):
-        lines.append(fmt % row if ok else ",".join(
-            v if isinstance(v, str) else _fmt_float(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = len(data[0])
+    nums = [i for i, c in enumerate(data) if c.dtype.kind not in "US"]
+    cells = {}
+    if nums:
+        block = _float_cells(np.stack([data[i] for i in nums], axis=1).ravel())
+        cells = dict(zip(nums, block.reshape(rows, len(nums), _CELL).swapaxes(0, 1)))
+    for i, c in enumerate(data):
+        if i not in cells:  # text, as UTF-8
+            c = np.char.encode(c) if c.dtype.kind == "U" else c
+            cells[i] = np.ascontiguousarray(c).view(np.uint8).reshape(rows, c.dtype.itemsize)
+    width = max(c.shape[1] for c in cells.values()) + 1
+    body = np.zeros((rows, len(data), width), np.uint8)
+    for i, c in cells.items():
+        body[:, i, :c.shape[1]] = c
+    body[:, :, -1] = ord(",")
+    body[:, -1, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(_csv_header_lines(cfg) + [",".join(columns)]) + "\n").encode())
+        fh.write(body[body != 0])
 
 
 def _write_json(path: Path, payload: dict):
@@ -362,6 +522,8 @@ def cmd_evolve(cfg: RunConfig) -> None:
         raise ConfigError("'times' in [run] is empty")
     dx = _getnum(cfg.run, "dx", "run", default=0.02)
 
+    # the oracle's grid first: a span beyond its step budget is refused at once
+    start = _oracle_start(cfg, packet, ts) if cfg.oracle else None
     scalars = []
     strict = cfg.tolerance_profile == "strict"
     for i, t in enumerate(ts):
@@ -390,19 +552,27 @@ def cmd_evolve(cfg: RunConfig) -> None:
     payload["snapshots"] = scalars
     payload["packet_warnings"] = list(packet.warnings)
     if cfg.oracle:
-        payload["oracle"] = _evolve_oracle(cfg, packet, ts)
+        payload["oracle"] = _evolve_oracle(cfg, packet, ts[0], start)
     _write_json(cfg.out_dir / "evolve.json", payload)
 
 
-def _evolve_oracle(cfg, packet, ts) -> dict:
-    from .oracle import CROSS_CHECK_DX, cross_check_start, crank_nicolson_evolve
+def _oracle_start(cfg, packet, ts):
+    """(grid, psi0, nsteps) of the time-domain cross-check from ts[0] to
+    ts[-1], or None with fewer than two distinct times."""
+    from .oracle import CROSS_CHECK_DX, cross_check_start
 
-    t0, t1 = ts[0], ts[-1]
-    if t1 <= t0:
+    if ts[-1] <= ts[0]:
+        return None
+    s0 = snapshot(packet, cfg.barrier, ts[0], dx=CROSS_CHECK_DX)
+    return cross_check_start(s0.x_grid, s0.psi_full, float(packet.ks[-1]), ts[-1] - ts[0])
+
+
+def _evolve_oracle(cfg, packet, t0, start) -> dict:
+    from .oracle import crank_nicolson_evolve
+
+    if start is None:
         return {"skipped": "need at least two distinct times"}
-    s0 = snapshot(packet, cfg.barrier, t0, dx=CROSS_CHECK_DX)
-    grid, psi0, nsteps = cross_check_start(s0.x_grid, s0.psi_full,
-                                           float(packet.ks[-1]), t1 - t0)
+    grid, psi0, nsteps = start
     psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, nsteps * grid.dt)
     ref = snapshot(packet, cfg.barrier, t0 + nsteps * grid.dt, xs=grid.xs)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))

@@ -345,6 +345,9 @@ def _grid_norm(psi, dx):
 # error is 48 (dx/dt)^4 / k^4 = 3 / k^4 of the Pade time error
 CROSS_CHECK_DX = 0.02
 CROSS_CHECK_DT = 0.04
+# Most node solves (grid nodes x steps x 2 solves per step) one cross-check
+# may take: about 380 times a 10.6k-node, 25-step run, some 6 s at 30 ns each
+CROSS_CHECK_BUDGET = 2e8
 
 
 def cross_check_start(xs, psi, k_hi: float, span: float):
@@ -354,16 +357,23 @@ def cross_check_start(xs, psi, k_hi: float, span: float):
     The grid widens xs by k_hi * span + 30 on each side, so nothing the
     fastest component k_hi carries reaches the hard walls, and psi0 is psi
     padded with zeros; nsteps is span in whole steps of CROSS_CHECK_DT (at
-    least one).
+    least one).  GridRefinementError, before anything is allocated, when
+    nodes x steps x 2 solves exceeds CROSS_CHECK_BUDGET.
     """
     dx = float(xs[1] - xs[0])
     n_pad = int((k_hi * span + 30.0) / dx) + 1
-    lo = float(xs[0]) - n_pad * dx
     n = len(xs) + 2 * n_pad
+    nsteps = max(1, round(span / CROSS_CHECK_DT))
+    if n * nsteps * 2 > CROSS_CHECK_BUDGET:
+        raise GridRefinementError(
+            f"the time-domain cross-check over {span:.6g} needs {n} nodes x {nsteps} steps "
+            f"x 2 solves = {n * nsteps * 2:.3g}, beyond the budget of "
+            f"{CROSS_CHECK_BUDGET:.3g}; shorten the span between the first and last times")
+    lo = float(xs[0]) - n_pad * dx
     grid = GridSpec(x_min=lo, x_max=lo + (n - 1) * dx, n=n, dt=CROSS_CHECK_DT)
     psi0 = np.zeros(n, dtype=complex)
     psi0[n_pad:n_pad + len(xs)] = psi
-    return grid, psi0, max(1, round(span / grid.dt))
+    return grid, psi0, nsteps
 
 
 def crank_nicolson_evolve(

@@ -445,10 +445,15 @@ def _event_spans(packet: SpectralPacket, fam: SolutionFamily):
     i = int(np.argmax(step))
     if step[i] >= math.pi / 2:
         k = (ks[i] + ks[i + 1]) / 2
-        raise _refine(packet, step[i] / (math.pi / 4), (
+        # Breit-Wigner, T = 1 / (1 + x^2) with x = 2 (E - E_r) / width: the
+        # neighbours lie |x_i| + |x_i+1| half-widths apart, and at tan(pi/8)
+        # widths apart A_T's phase steps by at most pi/4 across the peak
+        x = np.sqrt(np.maximum(1.0 / fam.T[i:i + 2] - 1.0, 0.0)).sum()
+        width = (ks[i + 1] ** 2 - ks[i] ** 2) / x
+        raise _refine(packet, max(step[i] / (math.pi / 4), x / (2 * math.tan(math.pi / 8))), (
             f"unresolved resonance near k={k:.6g}: A_T's phase steps by {step[i]:.3g} rad "
             f"(>= pi/2) between neighbouring k, so its delay of at least "
-            f"{step[i] / (k * packet.dk):.4g} is not resolved"))
+            f"{step[i] / (k * packet.dk):.4g} (Breit-Wigner width {width:.3g}) is not resolved"))
     k_lo, k_hi = ks[sig.any(axis=0)][[0, -1]]
     tail = DEFAULT_HALF_WIDTH * packet.sigma / packet.k0 + decay.max()
     t_lo = (bar.a - 1.0 - packet.x0) / k_hi - tail

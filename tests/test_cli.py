@@ -3,9 +3,12 @@
 import importlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatsplit as ss
 from scatsplit import cli, stationary
@@ -182,6 +185,15 @@ def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
     assert "l2_vs_synthesis" in err and "dt = 0.04" in err and "dx = 0.02" in err
 
 
+def test_evolve_oracle_beyond_its_step_budget_refuses_at_once(tmp_path, capsys):
+    # 1.8e6 nodes x 250000 steps: refused by name before any snapshot is written
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\ntimes = 0 1e4\ndx = 0.05\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert "nodes x 250000 steps x 2 solves" in err and "budget of 2e+08" in err
+    assert not list(tmp_path.glob("evolve_*.csv"))
+
+
 @pytest.mark.parametrize("x0, times, profile", [
     # across the barrier; strict refuses the mid-crossing sample at t = 6
     # for its conservation identities, whatever the oracle reads
@@ -298,6 +310,61 @@ def test_csv_rows_render_as_per_value_floats(tmp_path):
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
     assert (tmp_path / "t.csv").read_text().splitlines()[5] == "-0,1,0,odd"
+
+
+def _cell_text(values):
+    """_float_cells as one string per value: each row's bytes without NULs."""
+    return [bytes(c[c != 0]).decode() for c in cli._float_cells(np.asarray(values, float))]
+
+
+_any_double = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | _any_double.filter(math.isfinite), min_size=1, max_size=64))
+def test_float_cells_are_format_g17(values):
+    assert _cell_text(values) == [format(v, ".17g") for v in values]
+
+
+def test_float_cells_on_a_fixed_battery():
+    rng = np.random.default_rng(5)
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    edges = [1e-280, 1e280]
+    battery = (
+        powers + [math.nextafter(p, 0.0) for p in powers]
+        + [math.nextafter(p, math.inf) for p in powers]
+        + (rng.integers(10**15, 10**17, 5000) + 0.5).tolist()
+        + (rng.integers(1, 2**56, 5000, endpoint=True) / 8).tolist()
+        # k / 2^j: exact ties where 10^(16-E) is no double, so only the
+        # fallback decides them (3 / 2^24 = 1.78813934326171875e-07 exactly)
+        + [k * 2.0**-j for j in range(1, 1075) for k in range(1, 64, 2)]
+        + [0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf]
+        + edges + [math.nextafter(b, 0.0) for b in edges]
+        + [math.nextafter(b, math.inf) for b in edges]
+    )
+    battery += [-v for v in battery]
+    assert _cell_text(battery) == [cli._fmt_float(v) for v in battery]
+    # a power of ten just below 10^k; exact ties round half to even
+    assert _cell_text([1e-277, 1234567890123456.25, 1234567890123456.75, 3 * 2.0**-24, -0.0]) == [
+        "9.9999999999999997e-278", "1234567890123456.2", "1234567890123456.8",
+        "1.7881393432617188e-07", "-0"]
+
+
+def test_evolve_csv_is_a_per_row_g17_join(tmp_path):
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\ntimes = 80.0\ndx = 0.05\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path)]) == 0
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    snap = ss.snapshot(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=256), bar,
+                       80.0, dx=0.05)
+    cols = [snap.x_grid] + [np.abs(p) ** 2 for p in (snap.psi_full, snap.psi_tr, snap.psi_ref)]
+    rows = ["%.17g,%.17g,%.17g,%.17g" % row for row in zip(*(c.tolist() for c in cols))]
+    lines = (tmp_path / "evolve_000.csv").read_text().splitlines()
+    assert lines[4:] == ["x,density_full,density_tr,density_ref"] + rows
+    cells = ",".join(rows).split(",")
+    assert len(rows) > 5000 and "0" in cells  # exact zeros, fixed and scientific cells
+    assert any("e-" in c for c in cells) and any(c.startswith("0.0") for c in cells)
 
 
 def test_unknown_command_and_missing_config_exit2(tmp_path):

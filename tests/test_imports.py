@@ -1,6 +1,9 @@
 """Static hygiene of the package: no stale imports, no dangling exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,14 @@ def test_every_top_level_import_is_used(path):
 
 def test_every_export_resolves():
     assert [name for name in ss.__all__ if not hasattr(ss, name)] == []
+
+
+def test_cli_import_builds_no_rendering_table():
+    # the power-of-ten and digit tables of the CSV renderer are built on first
+    # use, so importing the CLI does no work that every command would pay
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = "import scatsplit.cli as c; print(c._float_tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "0"

@@ -1,5 +1,7 @@
 """Spectral packet synthesis: normalization, free-space limit, conservation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -165,8 +167,26 @@ def test_unresolved_resonance_refused_by_name():
                                  barrier=bar, n=256)
     with pytest.raises(ss.GridRefinementError, match=(
             r"^unresolved resonance near k=1\.38173: .* delay of at least 318\.6 "
-            r"is not resolved; needs n_k >= 1004 \(now 256\)$")):
+            r"\(Breit-Wigner width 0\.00131\) is not resolved; needs n_k >= 4552 \(now 256\)$")):
         ss.quiet_times(pk, bar)
+
+
+def test_unresolved_resonance_asks_for_its_n_k_once():
+    # a double barrier with a resonance of width 0.0041 at k = 1.947: the n_k
+    # from the Breit-Wigner width, not from the phase step alone (which asked
+    # for 496, then 1384), resolves it on the first rerun, where only the
+    # recurrence time is left to refuse
+    bar = ss.make_symmetric(0.0, [(1.2, 6.0), (0.5, 0.0)])
+
+    def refusal(n):
+        pk = ss.make_gaussian_packet(-40.0, 8.0, 1.947, barrier=bar, n=n)
+        with pytest.raises(ss.GridRefinementError) as exc:
+            wp._event_spans(pk, ss.solve_family(bar, pk.ks))
+        return str(exc.value), int(re.search(r"needs n_k >= (\d+)", str(exc.value)).group(1))
+
+    why, n = refusal(128)
+    assert why.startswith("unresolved resonance near k=1.947") and 1000 < n < 20000
+    assert "recurrence time" in refusal(n)[0]
 
 
 def test_recurring_k_grid_refused_by_name(canonical_packet, canonical_barrier):
