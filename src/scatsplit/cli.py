@@ -538,6 +538,9 @@ def cmd_evolve(cfg: RunConfig) -> None:
         entry = {
             "t": t,
             "file": f"evolve_{i:03d}.csv",
+            "x_min": snap.x_grid[0],  # the CSV's x column is x_min + dx * (0 .. n - 1)
+            "dx": dx,
+            "n": len(snap.x_grid),
             "norm_full": snap.norm_full,
             "T_t": snap.T_t,
             "R_t": snap.R_t,
@@ -550,6 +553,7 @@ def cmd_evolve(cfg: RunConfig) -> None:
         scalars.append(entry)
     payload = _meta(cfg)
     payload["snapshots"] = scalars
+    payload["alias_period"] = 2 * np.pi / packet.dk  # no auto grid spans it
     payload["packet_warnings"] = list(packet.warnings)
     if cfg.oracle:
         payload["oracle"] = _evolve_oracle(cfg, packet, ts[0], start)

@@ -12,10 +12,11 @@ where phi_c is the full state or one of the masked sub-process states.  The
 stationary states (<phi_k|phi_k'> = 2 pi delta(k - k')) to make
 <Psi_full|Psi_full> = 1 given the G normalization above.
 
-On a uniform x grid no x-by-k basis is built.  Outside [a, b] every state is
-a plane-wave pair, so each field there is a chirp-z transform of the weights
-(`_plane_sum`); only the rows inside [a, b) use the family's basis.  The
-reflection field is the mirror identity applied to fields (`_split`).
+On a uniform x grid no x-by-k basis is built.  Outside [a, b] each sub-state
+is a plane-wave pair with the family's amplitudes, so each field there is a
+chirp-z transform of the weights (`_plane_sum`); only the rows inside [a, b)
+use the family's basis, with the mirror identity on fields giving the
+reflection field on those left of x_c (`_split`).
 
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
@@ -50,7 +51,7 @@ _TWO_PI = 2 * math.pi
 DEFAULT_NK = 2048
 DEFAULT_HALF_WIDTH = 6.5
 
-# fraction of k0 used as the positive floor when k0 - 6.5/sigma would be <= 0
+# the default k grid's lower edge is clamped to this fraction of k0 (k > 0)
 _K_FLOOR_FRAC = 1e-3
 
 _TAIL_REL = 1e-8
@@ -59,8 +60,8 @@ _NEG_K_FRACTION = 1e-10
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
 _SIGNIFICANT = 1e-10   # a k counts in a time scan above this share of the peak
 
-# rows per chirp-z block (and per block of interior basis rows); each block is
-# re-anchored at its first node, which bounds the chirp phase's rounding
+# rows per chirp-z block (and per block of interior basis rows, mirrored ones
+# too); each chirp-z block is re-anchored at its first node to bound its rounding
 _X_CHUNK = 2048
 
 
@@ -87,12 +88,9 @@ class KGridSpec:
         return (self.k_max - self.k_min) / (self.n - 1)
 
 
-def default_kgrid(k0: float, sigma: float, n: int = DEFAULT_NK,
-                  half_width: float = DEFAULT_HALF_WIDTH) -> KGridSpec:
-    lo = k0 - half_width / sigma
-    hi = k0 + half_width / sigma
-    lo_clamped = max(lo, _K_FLOOR_FRAC * k0)
-    return KGridSpec(lo_clamped, hi, n)
+def default_kgrid(k0: float, sigma: float, n: int = DEFAULT_NK) -> KGridSpec:
+    h = DEFAULT_HALF_WIDTH / sigma
+    return KGridSpec(max(k0 - h, _K_FLOOR_FRAC * k0), k0 + h, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +142,7 @@ def make_gaussian_packet(
     Far-start preconditions: x0 + 5 sigma < a (when a barrier is given) and
     k0 >= 5/sigma, i.e. negligible initial barrier overlap and negligible
     negative-momentum content.  When the symmetric grid k0 +/- 6.5/sigma would
-    dip below k = 0 it is clamped to a positive floor and the packet carries a
+    start below 1e-3 k0 it is clamped to that floor and the packet carries a
     "k_grid_clamped" warning; the on-grid renormalization keeps every norm
     identity exact regardless.
     """
@@ -166,7 +164,7 @@ def make_gaussian_packet(
     warnings = []
     if grid is None:
         grid = default_kgrid(k0, sigma, n=n)
-        if k0 - DEFAULT_HALF_WIDTH / sigma <= 0:
+        if grid.k_min > k0 - DEFAULT_HALF_WIDTH / sigma:
             warnings.append("k_grid_clamped")
 
     ks = grid.ks
@@ -275,32 +273,28 @@ def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
 
 
 def _split(fam: SolutionFamily, w, xs):
-    """(psi_full, psi_ref) on the uniform grid xs for weights w.  psi_ref is
-    the mirror identity on fields, F(x) - F(2 x_c - x) for x <= x_c with F
-    the field of weights w z; the mirrored nodes are a uniform grid too."""
-    x_c = fam.barrier.x_c
-    wz = w * fam.z
-    F = _fields(fam, np.stack([w, wz], axis=1), xs)
-    n = int(np.searchsorted(xs, x_c, side="right"))
-    ref = np.zeros(len(xs), dtype=complex)
-    ref[:n] = F[:n, 1] - _fields(fam, wz[:, None], (2 * x_c - xs[:n])[::-1])[::-1, 0]
-    return F[:, 0], ref
-
-
-def _fields(fam: SolutionFamily, U, xs):
-    """sum_k U[k, :] phi_k(x) on the uniform ascending grid xs, region by
-    region: plane waves left of a and from b on, the family's basis on the
-    rows in [a, b)."""
-    c = U.shape[1]
-    i_a, i_b = np.searchsorted(xs, [fam.barrier.a, fam.barrier.b])
-    out = np.empty((len(xs), c), dtype=complex)
-    P = _plane_sum(np.hstack([U, np.conj(U * fam.A_R[:, None])]), fam.ks, xs[:i_a])
-    out[:i_a] = P[:, :c] + np.conj(P[:, c:])
-    out[i_b:] = _plane_sum(U * fam.A_T[:, None], fam.ks, xs[i_b:])
+    """(psi_full, psi_ref) on the uniform grid xs for weights w.  Left of a
+    psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) and psi_tr = sum w A_tr_In e^{ikx};
+    from b on psi_ref = 0.  On the rows in [a, x_c] psi_ref is the mirror
+    identity F(x) - F(2 x_c - x), F the field of weights w z."""
+    bar = fam.barrier
+    i_a, i_b = np.searchsorted(xs, [bar.a, bar.b])
+    i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
+    wz, w_R, deg = w * fam.z, w * fam.A_R, fam.degenerate
+    full, ref = np.empty(len(xs), dtype=complex), np.zeros(len(xs), dtype=complex)
+    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.conj(w_R)], axis=1), fam.ks, xs[:i_a])
+    full[:i_a] = P[:, 0] + P[:, 1] + np.conj(P[:, 2])
+    # Psi_ref = 0 at an exact resonance (z = 0), so its A_R e^{-ikx} is psi_tr's
+    ref[:i_a] = (P[:, 1] + np.conj(P[:, 2])
+                 - np.exp(-1j * np.outer(xs[:i_a], fam.ks[deg])) @ w_R[deg])
+    full[i_b:] = _plane_sum((w * fam.A_T)[:, None], fam.ks, xs[i_b:])[:, 0]
     for i0 in range(i_a, i_b, _X_CHUNK):
         i1 = min(i0 + _X_CHUNK, i_b)
-        out[i0:i1] = fam.basis(xs[i0:i1]) @ U
-    return out
+        F = fam.basis(xs[i0:i1]) @ np.stack([w, wz], axis=1)
+        full[i0:i1] = F[:, 0]
+        j = max(min(i1, i_c), i0)
+        ref[i0:j] = F[:j - i0, 1] - (fam.basis((2 * bar.x_c - xs[i0:j])[::-1]) @ wz)[::-1]
+    return full, ref
 
 
 def _plane_sum(C, ks, xs):

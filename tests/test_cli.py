@@ -136,10 +136,19 @@ def test_evolve_sorts_times_and_reports_scalars(tmp_path):
     meta = json.loads((tmp_path / "evolve.json").read_text())
     ts = [s["t"] for s in meta["snapshots"]]
     assert ts == sorted(ts) == [0.0, 30.0, 80.0]
+    dk = 13.0 / 8.0 / 255  # n_k = 256 over k0 +/- 6.5/sigma
+    assert meta["alias_period"] == pytest.approx(2 * np.pi / dk, rel=1e-12)
     for i, snap in enumerate(meta["snapshots"]):
         assert snap["file"] == f"evolve_{i:03d}.csv"
         assert (tmp_path / snap["file"]).exists()
         assert abs(snap["norm_full"] - 1.0) < 1e-6
+        # the recorded grid reproduces the x column
+        _, rows = read_rows(tmp_path / snap["file"])
+        x = np.array([float(r[0]) for r in rows])
+        assert snap["dx"] == 0.05 and snap["n"] == len(x)
+        assert snap["n"] * snap["dx"] < meta["alias_period"]
+        grid = snap["x_min"] + snap["dx"] * np.arange(snap["n"])
+        assert np.max(np.abs(x - grid)) < 1e-9 * snap["dx"]
 
 
 def test_evolve_strict_rejects_midevent_sample(tmp_path):

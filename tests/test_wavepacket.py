@@ -33,6 +33,10 @@ def test_default_kgrid_clamped_floor():
     pk = ss.make_gaussian_packet(-45.0, 8.0, 0.7, n=128)
     assert "k_grid_clamped" in pk.warnings
     assert abs(pk.norm_G - 1.0) < 1e-12  # renormalized despite the cut tail
+    # k0 - 6.5/sigma = 3.25e-4 > 0 lies below the floor 1e-3 k0: clamped too
+    pk = ss.make_gaussian_packet(-45.0, 8.0, 0.812825, n=128)
+    assert pk.ks[0] == pytest.approx(8.12825e-4, rel=1e-12)
+    assert "k_grid_clamped" in pk.warnings
 
 
 def test_packet_preconditions():
@@ -262,17 +266,26 @@ def _assert_matches_basis(snap, packet, barrier):
 
 STEP_BARRIER = ss.make_symmetric(0.0, [(0.4, 1.5), (0.3, 0.8)])
 
+# a rectangle whose second resonance lies 3e-7 below a k of canonical_packet:
+# that k is degenerate (R < 1e-12, so z = 0) with |A_R| ~ 5e-7, a reflected
+# wave that psi_tr carries
+_K_RES = ss.default_kgrid(1.0, 8.0, n=384).ks[200] * (1 - 3e-7)
+RESONANT_BARRIER = ss.make_rectangular(0.0, 4.0, (_K_RES**2 - (np.pi / 4) ** 2) / 2)
 
-@pytest.mark.parametrize("t, xs", [
-    (0.0, np.linspace(-110.0, -1.0, 2181)),        # wholly left of a
-    (20.0, np.linspace(-120.013, 60.0, 9001)),     # x_c off every node
-    (0.0, np.array([-130.0, 100.0])),               # two points
-    (20.0, np.linspace(-140.0, 60.0, 10001)),      # > 2 blocks, not a multiple
-], ids=["left_of_a", "xc_off_node", "two_points", "blocks"])
-def test_snapshot_matches_basis_gemv(canonical_packet, t, xs):
+
+@pytest.mark.parametrize("bar, t, xs", [
+    (STEP_BARRIER, 0.0, np.linspace(-110.0, -1.0, 2181)),       # wholly left of a
+    (STEP_BARRIER, 20.0, np.linspace(-120.013, 60.0, 9001)),    # x_c off every node
+    (STEP_BARRIER, 0.0, np.array([-130.0, 100.0])),              # two points
+    (STEP_BARRIER, 20.0, np.linspace(-140.0, 60.0, 10001)),     # > 2 blocks, not a multiple
+    (STEP_BARRIER, 0.0, np.linspace(0.013, 1.387, 188)),        # wholly in [a, b], x_c off node
+    (RESONANT_BARRIER, 60.0, np.linspace(-150.0, 120.0, 13501)),
+], ids=["left_of_a", "xc_off_node", "two_points", "blocks", "inside_barrier",
+        "degenerate_k"])
+def test_snapshot_matches_basis_gemv(canonical_packet, bar, t, xs):
     assert len(xs) % wp._X_CHUNK or len(xs) < 2
-    snap = ss.snapshot(canonical_packet, STEP_BARRIER, t, xs=xs)
-    _assert_matches_basis(snap, canonical_packet, STEP_BARRIER)
+    snap = ss.snapshot(canonical_packet, bar, t, xs=xs)
+    _assert_matches_basis(snap, canonical_packet, bar)
 
 
 def test_snapshot_right_of_b_matches_basis_gemv():
@@ -323,6 +336,13 @@ def test_outer_fields_match_plane_wave_sums():
             + np.conj(plane_wave_sum(pk.ks, np.conj(w * z * A_R), xs[left])))
     assert np.max(np.abs(ref[left] - (zsum - mirror))) < tol
     assert np.all(ref[xs > bar.x_c] == 0)
+
+    # psi_tr: the incoming wave A_tr_In e^{ikx} left of a, all of psi_full from b on
+    tr = ss.synthesize(pk, bar, "tr", t, xs)
+    A_tr_In = -A_T * np.exp(2j * pk.ks * bar.x_c) / (A_R - A_T * np.exp(2j * pk.ks * bar.x_c))
+    want_tr = np.array(plane_wave_sum(pk.ks, w * A_tr_In, xs[left]))
+    assert np.max(np.abs(tr[left] - want_tr)) < tol
+    assert np.all(tr[right] == full[right])
 
 
 def test_drifting_grid_refused(canonical_packet, canonical_barrier):
