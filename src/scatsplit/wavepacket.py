@@ -280,13 +280,13 @@ def _split(fam: SolutionFamily, w, xs):
     bar = fam.barrier
     i_a, i_b = np.searchsorted(xs, [bar.a, bar.b])
     i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
-    wz, w_R, deg = w * fam.z, w * fam.A_R, fam.degenerate
+    wz, w_R, deg = w * fam.z, np.conj(w * fam.A_R), fam.degenerate
     full, ref = np.empty(len(xs), dtype=complex), np.zeros(len(xs), dtype=complex)
-    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.conj(w_R)], axis=1), fam.ks, xs[:i_a])
-    full[:i_a] = P[:, 0] + P[:, 1] + np.conj(P[:, 2])
     # Psi_ref = 0 at an exact resonance (z = 0), so its A_R e^{-ikx} is psi_tr's
-    ref[:i_a] = (P[:, 1] + np.conj(P[:, 2])
-                 - np.exp(-1j * np.outer(xs[:i_a], fam.ks[deg])) @ w_R[deg])
+    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.where(deg, 0, w_R),
+                             np.where(deg, w_R, 0)], axis=1), fam.ks, xs[:i_a])
+    ref[:i_a] = P[:, 1] + np.conj(P[:, 2])
+    full[:i_a] = P[:, 0] + ref[:i_a] + np.conj(P[:, 3])
     full[i_b:] = _plane_sum((w * fam.A_T)[:, None], fam.ks, xs[i_b:])[:, 0]
     for i0 in range(i_a, i_b, _X_CHUNK):
         i1 = min(i0 + _X_CHUNK, i_b)

@@ -1,6 +1,7 @@
 """Spectral packet synthesis: normalization, free-space limit, conservation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,9 +72,16 @@ def test_narrow_grid_tail_rejected():
 
 def test_free_packet_matches_analytic():
     bar = ss.make_rectangular(0.0, 2.0, 0.0)
-    pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=bar, n=384)
-    for t in (0.0, 12.0):
-        snap = ss.snapshot(pk, bar, t, dx=0.05)
+    # the last case makes every k degenerate (R = 0) on ~11k rows left of a
+    for n, t, dx in ((384, 0.0, 0.05), (384, 12.0, 0.05), (wp.DEFAULT_NK, 80.0, 0.02)):
+        pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=bar, n=n)
+        tracemalloc.start()
+        try:
+            snap = ss.snapshot(pk, bar, t, dx=dx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6  # plane-wave sums go in blocks of _X_CHUNK rows
         ref = np.array(
             [free_gaussian(x, t, -30.0, 6.0, 1.0) for x in snap.x_grid]
         )
