@@ -274,17 +274,17 @@ def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
 
 def _split(fam: SolutionFamily, w, xs):
     """(psi_full, psi_ref) on the uniform grid xs for weights w.  Left of a
-    psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) and psi_tr = sum w A_tr_In e^{ikx};
-    from b on psi_ref = 0.  On the rows in [a, x_c] psi_ref is the mirror
-    identity F(x) - F(2 x_c - x), F the field of weights w z."""
+    psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) over the non-degenerate k; from
+    b on psi_ref = 0.  On the rows in [a, x_c] psi_ref is the mirror identity
+    F(x) - F(2 x_c - x), F the field of weights w z."""
     bar = fam.barrier
     i_a, i_b = np.searchsorted(xs, [bar.a, bar.b])
     i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
-    wz, w_R, deg = w * fam.z, np.conj(w * fam.A_R), fam.degenerate
+    wz, cR, deg = w * fam.z, np.conj(w * fam.A_R), fam.degenerate
     full, ref = np.empty(len(xs), dtype=complex), np.zeros(len(xs), dtype=complex)
     # Psi_ref = 0 at an exact resonance (z = 0), so its A_R e^{-ikx} is psi_tr's
-    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.where(deg, 0, w_R),
-                             np.where(deg, w_R, 0)], axis=1), fam.ks, xs[:i_a])
+    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.where(deg, 0, cR),
+                             np.where(deg, cR, 0)], axis=1), fam.ks, xs[:i_a])
     ref[:i_a] = P[:, 1] + np.conj(P[:, 2])
     full[:i_a] = P[:, 0] + ref[:i_a] + np.conj(P[:, 3])
     full[i_b:] = _plane_sum((w * fam.A_T)[:, None], fam.ks, xs[i_b:])[:, 0]
