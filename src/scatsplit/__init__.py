@@ -55,6 +55,7 @@ from .larmor import (
     clock_times,
     default_omega,
     make_spin_run,
+    spin_ladder,
 )
 from .oracle import (
     CrankNicolson,
@@ -109,5 +110,6 @@ __all__ = [
     "snapshot_residuals",
     "solve_family",
     "spectral_transmitted_norm",
+    "spin_ladder",
     "synthesize",
 ]

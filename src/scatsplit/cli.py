@@ -35,7 +35,7 @@ from . import __version__
 from .errors import (
     ConfigError, DomainError, ScatsplitError, ToleranceError, UndefinedTimeError,
 )
-from .larmor import clock_times, make_spin_run
+from .larmor import clock_times, spin_ladder
 from .oracle import numerov_solve
 from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
@@ -245,7 +245,8 @@ def _render_json(obj, indent=0) -> str:
         # "%.17g" writes the bytes of format(x, ".17g") for finite floats; a
         # masked entry (np.ma) is an undefined value, listed as None
         fmt = "%.17g".__mod__ if np.isfinite(obj).all() else _fmt_float
-        items = ["null" if v is None else fmt(v) for v in obj.tolist()]
+        items = (["null" if v is None else fmt(v) for v in obj.tolist()]
+                 if np.ma.is_masked(obj) else list(map(fmt, obj.tolist())))
         return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
@@ -634,7 +635,7 @@ def cmd_larmor(cfg: RunConfig) -> None:
     if any(w <= 0 for w in ladder):
         raise ConfigError("omega_ladder entries must be positive")
 
-    runs = [make_spin_run(cfg.barrier, w, packet) for w in sorted(ladder, reverse=True)]
+    runs = spin_ladder(cfg.barrier, sorted(ladder, reverse=True), packet)
     fam = solve_family(cfg.barrier, packet.ks)
     clock = clock_times(packet, fam)
     table = dwell_tables(fam)

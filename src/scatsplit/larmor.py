@@ -5,7 +5,9 @@ confined to [a, b] splits the potential seen by the two spin-z components
 into V -/+ omega/2.  Each component scatters as an independent scalar
 problem; the in-plane precession angle of the transmitted (reflected)
 subensemble, read well after the event and divided by omega, is the clock
-time at that field (`make_spin_run`).
+time at that field (`make_spin_run`).  A ladder of fields is read from one
+stacked transfer sweep, whose columns are both spin channels of every rung
+(`spin_ladder`).
 
 Its zero-field limit (`clock_times`) is Buttiker's in-plane Larmor time
 (Phys. Rev. B 27, 6178 (1983); Baz', Sov. J. Nucl. Phys. 4, 182 (1967)).
@@ -36,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .potentials import BarrierSpec, shifted
-from .stationary import SolutionFamily, solve_family
+from .potentials import BarrierSpec
+from .stationary import SolutionFamily, _shifted_amplitudes
 from .times import _spectral_coef_norm
 from .wavepacket import SpectralPacket
 
@@ -70,33 +72,45 @@ def make_spin_run(barrier: BarrierSpec, omega: float,
     """One clock reading at a fixed precession frequency.
 
     omega is the precession frequency in energy units (hbar = 1): the spin
-    components see V -/+ omega/2, one family each on the packet grid.
+    components see V -/+ omega/2 (`spin_ladder` with one rung).
     """
-    ks = packet.ks
-    up = solve_family(shifted(barrier, -omega / 2), ks)
-    dn = solve_family(shifted(barrier, +omega / 2), ks)
-    at_u, at_d, ar_u, ar_d = up.A_T, dn.A_T, up.A_R, dn.A_R
-    # cross moments and channel norms of both subensembles on the k grid
+    return spin_ladder(barrier, [omega], packet)[0]
+
+
+def spin_ladder(barrier: BarrierSpec, omegas,
+                packet: SpectralPacket) -> list[SpinScatteringRun]:
+    """Clock readings at each precession frequency of omegas, in order.
+
+    Both spin channels of every rung (V -/+ omega/2) are columns of one
+    stacked transfer sweep on the packet grid; only their amplitudes are
+    read.  A channel that fails the unitarity check is refused by name.
+    """
+    omegas = [float(w) for w in omegas]
+    A_T, A_R = _shifted_amplitudes(barrier, packet.ks,
+                                   [s * w / 2 for w in omegas for s in (-1, 1)])
     w = packet.spectral_weight
-    zT = complex(np.sum(w * at_u * np.conj(at_d)))
-    zR = complex(np.sum(w * ar_u * np.conj(ar_d)))
-    nT = np.array([np.sum(w * np.abs(at_u) ** 2), np.sum(w * np.abs(at_d) ** 2)])
-    nR = np.array([np.sum(w * np.abs(ar_u) ** 2), np.sum(w * np.abs(ar_d) ** 2)])
-    theta_T = math.atan2(zT.imag, zT.real)
-    theta_R = math.atan2(zR.imag, zR.real) if abs(zR) > 0 else 0.0
-    tau_tr = theta_T / omega if omega != 0 else None
-    tau_ref = theta_R / omega if omega != 0 else None
-    sz_T = (nT[0] - nT[1]) / (nT[0] + nT[1]) if nT.sum() > 0 else 0.0
-    sz_R = (nR[0] - nR[1]) / (nR[0] + nR[1]) if nR.sum() > 0 else 0.0
-    return SpinScatteringRun(
-        barrier=barrier, omega=float(omega), ks=ks,
-        A_T_up=at_u, A_T_dn=at_d, A_R_up=ar_u, A_R_dn=ar_d,
-        theta_T=theta_T, theta_R=theta_R,
-        tau_clock_tr=tau_tr, tau_clock_ref=tau_ref,
-        sigma_z_T=sz_T, sigma_z_R=sz_R,
-        channel_norms_T=(float(nT[0]), float(nT[1])),
-        channel_norms_R=(float(nR[0]), float(nR[1])),
-    )
+    runs = []
+    for omega, (at_u, at_d), (ar_u, ar_d) in zip(omegas, A_T.reshape(-1, 2, len(w)),
+                                                  A_R.reshape(-1, 2, len(w))):
+        # cross moments and channel norms of both subensembles on the k grid
+        zT = complex(np.sum(w * at_u * np.conj(at_d)))
+        zR = complex(np.sum(w * ar_u * np.conj(ar_d)))
+        nT = np.array([np.sum(w * np.abs(at_u) ** 2), np.sum(w * np.abs(at_d) ** 2)])
+        nR = np.array([np.sum(w * np.abs(ar_u) ** 2), np.sum(w * np.abs(ar_d) ** 2)])
+        theta_T = math.atan2(zT.imag, zT.real)
+        theta_R = math.atan2(zR.imag, zR.real) if abs(zR) > 0 else 0.0
+        runs.append(SpinScatteringRun(
+            barrier=barrier, omega=omega, ks=packet.ks,
+            A_T_up=at_u, A_T_dn=at_d, A_R_up=ar_u, A_R_dn=ar_d,
+            theta_T=theta_T, theta_R=theta_R,
+            tau_clock_tr=theta_T / omega if omega != 0 else None,
+            tau_clock_ref=theta_R / omega if omega != 0 else None,
+            sigma_z_T=(nT[0] - nT[1]) / (nT[0] + nT[1]) if nT.sum() > 0 else 0.0,
+            sigma_z_R=(nR[0] - nR[1]) / (nR[0] + nR[1]) if nR.sum() > 0 else 0.0,
+            channel_norms_T=(float(nT[0]), float(nT[1])),
+            channel_norms_R=(float(nR[0]), float(nR[1])),
+        ))
+    return runs
 
 
 class ClockResult(NamedTuple):

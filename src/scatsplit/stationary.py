@@ -11,12 +11,16 @@ where E > V, real growing/decaying exponentials where E < V, and {1, x} at the
 removable degeneracy E = V.
 
 One solver, `solve_family`, handles a whole k grid at once.  It propagates
-(psi, psi') from b to a, right to left, in a Python loop over segments that
-runs elementwise over k, factoring the growing exponential's magnitude out of
-every under-barrier segment, so opaque barriers (kappa * width of hundreds)
-never overflow: the accumulated log-scale S only ever appears as exp(-S) or
-exp(S_partial - S) with nonpositive exponents.  There is no unscaled code
-path; one k is a grid of length one.
+(psi, psi') from b to a, right to left, factoring the growing exponential's
+magnitude out of every under-barrier segment, so opaque barriers (kappa *
+width of hundreds) never overflow: the accumulated log-scale S only ever
+appears as exp(-S) or exp(S_partial - S) with nonpositive exponents.  The
+transfer coefficients of all segments are (segments, k) arrays computed at
+once, and the Python loop over segments carries only the scaled (psi,
+psi').  Everything is elementwise over k, so the spin clock's channels ride
+the same sweep as extra columns with their own heights
+(`_shifted_amplitudes`).  There is no unscaled code path; one k is a grid
+of length one.
 
 The tests check the family against plain unscaled 2x2 transfer matrices
 (tests/analytic.py) to 1e-12 absolute in the amplitudes, on random barriers
@@ -27,13 +31,14 @@ integrals against adaptive quadrature to 1e-12, up to kappa * width = 400.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .potentials import BarrierSpec
+from .potentials import BarrierSpec, shifted
 
 # |E - V| below this (scaled) threshold uses the linear {1, x} basis
 _DEG_TOL = 1e-12
@@ -125,6 +130,17 @@ class SolutionFamily:
     def R(self) -> np.ndarray:
         return np.abs(self.A_R) ** 2
 
+    def take(self, cols) -> SolutionFamily:
+        """The family on the k columns that cols (a slice or index array)
+        selects.  The solve works elementwise over k, so this equals the
+        family solved on ks[cols]; interior integrals already computed are
+        sliced too."""
+        sub = SolutionFamily(self.barrier, *(getattr(self, f.name)[..., cols]
+                                             for f in fields(self)[1:]))
+        if "_interior" in self.__dict__:
+            sub.__dict__["_interior"] = InteriorIntegrals(*(a[cols] for a in self._interior))
+        return sub
+
     def basis(self, xs) -> np.ndarray:
         """x-by-k matrix of the full states on the ascending grid xs."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -149,15 +165,16 @@ class SolutionFamily:
             x = xs[cut[j] : cut[j + 1]]
             d = x - edges[j]
             blk = out[cut[j] : cut[j + 1]]
-            for kind in ("osc", "evan", "deg"):
-                m = self.kind[j] == kind
-                if not m.any():
-                    continue
+            # the kinds form runs in k (one each on an ascending grid)
+            kind = self.kind[j]
+            runs = np.flatnonzero(kind[1:] != kind[:-1]) + 1
+            for lo, hi in zip([0, *runs], [*runs, len(kind)]):
+                m = slice(lo, hi)
                 q, cp, cm = self.wn[j, m], self.c_plus[j, m], self.c_minus[j, m]
-                if kind == "osc":
+                if kind[lo] == "osc":
                     e = _expi(d, q)
                     blk[:, m] = cp * e + cm * np.conj(e)
-                elif kind == "evan":
+                elif kind[lo] == "evan":
                     blk[:, m] = (cp * np.exp(np.multiply.outer(x - edges[j + 1], q))
                                  + cm * np.exp(-np.multiply.outer(d, q)))
                 else:
@@ -182,7 +199,13 @@ class SolutionFamily:
         return tr, ref
 
     def interior_integrals(self) -> InteriorIntegrals:
-        """Per-k integrals of the full state over the barrier, in closed form.
+        """Per-k integrals of the full state over the barrier, in closed form,
+        computed once per family (read-only arrays)."""
+        return self._interior
+
+    @functools.cached_property
+    def _interior(self) -> InteriorIntegrals:
+        """The closed forms behind `interior_integrals`.
 
         With u = x - x_j on segment j of width w, Psi and its mirror image
         (on segment n - 1 - j, at offset w - u) are pairs on the basis
@@ -212,11 +235,14 @@ class SolutionFamily:
         def form(M, a, b):
             return np.einsum("ajk,abjk,bjk->k", a, M, b)
 
-        return InteriorIntegrals(
+        I = InteriorIntegrals(
             left=form(C, f.conj(), f).real, right=form(C, g.conj(), g).real,
             cross=form(C, f.conj(), g), odd=form(C, (f - g).conj(), f - g).real,
             square=form(B, f, f) + form(B, g, g), mirror=2 * form(B, f, g),
         )
+        for a in I:
+            a.setflags(write=False)
+        return I
 
     def traversal_time(self) -> np.ndarray:
         """d arg(A_T) / dE + (b - a) / k per k by Winful's split (Phys. Rev.
@@ -236,67 +262,76 @@ def _expi(x, q, out=None):
     return out
 
 
-def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
-    """Solve for the full stationary states at every k in ks (left incidence).
+class _Sweep(NamedTuple):
+    """The scaled backward sweep over columns (heights, k), the last axis of
+    every array; per-edge arrays have shape (segments + 1, columns), edge j
+    the left edge of segment j."""
 
-    One scaled backward transfer sweep runs over the whole grid; every k must
-    pass the unitarity check |T + R - 1| <= 1e-10.  The amplitudes match plain
-    transfer matrices to 1e-12 in the tests (see the module docstring).
+    ks: np.ndarray
+    is_osc: np.ndarray   # (segments, columns)
+    is_evan: np.ndarray
+    wn: np.ndarray
+    u: np.ndarray        # (psi, psi') / exp(S) at every edge
+    v: np.ndarray
+    S: np.ndarray        # log-scale grown from b down to each edge
+    P0: np.ndarray       # incident amplitude at a, in the frame exp(S[0])
+    A_T: np.ndarray
+    A_R: np.ndarray
+
+
+def _sweep(barrier: BarrierSpec, heights, ks) -> _Sweep:
+    """One scaled backward transfer sweep from b to a over every column.
+
+    heights is (segments, columns) or (segments, 1), ks is (columns,): a
+    column is one k on one set of heights over the barrier's edges.  The
+    transfer coefficients of every segment are computed at once; the loop
+    over segments carries only (u, v), and S is the running sum of the
+    under-barrier growth.
     """
-    ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    if ks.ndim != 1 or len(ks) == 0:
-        raise DomainError("k grid must be a non-empty one-dimensional array")
-    ok = np.isfinite(ks) & (ks > 0)
-    if not ok.all():
-        raise DomainError(
-            f"wavenumbers must be positive finite numbers, got {ks[~ok][0]!r}"
-        )
     edges = barrier.edges
-    heights = barrier.heights
-    nseg, nk = len(heights), len(ks)
+    w = np.diff(edges)[:, None]
+    V = np.asarray(heights, dtype=float)
     E = ks * ks / 2
-
-    is_osc, is_evan = (np.empty((nseg, nk), dtype=bool) for _ in range(2))
-    wn = np.empty((nseg, nk))
-    uR, vR, uL, vL = (np.empty((nseg, nk), dtype=complex) for _ in range(4))
-    SR, SL = np.empty((nseg, nk)), np.empty((nseg, nk))
+    D = ks * ks - 2 * V
+    deg = np.abs(E - V) < _DEG_TOL * np.maximum(1.0, np.abs(V))
+    osc = ~deg & (D > 0)
+    evan = ~deg & ~osc
+    q = np.where(deg, 0.0, np.sqrt(np.abs(D)))
+    qs = np.where(deg, 1.0, q)  # divisor that is safe on every column
+    c, s = np.cos(q * w), np.sin(q * w)
+    e2 = np.exp(-2 * q * w)
+    ch, sh = (1 + e2) / 2, (1 - e2) / 2
+    m11 = np.where(osc, c, np.where(evan, ch, 1.0))
+    m12 = np.where(osc, -s / qs, np.where(evan, -sh / qs, -w))
+    m21 = np.where(osc, q * s, np.where(evan, -q * sh, 0.0))
 
     # backward sweep, tracking scaled (u, v) ~ (psi, psi') / exp(S)
-    u = np.exp(1j * ks * barrier.b)
-    v = 1j * ks * u
-    S = np.zeros(nk)
+    nseg = len(w)
+    u, v = (np.empty((nseg + 1, len(ks)), dtype=complex) for _ in range(2))
+    u[-1] = np.exp(1j * ks * barrier.b)
+    v[-1] = 1j * ks * u[-1]
     for j in range(nseg - 1, -1, -1):
-        w, V = edges[j + 1] - edges[j], heights[j]
-        D = ks * ks - 2 * V
-        deg = np.abs(E - V) < _DEG_TOL * max(1.0, abs(V))
-        osc = ~deg & (D > 0)
-        evan = ~deg & ~osc
-        q = np.where(deg, 0.0, np.sqrt(np.abs(D)))
-        qs = np.where(deg, 1.0, q)  # divisor that is safe on every column
-        c, s = np.cos(q * w), np.sin(q * w)
-        e2 = np.exp(-2 * q * w)
-        ch, sh = (1 + e2) / 2, (1 - e2) / 2
-        m11 = np.where(osc, c, np.where(evan, ch, 1.0))
-        m12 = np.where(osc, -s / qs, np.where(evan, -sh / qs, -w))
-        m21 = np.where(osc, q * s, np.where(evan, -q * sh, 0.0))
-        uR[j], vR[j], SR[j] = u, v, S
-        u, v = m11 * u + m12 * v, m21 * u + m11 * v
-        S = S + np.where(evan, q * w, 0.0)
-        uL[j], vL[j], SL[j] = u, v, S
-        is_osc[j], is_evan[j] = osc, evan
-        wn[j] = q
+        u[j] = m11[j] * u[j + 1] + m12[j] * v[j + 1]
+        v[j] = m21[j] * u[j + 1] + m11[j] * v[j + 1]
+    S = np.zeros((nseg + 1, len(ks)))
+    S[-2::-1] = np.cumsum(np.where(evan, q * w, 0.0)[::-1], axis=0)
 
     # match to exp(ikx) + A_R exp(-ikx) at a; the transmitted normalization is
     # A_T = exp(-S) / P0 for P0 computed in the scaled frame
-    P0 = 0.5 * (u + v / (1j * ks)) * np.exp(-1j * ks * barrier.a)
-    Q0 = 0.5 * (u - v / (1j * ks)) * np.exp(1j * ks * barrier.a)
-    A_T = np.exp(-S) / P0
-    A_R = Q0 / P0
+    P0 = 0.5 * (u[0] + v[0] / (1j * ks)) * np.exp(-1j * ks * barrier.a)
+    Q0 = 0.5 * (u[0] - v[0] / (1j * ks)) * np.exp(1j * ks * barrier.a)
+    return _Sweep(ks, osc, evan, q, u, v, S, P0, np.exp(-S[0]) / P0, Q0 / P0)
 
+
+def _family(barrier: BarrierSpec, sw: _Sweep) -> SolutionFamily:
+    """The family of the sweep, whose heights are barrier's; refused
+    (ToleranceError) unless every k passes the unitarity check."""
+    ks, is_osc, is_evan, wn, u, v, S, P0, A_T, A_R = sw
     # growing parts are anchored at the right edge (frame S_R), everything
     # else at the left edge (frame S_L); all normalized exponents are <= 0
-    fL = np.exp(SL - S) / P0
-    fR = np.exp(SR - S) / P0
+    uL, vL, uR, vR = u[:-1], v[:-1], u[1:], v[1:]
+    fL = np.exp(S[:-1] - S[0]) / P0
+    fR = np.exp(S[1:] - S[0]) / P0
     qs = np.where(is_osc | is_evan, wn, 1.0)
     c_plus = np.where(is_osc, 0.5 * (uL + vL / (1j * qs)) * fL,
                       np.where(is_evan, 0.5 * (uR + vR / qs) * fR, uL * fL))
@@ -316,16 +351,57 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
         degenerate=degenerate,
         kind=_KINDS[is_osc + 2 * is_evan], wn=wn, c_plus=c_plus, c_minus=c_minus,
     )
-    unit = fam.T + fam.R - 1.0
-    bad = ~(np.abs(unit) <= _UNITARITY_TOL)
+    bad = _nonunitary(A_T, A_R)
     if bad.any():
         # plain transfer matrices miss by as much: this is conditioning
         i, I = int(np.argmax(bad)), fam.interior_integrals()
         raise ToleranceError(
-            f"unitarity violated by {unit[i]:.3e} at k={ks[i]}: a narrow resonance "
-            f"there (dwell time {(I.left[i] + I.right[i]) / ks[i]:.3g}) leaves the "
+            f"unitarity violated by {fam.T[i] + fam.R[i] - 1.0:.3e} at k={ks[i]}: a narrow "
+            f"resonance there (dwell time {(I.left[i] + I.right[i]) / ks[i]:.3g}) leaves the "
             "transfer sweep ill-conditioned beyond the 1e-10 gate; move k off it")
     return fam
+
+
+def _nonunitary(A_T, A_R) -> np.ndarray:
+    return ~(np.abs(np.abs(A_T) ** 2 + np.abs(A_R) ** 2 - 1.0) <= _UNITARITY_TOL)
+
+
+def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
+    """Solve for the full stationary states at every k in ks (left incidence).
+
+    One scaled backward transfer sweep runs over the whole grid; every k must
+    pass the unitarity check |T + R - 1| <= 1e-10.  The amplitudes match plain
+    transfer matrices to 1e-12 in the tests (see the module docstring).
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    if ks.ndim != 1 or len(ks) == 0:
+        raise DomainError("k grid must be a non-empty one-dimensional array")
+    ok = np.isfinite(ks) & (ks > 0)
+    if not ok.all():
+        raise DomainError(
+            f"wavenumbers must be positive finite numbers, got {ks[~ok][0]!r}"
+        )
+    return _family(barrier, _sweep(barrier, barrier.heights[:, None], ks))
+
+
+def _shifted_amplitudes(barrier: BarrierSpec, ks, shifts):
+    """(A_T, A_R), each (len(shifts), len(ks)): the amplitudes of the barrier
+    with every height shifted by each of shifts, from one sweep over the
+    stacked columns, for a k grid solve_family accepts.  Each row equals
+    solve_family(shifted(barrier, dV), ks)'s bit for bit, and a row that
+    fails the unitarity check is refused as solve_family refuses it.
+    """
+    ks, shifts = np.asarray(ks, dtype=float), np.asarray(shifts, dtype=float)
+    nk = len(ks)
+    heights = barrier.heights[:, None] + np.repeat(shifts, nk)
+    sw = _sweep(barrier, heights, np.tile(ks, len(shifts)))
+    bad = _nonunitary(sw.A_T, sw.A_R)
+    if bad.any():
+        # the first failing channel's own family raises its named refusal
+        r = int(np.argmax(bad)) // nk
+        cols = slice(r * nk, (r + 1) * nk)
+        _family(shifted(barrier, float(shifts[r])), _Sweep(*(a[..., cols] for a in sw)))
+    return sw.A_T.reshape(len(shifts), nk), sw.A_R.reshape(len(shifts), nk)
 
 
 def probability_current(field, dx: float) -> np.ndarray:

@@ -13,8 +13,12 @@ Three independent notions of time are computed and cross-compared:
   traversal time (delay + free flight).
 
 The dwell times, route B and the phase times read the closed-form kernel
-`SolutionFamily.interior_integrals`.  Route A stays numerical, on a
-Gauss-Legendre grid of its own, so it checks the kernel instead of sharing it.
+`SolutionFamily.interior_integrals`, computed once per family; the phase
+table is a strided slice of the packet family.  Route A stays numerical, on
+a Gauss-Legendre grid of its own, so it checks the kernel instead of sharing
+it.  One route-A pass serves both sub-processes: one grid, one sub-state
+basis, and per Simpson level one phase table and one GEMM over the stacked
+rows.
 
 The traversal phase time saturates with barrier length for opaque barriers
 while the transmission dwell time grows like the inverse tunneling
@@ -109,16 +113,19 @@ def _gauss_legendre():
     return nodes, weights
 
 
-def _piece_grid(barrier: BarrierSpec, lo: float, hi: float, ks):
-    """Gauss-Legendre nodes and weights on [lo, hi], 24 per sub-piece.
+def _piece_grid(barrier: BarrierSpec, ks):
+    """Gauss-Legendre nodes and weights on [a, b], 24 per sub-piece.
 
     Pieces end at height jumps and x_c (the integrands are analytic within
-    each) and are cut into equal sub-pieces with q * length <= _SUBPIECE_QL,
-    q = sqrt|k^2 - 2V| largest over ks, which resolves densities decaying as
-    exp(-2 kappa x) or oscillating as exp(2iqx).  Nodes ascend, off the ends.
+    each; x_c is no cut where an edge rounds to it) and are cut into equal
+    sub-pieces with q * length <= _SUBPIECE_QL, q = sqrt|k^2 - 2V| largest
+    over ks, which resolves densities decaying as exp(-2 kappa x) or
+    oscillating as exp(2iqx).  Nodes ascend, off the ends of every piece.
     """
-    cuts = np.array(sorted({lo, hi} | {float(e) for e in barrier.edges if lo < e < hi}
-                           | ({barrier.x_c} if lo < barrier.x_c < hi else set())))
+    edges = barrier.edges
+    cuts = np.array(sorted({float(e) for e in edges}
+                           | ({barrier.x_c} if np.abs(edges - barrier.x_c).min()
+                              > 1e-12 * (barrier.b - barrier.a) else set())))
     V = potential_at(barrier, (cuts[1:] + cuts[:-1]) / 2)
     q = np.sqrt(np.maximum(np.abs(ks[0] ** 2 - 2 * V), np.abs(ks[-1] ** 2 - 2 * V)))
     n = np.maximum(1, np.ceil(q * np.diff(cuts) / _SUBPIECE_QL)).astype(int)
@@ -149,30 +156,43 @@ def _spectral_coef_norm(packet, fam, component):
     return C_bar, C
 
 
-def _routeA(packet, fam, component, window):
-    """(tau, n): packet time from the space-time integral of the sub-process
-    density, and the Simpson node count it settled at.
+def _routeA(packet, fam, components, window, xs, wx) -> dict:
+    """{component: (tau, n)}: packet time from the space-time integral of
+    each sub-process density, and the Simpson node count it settled at.
 
-    tau = (1/C_bar) * int dt int |psi_c(x, t)|^2 dx over [a, b] for
-    transmission and [a, x_c] for reflection, with C_bar the spectral
-    transmitted/reflected norm, over the window (t_lo, t_hi) of
-    `_event_spans` (t_lo < 0 covers a precursor).  WindowError unless the
-    first Simpson level is below 1e-10 of its peak at both ends.
+    tau = (1/C_bar) * int dt int |psi_c(x, t)|^2 dx over [a, b] for "tr" and
+    [a, x_c] for "ref", with C_bar the spectral transmitted/reflected norm,
+    over the window (t_lo, t_hi) of `_event_spans` (t_lo < 0 covers a
+    precursor), on the grid (xs, wx) of `_piece_grid`.  One pass serves
+    every component: the "tr" rows and the "ref" rows at or left of x_c are
+    stacked into one matrix, so each Simpson level is one phase table and
+    one GEMM, with one weighted sum per component.  Each component has its
+    own checks: WindowError unless its first Simpson level is below 1e-10 of
+    its peak at both ends, ConvergenceError unless it settles by n = 2049.
     """
-    barrier = fam.barrier
-    C_bar, _ = _spectral_coef_norm(packet, fam, component)
-    hi = barrier.b if component == "tr" else barrier.x_c
-    xs, wx = _piece_grid(barrier, barrier.a, hi, packet.ks)
-    M = fam.split_basis(xs)[0 if component == "tr" else 1]
-    prev = None
-    for I, fs in _simpson_levels(functools.partial(_density_scan, M, packet, wx), *window):
-        if prev is None:
-            tail = max(fs[0], fs[-1]) / fs.max()
-            if not tail < _ROUTE_A_TAIL:
-                raise WindowError(f"route A's window [{window[0]:.6g}, {window[1]:.6g}] does not "
-                                  f"bracket the {component} event: ends at {tail:.2e} of the peak")
-        elif abs(I - prev) <= max(_ROUTE_A_RTOL * abs(I), 1e-12):
-            return I / C_bar, len(fs)
+    C_bar = [_spectral_coef_norm(packet, fam, c)[0] for c in components]
+    n_ref = int(np.searchsorted(xs, fam.barrier.x_c, side="right"))
+    tr, ref = fam.split_basis(xs)
+    rows = [len(xs) if c == "tr" else n_ref for c in components]  # a prefix of the grid each
+    M = np.concatenate([(tr if c == "tr" else ref)[:n] for c, n in zip(components, rows)])
+    W = np.zeros((len(components), len(M)))  # each component's weights on its own rows
+    for i, (start, n) in enumerate(zip(np.cumsum([0, *rows]), rows)):
+        W[i, start:start + n] = wx[:n]
+    done, prev = {}, None
+    for I, fs in _simpson_levels(functools.partial(_density_scan, M, packet, W), *window):
+        for i, c in enumerate(components):
+            if c in done:
+                continue
+            if prev is None:
+                tail = max(fs[i, 0], fs[i, -1]) / fs[i].max()
+                if not tail < _ROUTE_A_TAIL:
+                    raise WindowError(
+                        f"route A's window [{window[0]:.6g}, {window[1]:.6g}] does not "
+                        f"bracket the {c} event: ends at {tail:.2e} of the peak")
+            elif abs(I[i] - prev[i]) <= max(_ROUTE_A_RTOL * abs(I[i]), 1e-12):
+                done[c] = (I[i] / C_bar[i], fs.shape[1])
+        if len(done) == len(components):
+            return done
         prev = I
     raise ConvergenceError(
         f"route-A time quadrature did not settle to rtol={_ROUTE_A_RTOL} by n=2049"
@@ -182,17 +202,19 @@ def _routeA(packet, fam, component, window):
 def _simpson_levels(scan, t_lo, t_hi):
     """(value, samples) of composite Simpson on [t_lo, t_hi] with n = 129,
     257, ..., 2049 nodes.  scan(t0, dt, n) samples the integrand on t0 + j dt,
-    j < n; each halving samples only the new odd nodes."""
+    j < n, along its last axis (a value per leading index); each halving
+    samples only the new odd nodes."""
     n, h = 129, (t_hi - t_lo) / 128
     fs = scan(t_lo, h, n)
     while True:
-        yield h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum()), fs
+        yield h / 3 * (fs[..., 0] + fs[..., -1] + 4 * fs[..., 1:-1:2].sum(axis=-1)
+                       + 2 * fs[..., 2:-2:2].sum(axis=-1)), fs
         if n == 2049:
             return
         h /= 2
-        finer = np.empty(2 * n - 1)
-        finer[::2] = fs
-        finer[1::2] = scan(t_lo + h, 2 * h, n - 1)
+        finer = np.empty(fs.shape[:-1] + (2 * n - 1,))
+        finer[..., ::2] = fs
+        finer[..., 1::2] = scan(t_lo + h, 2 * h, n - 1)
         fs, n = finer, 2 * n - 1
 
 
@@ -314,8 +336,9 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
                       phase_points: int = 65) -> TimeReport:
     """Every time family on one packet/barrier pair, with route residuals.
 
-    The packet grid is solved once, and one dwell table serves route B for
-    both sub-processes and its diagnostic variant.
+    The packet grid is solved once.  One dwell table serves route B for
+    both sub-processes and its diagnostic variant, one route-A pass both
+    sub-processes, and the phase table is a strided slice of the family.
     """
     fam = solve_family(barrier, packet.ks)
     table = dwell_tables(fam)
@@ -326,17 +349,18 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     variants = route_b(packet, fam, table, "tr")
     B_tr = variants["density"]
     t_lo, t_hi, recurrence = _event_spans(packet, fam)
-    A_tr, n_tr = _routeA(packet, fam, "tr", (t_lo, t_hi))
     try:
         B_ref = route_b(packet, fam, table, "ref")["density"]
     except UndefinedTimeError:
-        A_ref = B_ref = ref_resid = n_ref = None
-    else:
-        A_ref, n_ref = _routeA(packet, fam, "ref", (t_lo, t_hi))
-        ref_resid = abs(A_ref - B_ref) / abs(B_ref)
+        B_ref = None
+    xs, wx = _piece_grid(barrier, packet.ks)
+    routeA = _routeA(packet, fam, ("tr",) if B_ref is None else ("tr", "ref"),
+                     (t_lo, t_hi), xs, wx)
+    A_tr, n_tr = routeA["tr"]
+    A_ref, n_ref = routeA.get("ref", (None, None))
+    ref_resid = None if B_ref is None else abs(A_ref - B_ref) / abs(B_ref)
 
-    stride = max(1, len(packet.ks) // phase_points)
-    ph = phase_time(solve_family(barrier, packet.ks[::stride]))
+    ph = phase_time(fam.take(slice(None, None, max(1, len(packet.ks) // phase_points))))
 
     residuals = {
         "route_tr": abs(A_tr - B_tr) / abs(B_tr),
@@ -348,8 +372,7 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
             f"route A and route B disagree beyond 1e-3: {residuals}"
         )
     meta = {
-        "routeA_subpieces": len(_piece_grid(barrier, barrier.a, barrier.b,
-                                            packet.ks)[0]) // _PIECE_NODES,
+        "routeA_subpieces": len(xs) // _PIECE_NODES,
         "routeA_tail_threshold": _ROUTE_A_TAIL,
         "routeA_window": [t_lo, t_hi],
         "routeA_simpson_n": {"tr": n_tr, "ref": n_ref},

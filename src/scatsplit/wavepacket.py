@@ -224,21 +224,23 @@ def _weights(packet, t):
 
 def _density_scan(M, packet, wx, t0, dt, n):
     """sum_x wx |M @ w(t)|^2 at t = t0 + j dt, j = 0 .. n - 1: one GEMM of
-    the x-by-k basis M against the k-by-t phase matrix.
+    the x-by-k basis M against the k-by-t phase matrix.  wx is a weight per
+    row of M, or one such vector per row of a matrix wx (one sum each).
 
     With j = B p + q for B = ceil(sqrt(n)), exp(-i E t_j) is the block phase
     exp(-i E (t0 + B p dt)) times the in-block phase exp(-i E q dt), so the
-    matrix is built from two tables of about sqrt(n) columns each (the
+    matrix is built from two tables of about sqrt(n) times each (the
     weights folded into the block table) at one complex multiply per entry.
+    The tables are time-major, so the products run over contiguous k.
     """
     B = math.isqrt(n - 1) + 1
     P = -(-n // B)
     E = 0.5 * packet.ks**2
-    blk = np.exp(-1j * np.multiply.outer(E, t0 + B * dt * np.arange(P)))
-    blk *= _coef(packet)[:, None]
-    inb = np.exp(-1j * np.multiply.outer(E, dt * np.arange(B)))
-    W = (blk[:, :, None] * inb[:, None, :]).reshape(len(E), P * B)
-    return (wx @ np.abs(M @ W) ** 2)[:n]
+    blk = np.exp(-1j * np.multiply.outer(t0 + B * dt * np.arange(P), E))
+    blk *= _coef(packet)
+    inb = np.exp(-1j * np.multiply.outer(dt * np.arange(B), E))
+    W = (blk[:, None, :] * inb[None, :, :]).reshape(P * B, len(E))
+    return (wx @ np.abs(M @ W.T) ** 2)[..., :n]
 
 
 def _uniform_grid(xs) -> np.ndarray:

@@ -417,30 +417,39 @@ def _count_solves(monkeypatch):
         calls.append(len(ks))
         return stationary.solve_family(barrier, ks)
 
-    for name in ("cli", "larmor", "times", "wavepacket"):
+    for name in ("cli", "times", "wavepacket"):
         monkeypatch.setattr(importlib.import_module(f"scatsplit.{name}"),
                             "solve_family", counted)
     return calls
 
 
 def test_larmor_solves_each_rung_once(tmp_path, monkeypatch):
-    # three user rungs (two spin families each) and one field-free family,
-    # which alone gives the zero-field clock
+    # one field-free family, which alone gives the zero-field clock, and one
+    # stacked sweep holding the two spin channels of each of three rungs
     calls = _count_solves(monkeypatch)
+    sweeps = []
+
+    def stacked(barrier, ks, shifts):
+        sweeps.append((len(ks), list(shifts)))
+        return stationary._shifted_amplitudes(barrier, ks, shifts)
+
+    monkeypatch.setattr(importlib.import_module("scatsplit.larmor"), "_shifted_amplitudes", stacked)
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + LADDER)
     assert main(["larmor", "--config", ini, "--out", str(tmp_path)]) == 0
-    assert calls == [256] * 7
+    assert calls == [256]
+    rungs = (0.0005, 0.00025, 0.000125)
+    assert sweeps == [(256, [s * w / 2 for w in rungs for s in (-1, 1)])]
     meta = json.loads((tmp_path / "larmor.json").read_text())
     assert meta["omega_ladder"] == [0.0005, 0.00025, 0.000125]
     assert len(meta["diagnostics"]["sigma_z_T"]) == len(meta["diagnostics"]["sigma_z_R"]) == 3
 
 
-def test_times_solves_two_families(tmp_path, monkeypatch):
-    # the packet grid and the strided phase grid; the phase times need no
-    # stencil families
+def test_times_solves_one_family(tmp_path, monkeypatch):
+    # the packet grid only: the phase table is a strided slice of it, and the
+    # phase times need no stencil families
     calls = _count_solves(monkeypatch)
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\nphase_points = 33\n")
     assert main(["times", "--config", ini, "--out", str(tmp_path)]) == 0
-    assert calls == [256, 37]
+    assert calls == [256]
     meta = json.loads((tmp_path / "times.json").read_text())
     assert meta["quadrature"]["routeA_subpieces"] == 2

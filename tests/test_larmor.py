@@ -127,3 +127,16 @@ def test_clock_reads_where_transmission_underflows():
     (thin_tr, thin_ref), (thick_tr, thick_ref) = taus
     assert abs(thick_tr - thin_tr) < 1e-3 * thin_tr
     assert abs(thick_ref - thin_ref) < 1e-9 * thin_ref
+
+
+def test_spin_ladder_reads_each_rung_as_alone(canonical_packet, canonical_barrier):
+    # the rungs share one stacked sweep; each reads as a one-rung ladder
+    omegas = [4e-3, 1e-3, 2.5e-4]
+    runs = ss.spin_ladder(canonical_barrier, omegas, canonical_packet)
+    assert [r.omega for r in runs] == omegas
+    for run, w in zip(runs, omegas):
+        one = ss.make_spin_run(canonical_barrier, w, canonical_packet)
+        for name in ("A_T_up", "A_T_dn", "A_R_up", "A_R_dn"):
+            assert np.array_equal(getattr(run, name), getattr(one, name)), name
+        assert (run.theta_T, run.theta_R, run.sigma_z_T) == (one.theta_T, one.theta_R,
+                                                             one.sigma_z_T)

@@ -174,6 +174,65 @@ def test_family_basis_columns_are_the_scalar_states():
             rtol=1e-13, atol=1e-13)
 
 
+def test_basis_runs_match_masked_reference():
+    # unsorted k with every kind on the steps: k = 1 and k = 2 put E exactly
+    # on the heights 0.5 and 2; each kind's columns through a boolean mask
+    bar = ss.make_symmetric(-0.5, [(0.4, 2.0), (0.35, 0.5)])
+    ks = np.array([2.5, 0.3, 1.0, 2.0, 0.9, 1.0, 3.1, 0.5, 2.0, 1.2, 1.7])
+    fam = ss.solve_family(bar, ks)
+    assert {"osc", "evan", "deg"} <= set(fam.kind.ravel())
+    xs = np.linspace(bar.a - 0.5, bar.b + 0.5, 61)
+    want = np.empty((len(xs), len(ks)), dtype=complex)
+    want[xs < bar.a] = np.exp(1j * np.outer(xs[xs < bar.a], ks)) + fam.A_R * np.exp(
+        -1j * np.outer(xs[xs < bar.a], ks))
+    want[xs >= bar.b] = fam.A_T * np.exp(1j * np.outer(xs[xs >= bar.b], ks))
+    edges = bar.edges
+    for j in range(len(bar.segments)):
+        rows = (xs >= edges[j]) & (xs < edges[j + 1])
+        d, r = xs[rows] - edges[j], xs[rows] - edges[j + 1]
+        for kind in ("osc", "evan", "deg"):
+            m = fam.kind[j] == kind
+            q, cp, cm = fam.wn[j, m], fam.c_plus[j, m], fam.c_minus[j, m]
+            if kind == "osc":
+                blk = cp * np.exp(1j * np.outer(d, q)) + cm * np.exp(-1j * np.outer(d, q))
+            elif kind == "evan":
+                blk = cp * np.exp(np.outer(r, q)) + cm * np.exp(-np.outer(d, q))
+            else:
+                blk = cp + cm * d[:, None]
+            want[np.ix_(rows, m)] = blk
+    np.testing.assert_allclose(fam.basis(xs), want, rtol=1e-14, atol=1e-14)
+
+
+def test_interior_integrals_are_computed_once_and_read_only(canonical_fam):
+    first = canonical_fam.interior_integrals()
+    assert canonical_fam.interior_integrals() is first
+    assert not any(a.flags.writeable for a in first)
+
+
+def test_shifted_amplitudes_match_per_channel_families():
+    # one sweep over stacked channels equals one family per shifted barrier,
+    # bit for bit, on a barrier with a well and E = V columns in every channel
+    bar = ss.make_symmetric(-0.3, [(0.4, 2.0), (0.3, 0.5), (0.25, -1.5)])
+    ks = np.concatenate([np.linspace(0.2, 3.1, 59), [1.0, 2.0]])
+    shifts = [-5e-4, 5e-4, -0.25, 0.25, 0.0]
+    A_T, A_R = ss.stationary._shifted_amplitudes(bar, ks, shifts)
+    assert A_T.shape == A_R.shape == (len(shifts), len(ks))
+    for r, dV in enumerate(shifts):
+        fam = ss.solve_family(ss.shifted(bar, dV), ks)
+        assert np.array_equal(A_T[r], fam.A_T) and np.array_equal(A_R[r], fam.A_R), dV
+
+
+def test_shifted_amplitudes_refuse_a_channel_by_name():
+    # the unshifted channel sits on the narrow resonance that solve_family
+    # refuses; the shifted one is off it
+    bar = ss.make_symmetric(0.0, [(0.8, 60.0), (1.0, 0.0)])
+    ks = [1.0, 1.4390489260591632]
+    ss.stationary._shifted_amplitudes(bar, ks, [1e-3])
+    with pytest.raises(ss.ToleranceError, match=(
+            r"^unitarity violated by -1\.428e-09 at k=1\.4390489260591632: a narrow")):
+        ss.stationary._shifted_amplitudes(bar, ks, [1e-3, 0.0])
+
+
 def test_solve_family_rejects_bad_grids(canonical_barrier):
     for bad in ([], [1.0, 0.0], [1.0, float("nan")], [[1.0, 2.0]]):
         with pytest.raises(ss.DomainError):

@@ -1,5 +1,7 @@
 """Interaction-time families: dwell, packet-averaged (two routes), group delay."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -149,15 +151,18 @@ def test_routeA_free_packet_near_transit():
     free = ss.make_rectangular(0.0, 2.0, 0.0)
     pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=free, n=384)
     fam = ss.solve_family(free, pk.ks)
-    tau, _ = tm._routeA(pk, fam, "tr", wp._event_spans(pk, fam)[:2])
+    tau, _ = tm._routeA(pk, fam, ("tr",), wp._event_spans(pk, fam)[:2],
+                        *tm._piece_grid(free, pk.ks))["tr"]
     assert abs(tau - 2.0) < 0.04  # 2% of L/k0; finite spectral width shifts it
 
 
 def test_route_equivalence_canonical(canonical_packet, canonical_barrier):
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
+    got = tm._routeA(canonical_packet, fam, ("tr", "ref"),
+                     wp._event_spans(canonical_packet, fam)[:2],
+                     *tm._piece_grid(canonical_barrier, canonical_packet.ks))
     for comp in ("tr", "ref"):
-        a, _ = tm._routeA(canonical_packet, fam, comp,
-                          wp._event_spans(canonical_packet, fam)[:2])
+        a, _ = got[comp]
         b = _route_b(canonical_packet, canonical_barrier, comp)["density"]
         assert abs(a - b) < 1e-6 * abs(b)
 
@@ -278,19 +283,81 @@ def test_time_report(canonical_packet, canonical_barrier):
     assert len(rep.phase.ks) >= 2
 
 
-def test_route_a_opens_before_the_start_for_a_precursor():
-    # a benchmark times input (perfbench seed 1, op 17): a resonance of delay
-    # 23 gives both sub-process densities a precursor, still at 1e-3 of
-    # their peak at t = 0, so route A's window opens at negative t
+def _precursor_case():
+    """A benchmark times input (perfbench seed 1, op 17).  Its middle edge
+    and x_c differ by 2.2e-16."""
     bar = ss.make_symmetric(-1.7134575373394703, [
         (1.0675551040956188, 2.0592372362112066), (0.7772206168475326, 0.20141184257192332),
         (0.26671641571361926, 2.1131786651685824)])
     pk = ss.make_gaussian_packet(-41.71345753733947, 8.0, 2.065772157180128,
                                  barrier=bar, n=192)
+    return pk, bar
+
+
+def test_route_a_opens_before_the_start_for_a_precursor():
+    # a resonance of delay 23 gives both sub-process densities a precursor,
+    # still at 1e-3 of their peak at t = 0, so route A's window opens at
+    # negative t
+    pk, bar = _precursor_case()
     rep = ss.build_time_report(pk, bar)
     assert rep.metadata["routeA_window"][0] < -50
     assert rep.residuals["route_tr"] <= 1e-5
     assert rep.residuals["route_ref"] <= 1e-5
+    # no sliver piece between x_c and the edge it rounds to
+    assert rep.metadata["routeA_subpieces"] == 6
+
+
+def test_piece_grid_cuts_once_where_an_edge_rounds_to_x_c():
+    pk, bar = _precursor_case()
+    assert 0 < np.abs(bar.edges - bar.x_c).min() < 1e-15
+    xs, wx = tm._piece_grid(bar, pk.ks)
+    pieces = wx.reshape(-1, tm._PIECE_NODES).sum(axis=1)
+    assert pieces.min() > 1e-9 * (bar.b - bar.a)
+    assert abs(wx.sum() - (bar.b - bar.a)) <= 1e-14 * (bar.b - bar.a)
+    assert np.all(np.diff(xs) > 0)
+
+
+@pytest.mark.parametrize("case", ["canonical", "sliver"])
+def test_route_a_one_pass_matches_single_components(case, canonical_packet, canonical_barrier):
+    # the stacked pass keeps each component's own Simpson level and value
+    pk, bar = (canonical_packet, canonical_barrier) if case == "canonical" else _precursor_case()
+    fam = ss.solve_family(bar, pk.ks)
+    window, grid = wp._event_spans(pk, fam)[:2], tm._piece_grid(bar, pk.ks)
+    both = tm._routeA(pk, fam, ("tr", "ref"), window, *grid)
+    for comp in ("tr", "ref"):
+        (tau, n), (want, want_n) = both[comp], tm._routeA(pk, fam, (comp,), window, *grid)[comp]
+        assert n == want_n
+        assert abs(tau - want) <= 1e-14 * abs(want)
+
+
+def test_phase_table_is_a_slice_of_the_family(canonical_packet, canonical_barrier):
+    ks = canonical_packet.ks
+    fam = ss.solve_family(canonical_barrier, ks)
+    fam.interior_integrals()
+    got, want = fam.take(slice(None, None, 7)), ss.solve_family(canonical_barrier, ks[::7])
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    for a, b in zip(got.interior_integrals(), want.interior_integrals()):
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(ss.phase_time(got).traversal, ss.phase_time(want).traversal,
+                               rtol=1e-14, atol=0)
+
+
+def test_time_report_computes_interior_integrals_once(canonical_packet, canonical_barrier,
+                                                      monkeypatch):
+    # dwell tables, route B, the event window and the phase table share them
+    calls = []
+    closed_form = ss.SolutionFamily._interior.func
+
+    def counted(fam):
+        calls.append(len(fam.ks))
+        return closed_form(fam)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ss.SolutionFamily, "_interior")
+    monkeypatch.setattr(ss.SolutionFamily, "_interior", prop)
+    ss.build_time_report(canonical_packet, canonical_barrier)
+    assert calls == [len(canonical_packet.ks)]
 
 
 # ---------------------------------------------------------- route-A kernels
@@ -316,8 +383,8 @@ def test_route_a_grid_matches_kernel(bar, ks):
     # sharing an error with them
     fam = ss.solve_family(bar, ks)
     table = ss.dwell_tables(fam)
-    for i, hi, want in ((0, bar.b, table.norm_tr), (1, bar.x_c, table.norm_ref)):
-        xs, wx = tm._piece_grid(bar, bar.a, hi, ks)
+    xs, wx = tm._piece_grid(bar, ks)
+    for i, want in ((0, table.norm_tr), (1, table.norm_ref)):
         got = wx @ np.abs(fam.split_basis(xs)[i]) ** 2 / ks
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -326,7 +393,7 @@ def test_nested_simpson_matches_fresh_grids(canonical_packet, canonical_barrier)
     # each halving reuses the nodes it has; every level must be the Simpson
     # value of a freshly sampled full grid, and no node is sampled twice
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
-    xs, wx = tm._piece_grid(canonical_barrier, 0.0, 1.0, canonical_packet.ks)
+    xs, wx = tm._piece_grid(canonical_barrier, canonical_packet.ks)
     M = fam.basis(xs)
     t_lo, t_hi = -5.0, 130.0
     sampled = []
