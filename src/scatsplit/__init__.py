@@ -6,7 +6,6 @@ Units: hbar = m = 1 throughout; a wavenumber k carries energy E = k^2/2.
 
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
     GridRefinementError,
     ScatsplitError,
@@ -70,7 +69,6 @@ __all__ = [
     "BarrierSpec",
     "ClockResult",
     "ConfigError",
-    "ConvergenceError",
     "CrankNicolson",
     "DomainError",
     "GridRefinementError",

@@ -25,6 +25,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -343,10 +344,22 @@ def _getnum(sec, key, where, default=None, kind=float):
             return default
         raise ConfigError(f"missing key '{key}' in [{where}]")
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         noun = "a number" if kind is float else "an integer"
         raise ConfigError(f"key '{key}' in [{where}] is not {noun}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{where}] is not finite: {raw!r}")
+    return value
+
+
+def _getnums(sec, key, where) -> list[float]:
+    """The whitespace-separated numbers of a required key, each read as
+    _getnum reads one."""
+    raw = sec.get(key)
+    if raw is None:
+        raise ConfigError(f"missing key '{key}' in [{where}]")
+    return [_getnum({key: v}, key, where) for v in raw.split()]
 
 
 def _check_keys(sec, allowed, where):
@@ -512,16 +525,12 @@ def cmd_decompose(cfg: RunConfig) -> None:
 
 def cmd_evolve(cfg: RunConfig) -> None:
     packet = _need_packet(cfg)
-    raw = cfg.run.get("times")
-    if raw is None:
-        raise ConfigError("missing key 'times' in [run]")
-    try:
-        ts = sorted(float(t) for t in raw.split())
-    except ValueError:
-        raise ConfigError(f"'times' in [run] must be numbers, got {raw!r}") from None
+    ts = sorted(_getnums(cfg.run, "times", "run"))
     if not ts:
         raise ConfigError("'times' in [run] is empty")
     dx = _getnum(cfg.run, "dx", "run", default=0.02)
+    if not dx > 0:
+        raise ConfigError(f"key 'dx' in [run] must be positive, got {dx!r}")
 
     # the oracle's grid first: a span beyond its step budget is refused at once
     start = _oracle_start(cfg, packet, ts) if cfg.oracle else None
@@ -593,6 +602,8 @@ def _evolve_oracle(cfg, packet, t0, start) -> dict:
 def cmd_times(cfg: RunConfig) -> None:
     packet = _need_packet(cfg)
     phase_points = _getnum(cfg.run, "phase_points", "run", default=65, kind=int)
+    if phase_points < 1:
+        raise ConfigError(f"key 'phase_points' in [run] must be at least 1, got {phase_points}")
     report = build_time_report(packet, cfg.barrier, phase_points=phase_points)
     payload = _meta(cfg)
     payload["tau_dwell_tr"] = {
@@ -623,13 +634,7 @@ def cmd_times(cfg: RunConfig) -> None:
 
 def cmd_larmor(cfg: RunConfig) -> None:
     packet = _need_packet(cfg)
-    raw = cfg.run.get("omega_ladder")
-    if raw is None:
-        raise ConfigError("missing key 'omega_ladder' in [run]")
-    try:
-        ladder = [float(w) for w in raw.split()]
-    except ValueError:
-        raise ConfigError(f"'omega_ladder' must be numbers, got {raw!r}") from None
+    ladder = _getnums(cfg.run, "omega_ladder", "run")
     if len(ladder) < 2:
         raise ConfigError("omega_ladder needs at least 2 entries")
     if any(w <= 0 for w in ladder):

@@ -33,6 +33,3 @@ class GridRefinementError(ToleranceError):
 class WindowError(ToleranceError):
     """An integration window or spatial grid does not cover the support."""
 
-
-class ConvergenceError(ToleranceError):
-    """An extrapolation/iteration failed to converge."""

@@ -17,8 +17,8 @@ The dwell times, route B and the phase times read the closed-form kernel
 table is a strided slice of the packet family.  Route A stays numerical, on
 a Gauss-Legendre grid of its own, so it checks the kernel instead of sharing
 it.  One route-A pass serves both sub-processes: one grid, one sub-state
-basis, and per Simpson level one phase table and one GEMM over the stacked
-rows.
+basis, and one trapezoid pass at a step set by the packet's energy band, one
+phase table and one GEMM over the stacked rows per time block.
 
 The traversal phase time saturates with barrier length for opaque barriers
 while the transmission dwell time grows like the inverse tunneling
@@ -41,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     GridRefinementError,
     ToleranceError,
@@ -56,6 +55,8 @@ _R_DEFINED = 1e-12
 
 _ROUTE_A_TAIL = 1e-10
 _ROUTE_A_RTOL = 1e-6
+_BAND_OVERSAMPLE = 2.0  # route A's time step samples the band at twice its rate
+_SCAN_BLOCK = 128  # time nodes per route-A scan (even): bounds its phase table and GEMM
 _PIECE_NODES = 24
 _SUBPIECE_QL = 16.0  # route A's sub-pieces span at most 16 / |q| or 16 / kappa
 
@@ -156,19 +157,27 @@ def _spectral_coef_norm(packet, fam, component):
     return C_bar, C
 
 
-def _routeA(packet, fam, components, window, xs, wx) -> dict:
-    """{component: (tau, n)}: packet time from the space-time integral of
-    each sub-process density, and the Simpson node count it settled at.
+def _routeA(packet, fam, components, window, xs, wx) -> tuple[dict, int]:
+    """({component: tau}, n): packet time from the space-time integral of
+    each sub-process density, and the n time nodes sampled.
 
     tau = (1/C_bar) * int dt int |psi_c(x, t)|^2 dx over [a, b] for "tr" and
     [a, x_c] for "ref", with C_bar the spectral transmitted/reflected norm,
     over the window (t_lo, t_hi) of `_event_spans` (t_lo < 0 covers a
     precursor), on the grid (xs, wx) of `_piece_grid`.  One pass serves
     every component: the "tr" rows and the "ref" rows at or left of x_c are
-    stacked into one matrix, so each Simpson level is one phase table and
-    one GEMM, with one weighted sum per component.  Each component has its
-    own checks: WindowError unless its first Simpson level is below 1e-10 of
-    its peak at both ends, ConvergenceError unless it settles by n = 2049.
+    stacked into one matrix, so each time block is one phase table and one
+    GEMM, with one weighted sum per component.
+
+    On the packet's k grid the density is a finite sum of exp(-i (E_k -
+    E_k') t), band-limited to Omega = (k_hi^2 - k_lo^2) / 2: the trapezoid
+    rule at a step h < 2 pi / Omega is exact up to the window's tails
+    (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  h is 2 pi /
+    (_BAND_OVERSAMPLE Omega), shrunk to fit the window, and the density is
+    sampled at h / 2; the value is the mean of the trapezoid on the even
+    nodes and the midpoint sum on the odd ones.  Each component has its own
+    checks: WindowError unless both ends are below 1e-10 of its peak,
+    ToleranceError unless its two sums agree to _ROUTE_A_RTOL.
     """
     C_bar = [_spectral_coef_norm(packet, fam, c)[0] for c in components]
     n_ref = int(np.searchsorted(xs, fam.barrier.x_c, side="right"))
@@ -178,44 +187,33 @@ def _routeA(packet, fam, components, window, xs, wx) -> dict:
     W = np.zeros((len(components), len(M)))  # each component's weights on its own rows
     for i, (start, n) in enumerate(zip(np.cumsum([0, *rows]), rows)):
         W[i, start:start + n] = wx[:n]
-    done, prev = {}, None
-    for I, fs in _simpson_levels(functools.partial(_density_scan, M, packet, W), *window):
-        for i, c in enumerate(components):
-            if c in done:
-                continue
-            if prev is None:
-                tail = max(fs[i, 0], fs[i, -1]) / fs[i].max()
-                if not tail < _ROUTE_A_TAIL:
-                    raise WindowError(
-                        f"route A's window [{window[0]:.6g}, {window[1]:.6g}] does not "
-                        f"bracket the {c} event: ends at {tail:.2e} of the peak")
-            elif abs(I[i] - prev[i]) <= max(_ROUTE_A_RTOL * abs(I[i]), 1e-12):
-                done[c] = (I[i] / C_bar[i], fs.shape[1])
-        if len(done) == len(components):
-            return done
-        prev = I
-    raise ConvergenceError(
-        f"route-A time quadrature did not settle to rtol={_ROUTE_A_RTOL} by n=2049"
-    )
-
-
-def _simpson_levels(scan, t_lo, t_hi):
-    """(value, samples) of composite Simpson on [t_lo, t_hi] with n = 129,
-    257, ..., 2049 nodes.  scan(t0, dt, n) samples the integrand on t0 + j dt,
-    j < n, along its last axis (a value per leading index); each halving
-    samples only the new odd nodes."""
-    n, h = 129, (t_hi - t_lo) / 128
-    fs = scan(t_lo, h, n)
-    while True:
-        yield h / 3 * (fs[..., 0] + fs[..., -1] + 4 * fs[..., 1:-1:2].sum(axis=-1)
-                       + 2 * fs[..., 2:-2:2].sum(axis=-1)), fs
-        if n == 2049:
-            return
-        h /= 2
-        finer = np.empty(fs.shape[:-1] + (2 * n - 1,))
-        finer[..., ::2] = fs
-        finer[..., 1::2] = scan(t_lo + h, 2 * h, n - 1)
-        fs, n = finer, 2 * n - 1
+    t_lo, t_hi = window
+    omega = (packet.ks[-1] ** 2 - packet.ks[0] ** 2) / 2
+    n = math.ceil((t_hi - t_lo) * _BAND_OVERSAMPLE * omega / (2 * math.pi)) + 1
+    h, m = (t_hi - t_lo) / (n - 1), 2 * n - 1
+    # blocks of an even number of nodes keep each node's parity; the sums add
+    sums, peak = np.zeros((2, len(components))), np.zeros(len(components))
+    for j in range(0, m, _SCAN_BLOCK):
+        fs = _density_scan(M, packet, W, t_lo + j * h / 2, h / 2, min(_SCAN_BLOCK, m - j))
+        if j == 0:
+            first = fs[:, 0]
+        sums += fs[:, ::2].sum(axis=1), fs[:, 1::2].sum(axis=1)
+        peak = np.maximum(peak, fs.max(axis=1))
+    tail = np.maximum(first, fs[:, -1]) / peak
+    trap, mid = h * (sums[0] - (first + fs[:, -1]) / 2), h * sums[1]
+    taus = {}
+    for i, c in enumerate(components):
+        if not tail[i] < _ROUTE_A_TAIL:
+            raise WindowError(
+                f"route A's window [{t_lo:.6g}, {t_hi:.6g}] does not bracket the {c} "
+                f"event: ends at {tail[i]:.2e} of the peak")
+        I = (trap[i] + mid[i]) / 2
+        if not abs(trap[i] - mid[i]) <= max(_ROUTE_A_RTOL * abs(I), 1e-12):
+            raise ToleranceError(
+                f"route A's {c} trapezoid and midpoint sums at time step {h:.4g} "
+                f"disagree beyond rtol={_ROUTE_A_RTOL}: {trap[i]:.10g} vs {mid[i]:.10g}")
+        taus[c] = I / C_bar[i]
+    return taus, m
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +352,9 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     except UndefinedTimeError:
         B_ref = None
     xs, wx = _piece_grid(barrier, packet.ks)
-    routeA = _routeA(packet, fam, ("tr",) if B_ref is None else ("tr", "ref"),
-                     (t_lo, t_hi), xs, wx)
-    A_tr, n_tr = routeA["tr"]
-    A_ref, n_ref = routeA.get("ref", (None, None))
+    routeA, n_t = _routeA(packet, fam, ("tr",) if B_ref is None else ("tr", "ref"),
+                          (t_lo, t_hi), xs, wx)
+    A_tr, A_ref = routeA["tr"], routeA.get("ref")
     ref_resid = None if B_ref is None else abs(A_ref - B_ref) / abs(B_ref)
 
     ph = phase_time(fam.take(slice(None, None, max(1, len(packet.ks) // phase_points))))
@@ -375,7 +372,7 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
         "routeA_subpieces": len(xs) // _PIECE_NODES,
         "routeA_tail_threshold": _ROUTE_A_TAIL,
         "routeA_window": [t_lo, t_hi],
-        "routeA_simpson_n": {"tr": n_tr, "ref": n_ref},
+        "routeA_time_nodes": n_t,
         "kgrid_recurrence_time": recurrence,
         "literal_routeB_tr": variants["literal"],
     }

@@ -146,6 +146,8 @@ def make_gaussian_packet(
     "k_grid_clamped" warning; the on-grid renormalization keeps every norm
     identity exact regardless.
     """
+    if not math.isfinite(x0):
+        raise ConfigError(f"x0 must be finite, got {x0}")
     if not sigma > 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     if not k0 > 0:

@@ -231,6 +231,7 @@ def test_times_payload(tmp_path):
     assert meta["residuals"]["route_tr"] < 1e-3
     assert meta["routeB_literal_diagnostic"]["im"] != 0.0
     assert len(meta["tau_phase"]["k"]) >= 33
+    assert 1 < meta["quadrature"]["routeA_time_nodes"] < 2049
 
 
 def test_larmor_run_and_ladder_validation(tmp_path):
@@ -296,6 +297,31 @@ def test_malformed_run_value_exit2(tmp_path, capsys, command, run):
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\n" + run + "\n")
     assert main([command, "--config", ini, "--out", str(tmp_path)]) == 2
     assert "[run]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("times", "phase_points = 0"),
+    ("times", "phase_points = -3"),
+    ("evolve", "dx = 0"),
+    ("evolve", "dx = nan"),
+    ("evolve", "dx = -0.02"),
+    ("evolve", "times = nan"),
+    ("evolve", "times = inf"),
+    ("evolve", "times = 0 inf"),
+    ("times", "x0 = nan"),
+    ("larmor", "omega_ladder = nan 0.001"),
+])
+def test_out_of_range_value_exit2_names_its_key(tmp_path, capsys, command, line):
+    key = line.split(" = ")[0]
+    packet, run = PACKET, line
+    if key == "x0":
+        packet, run = PACKET.replace("x0 = -40.0", line), ""
+    elif key == "dx":
+        run = "times = 0.0\n" + line
+    ini = write(tmp_path, "run.ini", CANONICAL + packet + "[run]\n" + run + "\n")
+    assert main([command, "--config", ini, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"'{key}'" in err, err
 
 
 def test_unknown_section_rejected(tmp_path):

@@ -38,7 +38,7 @@ CAUSES = {
     "event_window": r"event window: the barrier is not quiet|no quiet pre-arrival regime",
     "route_disagreement": r"route A and route B disagree beyond 1e-3",
     "unitarity": r"unitarity violated by .* narrow resonance",
-    "route_a_quadrature": r"route-A time quadrature did not settle",
+    "route_a_half_step": r"route A's \w+ trapezoid and midpoint sums .* disagree",
     "phase_grid": r"transmitted phase jumps by >= pi/2",
     "spectral_tail": r"spectral tail at the grid cutoff",
     "opaque": r"transmitted spectral norm underflows to 0",

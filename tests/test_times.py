@@ -151,18 +151,18 @@ def test_routeA_free_packet_near_transit():
     free = ss.make_rectangular(0.0, 2.0, 0.0)
     pk = ss.make_gaussian_packet(-30.0, 6.0, 1.0, barrier=free, n=384)
     fam = ss.solve_family(free, pk.ks)
-    tau, _ = tm._routeA(pk, fam, ("tr",), wp._event_spans(pk, fam)[:2],
-                        *tm._piece_grid(free, pk.ks))["tr"]
+    tau = tm._routeA(pk, fam, ("tr",), wp._event_spans(pk, fam)[:2],
+                     *tm._piece_grid(free, pk.ks))[0]["tr"]
     assert abs(tau - 2.0) < 0.04  # 2% of L/k0; finite spectral width shifts it
 
 
 def test_route_equivalence_canonical(canonical_packet, canonical_barrier):
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
-    got = tm._routeA(canonical_packet, fam, ("tr", "ref"),
-                     wp._event_spans(canonical_packet, fam)[:2],
-                     *tm._piece_grid(canonical_barrier, canonical_packet.ks))
+    got, _ = tm._routeA(canonical_packet, fam, ("tr", "ref"),
+                        wp._event_spans(canonical_packet, fam)[:2],
+                        *tm._piece_grid(canonical_barrier, canonical_packet.ks))
     for comp in ("tr", "ref"):
-        a, _ = got[comp]
+        a = got[comp]
         b = _route_b(canonical_packet, canonical_barrier, comp)["density"]
         assert abs(a - b) < 1e-6 * abs(b)
 
@@ -189,12 +189,16 @@ def test_routeB_literal_variant_is_diagnostic(canonical_packet, canonical_barrie
     assert abs(v["literal"].imag) > 0.1
 
 
-def test_opaque_time_report_matches_fine_grid():
-    # kappa w ~ 358: both routes must agree with route B formed test-side from
-    # fine-grid interior norms, summed in 50-digit arithmetic where T is
-    # subnormal
+def _opaque_case():
+    """kappa w ~ 358: T is subnormal over much of the packet's k grid."""
     bar = ss.make_rectangular(0.0, 8.0, 1000.0)
-    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=128)
+    return ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=128), bar
+
+
+def test_opaque_time_report_matches_fine_grid():
+    # both routes must agree with route B formed test-side from fine-grid
+    # interior norms, summed in 50-digit arithmetic where T is subnormal
+    pk, bar = _opaque_case()
     rep = ss.build_time_report(pk, bar)
     fam = ss.solve_family(bar, pk.ks)
     I_tr, _ = _fine_interior_norms(fam)
@@ -319,15 +323,15 @@ def test_piece_grid_cuts_once_where_an_edge_rounds_to_x_c():
 
 @pytest.mark.parametrize("case", ["canonical", "sliver"])
 def test_route_a_one_pass_matches_single_components(case, canonical_packet, canonical_barrier):
-    # the stacked pass keeps each component's own Simpson level and value
+    # the stacked pass samples the time nodes of each component alone and keeps its value
     pk, bar = (canonical_packet, canonical_barrier) if case == "canonical" else _precursor_case()
     fam = ss.solve_family(bar, pk.ks)
     window, grid = wp._event_spans(pk, fam)[:2], tm._piece_grid(bar, pk.ks)
-    both = tm._routeA(pk, fam, ("tr", "ref"), window, *grid)
+    both, n = tm._routeA(pk, fam, ("tr", "ref"), window, *grid)
     for comp in ("tr", "ref"):
-        (tau, n), (want, want_n) = both[comp], tm._routeA(pk, fam, (comp,), window, *grid)[comp]
+        single, want_n = tm._routeA(pk, fam, (comp,), window, *grid)
         assert n == want_n
-        assert abs(tau - want) <= 1e-14 * abs(want)
+        assert abs(both[comp] - single[comp]) <= 1e-14 * abs(single[comp])
 
 
 def test_phase_table_is_a_slice_of_the_family(canonical_packet, canonical_barrier):
@@ -389,26 +393,58 @@ def test_route_a_grid_matches_kernel(bar, ks):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
-def test_nested_simpson_matches_fresh_grids(canonical_packet, canonical_barrier):
-    # each halving reuses the nodes it has; every level must be the Simpson
-    # value of a freshly sampled full grid, and no node is sampled twice
+@pytest.mark.parametrize("case", ["canonical", "sliver", "opaque"])
+def test_route_a_matches_a_fine_simpson_reference(case, canonical_packet, canonical_barrier):
+    # the band-limited trapezoid against composite Simpson on 2049 nodes over
+    # the same window and space grid
+    pk, bar = {"canonical": (canonical_packet, canonical_barrier),
+               "sliver": _precursor_case(), "opaque": _opaque_case()}[case]
+    fam = ss.solve_family(bar, pk.ks)
+    (t_lo, t_hi), (xs, wx) = wp._event_spans(pk, fam)[:2], tm._piece_grid(bar, pk.ks)
+    got, n = tm._routeA(pk, fam, ("tr", "ref"), (t_lo, t_hi), xs, wx)
+    assert n < 2049
+    rows = {"tr": len(xs), "ref": int(np.searchsorted(xs, bar.x_c, side="right"))}
+    h = (t_hi - t_lo) / 2048
+    for comp, M in zip(("tr", "ref"), fam.split_basis(xs)):
+        fs = wp._density_scan(M[:rows[comp]], pk, wx[:rows[comp]], t_lo, h, 2049)
+        simpson = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
+        want = simpson / tm._spectral_coef_norm(pk, fam, comp)[0]
+        assert abs(got[comp] - want) <= 1e-12 * abs(want), comp
+
+
+def test_route_a_half_step_check_refuses_an_aliased_step(canonical_packet, canonical_barrier,
+                                                         monkeypatch):
+    # below the band's rate the even-node trapezoid and the odd-node midpoint
+    # sum alias differently, and route A refuses by name
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
-    xs, wx = tm._piece_grid(canonical_barrier, canonical_packet.ks)
-    M = fam.basis(xs)
-    t_lo, t_hi = -5.0, 130.0
+    window = wp._event_spans(canonical_packet, fam)[:2]
+    grid = tm._piece_grid(canonical_barrier, canonical_packet.ks)
+    monkeypatch.setattr(tm, "_BAND_OVERSAMPLE", 0.5)
+    with pytest.raises(ss.ToleranceError, match="trapezoid and midpoint sums") as info:
+        tm._routeA(canonical_packet, fam, ("tr", "ref"), window, *grid)
+    assert info.type is ss.ToleranceError
+
+
+def test_route_a_scans_a_long_window_in_blocks(canonical_barrier, monkeypatch):
+    # a window near the recurrence time asks for more than 2049 time nodes:
+    # no scan samples more than 2049 of them, and the blocks sum to the value
+    # of one scan over them all
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=canonical_barrier, n=1024)
+    fam = ss.solve_family(canonical_barrier, pk.ks)
+    t_lo, _, recurrence = wp._event_spans(pk, fam)
+    args = (pk, fam, ("tr", "ref"), (t_lo, t_lo + 0.9 * recurrence),
+            *tm._piece_grid(canonical_barrier, pk.ks))
     sampled = []
 
-    def scan(t0, dt, n):
-        sampled.append(n)
-        return wp._density_scan(M, canonical_packet, wx, t0, dt, n)
+    def scan(*a):
+        sampled.append(a[-1])
+        return wp._density_scan(*a)
 
-    levels = list(tm._simpson_levels(scan, t_lo, t_hi))
-    assert sum(sampled) == 2049
-    for i, (got, got_fs) in enumerate(levels):
-        n = 128 * 2**i + 1
-        h = (t_hi - t_lo) / (n - 1)
-        fs = wp._density_scan(M, canonical_packet, wx, t_lo, h, n)
-        want = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
-        assert abs(got - want) <= 1e-13 * abs(want)
-        np.testing.assert_allclose(got_fs, fs, rtol=1e-12, atol=1e-14 * fs.max())
-    assert len(levels) == 5
+    monkeypatch.setattr(tm, "_density_scan", scan)
+    blocked, n = tm._routeA(*args)
+    assert n > 2049 and len(sampled) > 1 and max(sampled) <= 2049 and sum(sampled) == n
+    monkeypatch.setattr(tm, "_SCAN_BLOCK", n + 1)
+    whole, _ = tm._routeA(*args)
+    assert sampled[-1] == n
+    for comp in ("tr", "ref"):
+        assert abs(blocked[comp] - whole[comp]) <= 1e-13 * abs(whole[comp])

@@ -50,6 +50,9 @@ def test_packet_preconditions():
         ss.make_gaussian_packet(-40.0, 2.0, 1.0)  # k0 < 5/sigma
     with pytest.raises(ss.ConfigError):
         ss.make_gaussian_packet(-10.0, 8.0, 1.0, barrier=bar)  # starts on top
+    for x0 in (np.nan, -np.inf):
+        with pytest.raises(ss.ConfigError, match="x0 must be finite"):
+            ss.make_gaussian_packet(x0, 8.0, 1.0, barrier=bar)
 
 
 def test_boundary_equalities_accepted():
