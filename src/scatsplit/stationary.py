@@ -6,32 +6,28 @@ state is
     psi(x) = exp(ikx) + A_R exp(-ikx)   for x <= a
     psi(x) = A_T exp(ikx)               for x >= b
 
-with the interior written per segment in a local basis: complex exponentials
-where E > V, real growing/decaying exponentials where E < V, and {1, x} at the
-removable degeneracy E = V.
+and a segment of height V has one wavenumber q = sqrt(k^2 - 2V), Im q >= 0
+(real above V, i kappa below, 0 on it); its interior takes one of two forms,
+chosen by |q| w against 1 (`SolutionFamily`), neither cancelling at E = V.
 
 One solver, `solve_family`, handles a whole k grid at once.  It propagates
-(psi, psi') from b to a, right to left, factoring the growing exponential's
-magnitude out of every under-barrier segment, so opaque barriers (kappa *
-width of hundreds) never overflow: the accumulated log-scale S only ever
-appears as exp(-S) or exp(S_partial - S) with nonpositive exponents.  The
-transfer coefficients of all segments are (segments, k) arrays computed at
-once, and the Python loop over segments carries only the scaled (psi,
-psi').  Everything is elementwise over k, so the spin clock's channels ride
-the same sweep as extra columns with their own heights
-(`_shifted_amplitudes`).  There is no unscaled code path; one k is a grid
-of length one.
+(psi, psi') from b to a with one formula for every segment's transfer
+coefficients, in phi(z) = expm1(z) / z at z = 2iqw, with no tolerance at
+E = V.  Each segment's growth exp(Im q w) is factored out, so opaque
+barriers (kappa * width of hundreds) never overflow.  Everything is
+elementwise over k, so the spin clock's channels are extra columns of the
+same sweep, with their own heights (`_shifted_amplitudes`).
 
-The tests check the family against plain unscaled 2x2 transfer matrices
-(tests/analytic.py) to 1e-12 absolute in the amplitudes, on random barriers
-with wells, on E = V exactly and across the evanescent/oscillatory switch,
-and against 50-digit closed forms for rectangles to 1e-13; the interior
-integrals against adaptive quadrature to 1e-12, up to kappa * width = 400.
+The tests check the amplitudes against plain 2x2 transfer matrices
+(tests/analytic.py) to 1e-12 on random barriers with wells, 1e-13 at k
+planted within 1e-6 of each height, and the interior integrals against
+quadrature to 1e-12, up to kappa * width = 400.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -40,16 +36,15 @@ import numpy as np
 from .errors import DomainError, ToleranceError
 from .potentials import BarrierSpec, shifted
 
-# |E - V| below this (scaled) threshold uses the linear {1, x} basis
-_DEG_TOL = 1e-12
-
 _UNITARITY_TOL = 1e-10
 
 # R_coef below this is treated as an exact resonance: Psi_ref identically zero
 DEGENERATE_R = 1e-12
 
-# segment kinds, indexed by osc + 2 * evan
-_KINDS = np.array(["deg", "osc", "evan"])
+# segments take the exponential pair above this |q| w, the local form below,
+# whose Taylor coefficients are 1 / n!
+_PAIR_QW = 1.0
+_INV_FACT = np.array([1 / math.factorial(n) for n in range(30)])
 
 
 class InteriorIntegrals(NamedTuple):
@@ -68,15 +63,16 @@ class InteriorIntegrals(NamedTuple):
 class SolutionFamily:
     """Full stationary states over a k grid, as arrays over k.
 
-    Per-segment arrays have shape (segments, k).  On segment j and column k
-    the interior is, by kind[j, k],
+    Per-segment arrays q, c1, c2 have shape (segments, k).  On segment j of
+    width w, with d = x - x_j, the interior takes one of two forms:
 
-      "osc":  c_plus exp(i q (x - x_j)) + c_minus exp(-i q (x - x_j))
-      "evan": c_plus exp(kappa (x - x_{j+1})) + c_minus exp(-kappa (x - x_j))
-              (both exponents are <= 0 inside the segment)
-      "deg":  c_plus + c_minus (x - x_j)
+      |q| w > 1, the pair:  c1 exp(iqd) + c2 exp(iq(w - d))
+      |q| w <= 1, local:    c1 cos(qd) + c2 sin(qd) / q  (c1, c2 = psi, psi' at x_j)
 
-    with q or kappa in wn (0 for "deg").
+    Neither cancels near E = V: the pair's factors are at most 1 in modulus,
+    and the local form is entire in q^2.  The mirror image Psi(2 x_c - x) on
+    segment j is the mirror segment's pair with c1 and c2 swapped, or its
+    local form read back from that segment's right edge.
 
     The sub-state split.  At each k the full state splits as
     Psi_full = Psi_tr + Psi_ref, where both parts share the left-incidence
@@ -117,10 +113,9 @@ class SolutionFamily:
     z: np.ndarray
     A_tr_In: np.ndarray
     degenerate: np.ndarray
-    kind: np.ndarray
-    wn: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
+    q: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
 
     @property
     def T(self) -> np.ndarray:
@@ -151,7 +146,6 @@ class SolutionFamily:
         edges = self.barrier.edges
         cut = np.searchsorted(xs, edges)  # first row at or right of each edge
         out = np.empty((len(xs), len(self.ks)), dtype=complex)
-
         left = _expi(xs[: cut[0]], self.ks, out[: cut[0]])
         reflected = np.conj(left)
         reflected *= self.A_R
@@ -162,38 +156,36 @@ class SolutionFamily:
         for j in range(len(edges) - 1):
             if cut[j] == cut[j + 1]:
                 continue
-            x = xs[cut[j] : cut[j + 1]]
-            d = x - edges[j]
-            blk = out[cut[j] : cut[j + 1]]
-            # the kinds form runs in k (one each on an ascending grid)
-            kind = self.kind[j]
-            runs = np.flatnonzero(kind[1:] != kind[:-1]) + 1
-            for lo, hi in zip([0, *runs], [*runs, len(kind)]):
-                m = slice(lo, hi)
-                q, cp, cm = self.wn[j, m], self.c_plus[j, m], self.c_minus[j, m]
-                if kind[lo] == "osc":
-                    e = _expi(d, q)
-                    blk[:, m] = cp * e + cm * np.conj(e)
-                elif kind[lo] == "evan":
-                    blk[:, m] = (cp * np.exp(np.multiply.outer(x - edges[j + 1], q))
-                                 + cm * np.exp(-np.multiply.outer(d, q)))
-                else:
-                    blk[:, m] = cp + cm * d[:, None]
+            d, blk = xs[cut[j] : cut[j + 1]] - edges[j], out[cut[j] : cut[j + 1]]
+            q, c1, c2, w = self.q[j], self.c1[j], self.c2[j], edges[j + 1] - edges[j]
+            # q is real or imaginary, so the pair's exponentials are unimodular
+            # or real: runs in k of one of these or of the local form
+            pair = np.abs(q) * w > _PAIR_QW
+            unit = pair & (q.imag == 0)
+            runs = np.flatnonzero((pair[1:] != pair[:-1]) | (unit[1:] != unit[:-1])) + 1
+            for m in map(slice, [0, *runs], [*runs, len(pair)]):
+                if unit[m.start]:  # exp(iq(w - d)) = exp(iqw) conj(exp(iqd))
+                    e = _expi(d, q[m].real, blk[:, m])
+                    blk[:, m] = c1[m] * e + c2[m] * np.exp(1j * w * q[m].real) * np.conj(e)
+                elif pair[m.start]:
+                    kap = q[m].imag
+                    blk[:, m] = (c1[m] * np.exp(-np.multiply.outer(d, kap))
+                                 + c2[m] * np.exp(np.multiply.outer(d - w, kap)))
+                else:  # |qd| <= 1: 10 Taylor terms, one product of row by column powers
+                    P = np.vander(-(d / w) ** 2, 10, increasing=True)
+                    Y = np.vander((q[m] * q[m]).real * w * w, 10, increasing=True).T
+                    blk[:, m] = (P @ (_INV_FACT[0:20:2, None] * Y * c1[m])
+                                 + d[:, None] * (P @ (_INV_FACT[1:20:2, None] * Y * c2[m])))
         return out
 
     def split_basis(self, xs):
-        """(tr, ref): x-by-k masked sub-state matrices on the ascending grid xs.
-
-        Rows with x <= x_c: ref = z [Psi(x) - Psi(2 x_c - x)] and tr =
-        A_tr_In Psi(x) + z Psi(2 x_c - x); beyond, ref = 0 and tr = Psi.  The
-        mirrored rows are one more basis evaluation, on the reversed grid.
-        """
-        tr = self.basis(xs)
+        """(tr, ref): x-by-k masked sub-state matrices on the ascending grid xs:
+        for x <= x_c ref = z [Psi(x) - Psi(2 x_c - x)] and tr = A_tr_In Psi(x)
+        + z Psi(2 x_c - x) (`_mirrored`), beyond ref = 0 and tr = Psi."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        x_c = self.barrier.x_c
-        n = int(np.searchsorted(xs, x_c, side="right"))
-        mirror = self.basis((2 * x_c - xs[:n])[::-1])[::-1] * self.z
-        ref = np.zeros_like(tr)
+        tr = self.basis(xs)
+        mirror = _mirrored(self.barrier, xs, tr, self.basis) * self.z
+        n, ref = len(mirror), np.zeros_like(tr)
         ref[:n] = tr[:n] * self.z - mirror
         tr[:n] = tr[:n] * self.A_tr_In + mirror
         return tr, ref
@@ -205,32 +197,30 @@ class SolutionFamily:
 
     @functools.cached_property
     def _interior(self) -> InteriorIntegrals:
-        """The closed forms behind `interior_integrals`.
-
-        With u = x - x_j on segment j of width w, Psi and its mirror image
-        (on segment n - 1 - j, at offset w - u) are pairs on the basis
-        (exp(iqu), exp(-iqu)), (exp(-kappa (w - u)), exp(-kappa u)) or (1, u).
-        Each integral sums pair products against bounded closed-form basis
-        integrals over the pieces of [a, x_c], an odd count's middle segment
-        cut at x_c; opaque barriers do not overflow.
-        """
+        """The closed forms behind `interior_integrals`: Psi and its mirror
+        image as coefficients of each segment's two functions (class
+        docstring) on the pieces [0, L] of [a, x_c], an odd count's middle
+        segment cut at x_c.  The pair's integrals are a phase times L phi(z),
+        Re z <= 0; the local form's are Taylor series in (2qL)^2 <= 4."""
         n = len(self.barrier.segments)
         j = np.arange((n + 1) // 2)
-        w = np.diff(self.barrier.edges)[j, None]
-        q, osc, evan = self.wn[j], self.kind[j] == "osc", self.kind[j] == "evan"
-        u = np.where((2 * j == n - 1)[:, None], w / 2, w) + 0 * q  # piece lengths, per k
-        cp, cm, ph = self.c_plus[n - 1 - j], self.c_minus[n - 1 - j], np.exp(1j * q * w)
-        f = np.array([self.c_plus[j], self.c_minus[j]])
-        g = np.array([np.where(osc, cm / ph, np.where(evan, cm, cp + cm * w)),
-                      np.where(osc, cp * ph, np.where(evan, cp, -cm))])
-        # B[a, b] = int phi_a phi_b and C[a, b] = int conj(phi_a) phi_b on [0, u]
-        qs = np.where(osc | evan, q, 1.0)
-        E = np.exp(1j * q * u) * np.sin(q * u) / qs  # int exp(2iqu)
-        F = -np.expm1(-2 * q * u) / (2 * qs)         # int exp(-2 kappa u)
-        B12 = np.where(osc, u, np.where(evan, np.exp(-q * w) * u, u**2 / 2))
-        B = np.array([[np.where(osc, E, np.where(evan, F * np.exp(-2 * q * (w - u)), u)), B12],
-                      [B12, np.where(osc, np.conj(E), np.where(evan, F, u**3 / 3))]])
-        C = np.where(osc, np.array([[u, np.conj(E)], [E, u]]), B)
+        q, m, w = self.q[j], n - 1 - j, np.diff(self.barrier.edges)[j, None]
+        L = w / (1 + (2 * j == n - 1))[:, None]  # piece lengths
+        pair, q2 = np.abs(q) * w > _PAIR_QW, (q * q).real
+        # the mirror image: the pair swapped, or the local form from the right edge
+        y = np.where(pair, 0.0, q2 * w * w)
+        cw, sw = _series(y, 0), w * _series(y, 1)
+        f = np.array([self.c1[j], self.c2[j]])
+        g = np.array([np.where(pair, self.c2[m], self.c1[m] * cw + self.c2[m] * sw),
+                      np.where(pair, self.c1[m], q2 * sw * self.c1[m] - cw * self.c2[m])])
+        # B[a, b] = int f_a f_b and C[a, b] = int conj(f_a) f_b on [0, L]
+        X = np.where(pair, 0.0, 4 * q2 * L * L)
+        cs = L * L * _series(X, 2)
+        local = np.array([[L / 2 * (1 + _series(X, 1)), cs], [cs, 2 * L**3 * _series(X, 3)]])
+        ph, p, pc = np.exp(1j * q * w), L * _phi(2j * q * L), L * _phi(-2 * q.imag * L)
+        c12 = ph * L * _phi(-2j * q.real * L)
+        B = np.where(pair, [[p, L * ph], [L * ph, np.exp(2j * q * (w - L)) * p]], local)
+        C = np.where(pair, [[pc, c12], [np.conj(c12), np.exp(-2 * q.imag * (w - L)) * pc]], local)
 
         def form(M, a, b):
             return np.einsum("ajk,abjk,bjk->k", a, M, b)
@@ -252,25 +242,47 @@ class SolutionFamily:
                 - (self.A_R * np.exp(-2j * ks * self.barrier.a)).imag / ks**2)
 
 
-def _expi(x, q, out=None):
+def _expi(x, q, out):
     """exp(i x q) as an x-by-q outer product, written into out."""
-    if out is None:
-        out = np.empty((len(x), len(q)), dtype=complex)
     np.multiply.outer(x, q, out=out.imag)
     np.cos(out.imag, out=out.real)
     np.sin(out.imag, out=out.imag)
     return out
 
 
+def _phi(z):
+    """expm1(z) / z, with phi(0) = 1."""
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+
+
+def _series(x, m, terms=14):
+    """sum_{i < terms} (-x)^i / (2i + m)! by Horner: cos(qd) is _series((qd)^2,
+    0) and sin(qd) / q is d _series((qd)^2, 1); rounding for |x| <= 4."""
+    out = np.full(np.shape(x), _INV_FACT[2 * terms - 2 + m])
+    for i in range(terms - 2, -1, -1):
+        out *= x
+        np.subtract(_INV_FACT[2 * i + m], out, out=out)
+    return out
+
+
+def _mirrored(barrier: BarrierSpec, xs, vals, evaluate):
+    """Rows at the mirror points 2 x_c - x of the nodes x <= x_c of the
+    ascending grid xs, whose rows are vals: a node's row within 1e-12 (b - a)
+    of the point, else evaluate(points) on the rest, ascending, once."""
+    tol, m = 1e-12 * (barrier.b - barrier.a), 2 * barrier.x_c - xs[xs <= barrier.x_c]
+    i = np.minimum(np.searchsorted(xs, m - tol), len(xs) - 1)  # first node from m - tol
+    out, miss = vals[i], np.abs(xs[i] - m) > tol
+    if miss.any():
+        out[miss] = evaluate(m[miss][::-1])[::-1]
+    return out
+
+
 class _Sweep(NamedTuple):
     """The scaled backward sweep over columns (heights, k), the last axis of
-    every array; per-edge arrays have shape (segments + 1, columns), edge j
-    the left edge of segment j."""
+    every array; per-edge arrays are (segments + 1, columns), from a to b."""
 
     ks: np.ndarray
-    is_osc: np.ndarray   # (segments, columns)
-    is_evan: np.ndarray
-    wn: np.ndarray
+    q: np.ndarray        # (segments, columns)
     u: np.ndarray        # (psi, psi') / exp(S) at every edge
     v: np.ndarray
     S: np.ndarray        # log-scale grown from b down to each edge
@@ -282,28 +294,18 @@ class _Sweep(NamedTuple):
 def _sweep(barrier: BarrierSpec, heights, ks) -> _Sweep:
     """One scaled backward transfer sweep from b to a over every column.
 
-    heights is (segments, columns) or (segments, 1), ks is (columns,): a
-    column is one k on one set of heights over the barrier's edges.  The
-    transfer coefficients of every segment are computed at once; the loop
-    over segments carries only (u, v), and S is the running sum of the
-    under-barrier growth.
+    heights is (segments, columns) or (segments, 1), ks is (columns,).  Over
+    exp(Im q w), cos(qw), sin(qw) / q and q sin(qw) are h (1 + iqw p), h w p
+    and h q^2 w p for h = exp(-i Re q w) and p = phi(2iqw); as q is real or
+    imaginary, with th = Re q w and tau = -2 Im q w these are real: h p =
+    sinc(th) phi(tau) and h (1 + iqw p) = cos(th) + expm1(tau) / 2.
     """
-    edges = barrier.edges
-    w = np.diff(edges)[:, None]
-    V = np.asarray(heights, dtype=float)
-    E = ks * ks / 2
-    D = ks * ks - 2 * V
-    deg = np.abs(E - V) < _DEG_TOL * np.maximum(1.0, np.abs(V))
-    osc = ~deg & (D > 0)
-    evan = ~deg & ~osc
-    q = np.where(deg, 0.0, np.sqrt(np.abs(D)))
-    qs = np.where(deg, 1.0, q)  # divisor that is safe on every column
-    c, s = np.cos(q * w), np.sin(q * w)
-    e2 = np.exp(-2 * q * w)
-    ch, sh = (1 + e2) / 2, (1 - e2) / 2
-    m11 = np.where(osc, c, np.where(evan, ch, 1.0))
-    m12 = np.where(osc, -s / qs, np.where(evan, -sh / qs, -w))
-    m21 = np.where(osc, q * s, np.where(evan, -q * sh, 0.0))
+    w = np.diff(barrier.edges)[:, None]
+    q2 = ks * ks - 2 * np.asarray(heights, dtype=float)
+    q = np.sqrt(q2.astype(complex))  # the principal root: Im q >= 0
+    th, tau = q.real * w, -2 * q.imag * w
+    hp = np.sinc(th / np.pi) * _phi(tau)
+    m11, m12, m21 = np.cos(th) + np.expm1(tau) / 2, -hp * w, hp * q2 * w
 
     # backward sweep, tracking scaled (u, v) ~ (psi, psi') / exp(S)
     nseg = len(w)
@@ -314,29 +316,26 @@ def _sweep(barrier: BarrierSpec, heights, ks) -> _Sweep:
         u[j] = m11[j] * u[j + 1] + m12[j] * v[j + 1]
         v[j] = m21[j] * u[j + 1] + m11[j] * v[j + 1]
     S = np.zeros((nseg + 1, len(ks)))
-    S[-2::-1] = np.cumsum(np.where(evan, q * w, 0.0)[::-1], axis=0)
+    S[-2::-1] = np.cumsum((q.imag * w)[::-1], axis=0)
 
     # match to exp(ikx) + A_R exp(-ikx) at a; the transmitted normalization is
     # A_T = exp(-S) / P0 for P0 computed in the scaled frame
     P0 = 0.5 * (u[0] + v[0] / (1j * ks)) * np.exp(-1j * ks * barrier.a)
     Q0 = 0.5 * (u[0] - v[0] / (1j * ks)) * np.exp(1j * ks * barrier.a)
-    return _Sweep(ks, osc, evan, q, u, v, S, P0, np.exp(-S[0]) / P0, Q0 / P0)
+    return _Sweep(ks, q, u, v, S, P0, np.exp(-S[0]) / P0, Q0 / P0)
 
 
 def _family(barrier: BarrierSpec, sw: _Sweep) -> SolutionFamily:
     """The family of the sweep, whose heights are barrier's; refused
     (ToleranceError) unless every k passes the unitarity check."""
-    ks, is_osc, is_evan, wn, u, v, S, P0, A_T, A_R = sw
-    # growing parts are anchored at the right edge (frame S_R), everything
-    # else at the left edge (frame S_L); all normalized exponents are <= 0
-    uL, vL, uR, vR = u[:-1], v[:-1], u[1:], v[1:]
-    fL = np.exp(S[:-1] - S[0]) / P0
-    fR = np.exp(S[1:] - S[0]) / P0
-    qs = np.where(is_osc | is_evan, wn, 1.0)
-    c_plus = np.where(is_osc, 0.5 * (uL + vL / (1j * qs)) * fL,
-                      np.where(is_evan, 0.5 * (uR + vR / qs) * fR, uL * fL))
-    c_minus = np.where(is_osc, 0.5 * (uL - vL / (1j * qs)) * fL,
-                       np.where(is_evan, 0.5 * (uL - vL / qs) * fL, vL * fL))
+    ks, q, u, v, S, P0, A_T, A_R = sw
+    # the pair's second term is anchored at the right edge (frame S_R),
+    # everything else at the left edge (frame S_L); all exponents are <= 0
+    fL, fR = np.exp(S[:-1] - S[0]) / P0, np.exp(S[1:] - S[0]) / P0
+    pair = np.abs(q) * np.diff(barrier.edges)[:, None] > _PAIR_QW
+    iq = np.where(pair, 1j * q, 1.0)  # a divisor that is safe on every column
+    c1 = np.where(pair, 0.5 * (u[:-1] + v[:-1] / iq), u[:-1]) * fL
+    c2 = np.where(pair, 0.5 * (u[1:] - v[1:] / iq) * fR, v[:-1] * fL)
 
     degenerate = np.abs(A_R) ** 2 < DEGENERATE_R
     mirrored = A_T * np.exp(2j * ks * barrier.x_c)
@@ -346,11 +345,7 @@ def _family(barrier: BarrierSpec, sw: _Sweep) -> SolutionFamily:
     z, tr_in = np.where(big_z, 1 - tr_in, z), np.where(big_z, tr_in, 1 - z)
     z[degenerate] = 0.0
     tr_in[degenerate] = 1.0
-    fam = SolutionFamily(
-        barrier=barrier, ks=ks, A_T=A_T, A_R=A_R, z=z, A_tr_In=tr_in,
-        degenerate=degenerate,
-        kind=_KINDS[is_osc + 2 * is_evan], wn=wn, c_plus=c_plus, c_minus=c_minus,
-    )
+    fam = SolutionFamily(barrier, ks, A_T, A_R, z, tr_in, degenerate, q, c1, c2)
     bad = _nonunitary(A_T, A_R)
     if bad.any():
         # plain transfer matrices miss by as much: this is conditioning
@@ -378,9 +373,7 @@ def solve_family(barrier: BarrierSpec, ks) -> SolutionFamily:
         raise DomainError("k grid must be a non-empty one-dimensional array")
     ok = np.isfinite(ks) & (ks > 0)
     if not ok.all():
-        raise DomainError(
-            f"wavenumbers must be positive finite numbers, got {ks[~ok][0]!r}"
-        )
+        raise DomainError(f"wavenumbers must be positive finite numbers, got {ks[~ok][0]!r}")
     return _family(barrier, _sweep(barrier, barrier.heights[:, None], ks))
 
 

@@ -338,6 +338,8 @@ def build_time_report(packet: SpectralPacket, barrier: BarrierSpec,
     both sub-processes and its diagnostic variant, one route-A pass both
     sub-processes, and the phase table is a strided slice of the family.
     """
+    if not phase_points >= 1:
+        raise DomainError(f"phase_points must be at least 1, got {phase_points}")
     fam = solve_family(barrier, packet.ks)
     table = dwell_tables(fam)
     tau_tr, tau_ref, defined = table.tau_tr, table.tau_ref, table.ref_defined

@@ -42,7 +42,7 @@ from .errors import (
     ConfigError, DomainError, GridRefinementError, ToleranceError, WindowError,
 )
 from .potentials import BarrierSpec
-from .stationary import SolutionFamily, solve_family
+from .stationary import SolutionFamily, _mirrored, solve_family
 
 _TWO_PI = 2 * math.pi
 
@@ -60,8 +60,8 @@ _NEG_K_FRACTION = 1e-10
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
 _SIGNIFICANT = 1e-10   # a k counts in a time scan above this share of the peak
 
-# rows per chirp-z block (and per block of interior basis rows, mirrored ones
-# too); each chirp-z block is re-anchored at its first node to bound its rounding
+# rows per chirp-z block (and per block of interior basis rows); each chirp-z
+# block is re-anchored at its first node to bound its rounding
 _X_CHUNK = 2048
 
 
@@ -148,10 +148,10 @@ def make_gaussian_packet(
     """
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0}")
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    if not k0 > 0:
-        raise ConfigError(f"k0 must be positive, got {k0}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 < k0 < math.inf:
+        raise ConfigError(f"k0 must be positive and finite, got {k0}")
     if k0 - 5.0 / sigma < -1e-12 * k0:
         raise ConfigError(
             f"k0 = {k0} < 5/sigma = {5.0 / sigma:.6g}: the spectrum straddles "
@@ -280,7 +280,7 @@ def _split(fam: SolutionFamily, w, xs):
     """(psi_full, psi_ref) on the uniform grid xs for weights w.  Left of a
     psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) over the non-degenerate k; from
     b on psi_ref = 0.  On the rows in [a, x_c] psi_ref is the mirror identity
-    F(x) - F(2 x_c - x), F the field of weights w z."""
+    F(x) - F(2 x_c - x), F the field of weights w z (`_mirrored`)."""
     bar = fam.barrier
     i_a, i_b = np.searchsorted(xs, [bar.a, bar.b])
     i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
@@ -292,12 +292,15 @@ def _split(fam: SolutionFamily, w, xs):
     ref[:i_a] = P[:, 1] + np.conj(P[:, 2])
     full[:i_a] = P[:, 0] + ref[:i_a] + np.conj(P[:, 3])
     full[i_b:] = _plane_sum((w * fam.A_T)[:, None], fam.ks, xs[i_b:])[:, 0]
-    for i0 in range(i_a, i_b, _X_CHUNK):
-        i1 = min(i0 + _X_CHUNK, i_b)
-        F = fam.basis(xs[i0:i1]) @ np.stack([w, wz], axis=1)
-        full[i0:i1] = F[:, 0]
-        j = max(min(i1, i_c), i0)
-        ref[i0:j] = F[:j - i0, 1] - (fam.basis((2 * bar.x_c - xs[i0:j])[::-1]) @ wz)[::-1]
+
+    def fields(x, W):  # fam.basis(x) @ W in blocks of _X_CHUNK rows
+        return np.concatenate([fam.basis(x[i:i + _X_CHUNK]) @ W
+                               for i in range(0, max(len(x), 1), _X_CHUNK)])
+
+    F = fields(xs[i_a:i_b], np.stack([w, wz], axis=1))
+    full[i_a:i_b] = F[:, 0]
+    ref[i_a:i_c] = F[:i_c - i_a, 1] - _mirrored(bar, xs[i_a:i_b], F[:, 1],
+                                                lambda x: fields(x, wz[:, None])[:, 0])
     return full, ref
 
 
@@ -337,6 +340,8 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     spurious boundary terms at spacing jumps.  The grid is anchored so the
     mask point x_c falls exactly on a node (the densities kink there).
     """
+    if not 0 < dx < math.inf:
+        raise DomainError(f"dx must be positive and finite, got {dx}")
     sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
     k_hi = float(packet.ks[-1])
     pad = 6.0 * sig_t + 5.0

@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -40,3 +41,15 @@ def random_symmetric_barrier(rng, max_segments=3, allow_wells=False):
     heights = rng.uniform(lo, 6.0, size=n_half)
     a = rng.uniform(-3.0, 1.0)
     return ss.make_symmetric(a, list(zip(widths, heights)))
+
+
+# relative offsets of k from sqrt(2V) at which the planted grids sit
+PLANTED_EPS = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+
+
+def planted_ks(heights, eps=PLANTED_EPS):
+    """k = sqrt(2V) (1 + e) for every positive height V and every e in eps,
+    ascending: E within about 2e of each step's V, and on it for e = 0."""
+    return np.array(sorted({math.sqrt(2 * v) * (1 + e)
+                            for v in set(np.asarray(heights, dtype=float).tolist()) if v > 0
+                            for e in eps}))

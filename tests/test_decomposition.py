@@ -127,15 +127,30 @@ def test_free_particle_degenerate(free_barrier):
     assert ss.solve_family(free_barrier, [1.0]).degenerate[0]
 
 
+def test_masked_substates_on_an_asymmetric_grid():
+    # off a mirror-symmetric grid each mirror row is the state at the mirror
+    # point itself, even where a node lies close to it
+    fam = ss.solve_family(ss.make_symmetric(0.0, [(0.4, 3.0), (0.3, 0.5)]), [0.8, 1.0, 2.3])
+    xs = np.sort(np.random.default_rng(3).uniform(-1.0, 2.5, 400))
+    x_c, left = fam.barrier.x_c, xs <= fam.barrier.x_c
+    mirror = np.array([fam.basis([2 * x_c - x])[0] for x in xs[left]])
+    tr, ref = fam.split_basis(xs)
+    np.testing.assert_allclose(ref[left], fam.z * (fam.basis(xs)[left] - mirror), rtol=0, atol=1e-14)
+
+
 def test_masked_substates_partition(canonical_fam):
     xs = np.linspace(-5.0, 6.0, 1201)
     tr, ref = canonical_fam.split_basis(xs)
     full = canonical_fam.basis(xs)
     # left of x_c psi_tr is A_tr_In Psi(x) + z Psi(2 x_c - x), beyond it is
-    # Psi: both exactly; the recombined sum differs by rounding steps only
+    # Psi: both exactly; the recombined sum differs by rounding steps only.
+    # The grid is mirror symmetric about x_c, so the mirror rows are its own
+    # rows, within rounding of the states at the mirror points
     x_c = canonical_fam.barrier.x_c
     left = xs <= x_c
-    mirror = canonical_fam.basis((2 * x_c - xs[left])[::-1])[::-1]
+    mirror = full[::-1][left]
+    np.testing.assert_allclose(
+        mirror, canonical_fam.basis((2 * x_c - xs[left])[::-1])[::-1], rtol=1e-14, atol=0)
     np.testing.assert_array_equal(
         tr[left], full[left] * canonical_fam.A_tr_In + mirror * canonical_fam.z)
     np.testing.assert_array_equal(tr[~left], full[~left])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatsplit as ss
-from analytic import piecewise_quad, rect_amplitudes, resonance_k, transfer_amplitudes
-from conftest import random_symmetric_barrier
+from analytic import (
+    gauss_legendre_nodes, piecewise_quad, rect_amplitudes, rect_full_value, resonance_k,
+    transfer_amplitudes,
+)
+from conftest import planted_ks, random_symmetric_barrier
 
 # frozen from the closed-form rectangular transmission probability
 T_CANONICAL = 0.09096685039584551
@@ -110,7 +114,7 @@ def test_unitarity_refusal_names_a_narrow_resonance():
     A_T, A_R = transfer_amplitudes(bar.edges, bar.heights, k)
     assert abs(abs(A_T) ** 2 + abs(A_R) ** 2 - 1.0) > 1e-9
     with pytest.raises(ss.ToleranceError, match=(
-            r"^unitarity violated by -1\.428e-09 at k=1\.4390489260591632: a narrow "
+            r"^unitarity violated by -2\.470e-09 at k=1\.4390489260591632: a narrow "
             r"resonance there \(dwell time 3\.83e\+08\) leaves the transfer sweep "
             r"ill-conditioned")):
         ss.solve_family(bar, [1.0, k])
@@ -127,20 +131,57 @@ def test_probability_current_constancy(canonical_fam):
         assert np.max(np.abs(j - expect)) < 1e-6
 
 
-def _assert_family_matches_transfer(bar, ks):
+def _assert_family_matches_transfer(bar, ks, tol=1e-12):
     fam = ss.solve_family(bar, ks)
     for j, k in enumerate(ks):
         a_t, a_r = transfer_amplitudes(bar.edges, bar.heights, float(k))
-        assert abs(fam.A_T[j] - a_t) <= 1e-12
-        assert abs(fam.A_R[j] - a_r) <= 1e-12
+        assert abs(fam.A_T[j] - a_t) <= tol
+        assert abs(fam.A_R[j] - a_r) <= tol
     return fam
+
+
+def _transfer_states(bar, k, xs):
+    """The full state at xs, test side: the transmitted wave A_T exp(ikx) at b
+    carried back to each x by plain unscaled transfer matrices, one complex
+    q = sqrt(k^2 - 2V) per segment with the linear limit at q = 0, and
+    exp(ikx) + A_R exp(-ikx) left of a (amplitudes from the same matrices)."""
+    A_T, A_R = transfer_amplitudes(bar.edges, bar.heights, k)
+    edges = [float(e) for e in bar.edges]
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(len(xs), dtype=complex)
+    u = A_T * cmath.exp(1j * k * edges[-1])
+    v = 1j * k * u
+    for j in range(len(bar.heights) - 1, -1, -1):
+        q = cmath.sqrt(k * k - 2 * float(bar.heights[j]))
+
+        def back(s):  # (psi, psi') a distance s left of the segment's right edge
+            if q == 0:
+                return u - s * v, v
+            c, sn = np.cos(q * s), np.sin(q * s)
+            return c * u - sn / q * v, q * sn * u + c * v
+
+        rows = (xs >= edges[j]) & (xs < edges[j + 1])
+        out[rows] = back(edges[j + 1] - xs[rows])[0]
+        u, v = back(edges[j + 1] - edges[j])
+    left, right = xs < edges[0], xs >= edges[-1]
+    out[left] = np.exp(1j * k * xs[left]) + A_R * np.exp(-1j * k * xs[left])
+    out[right] = A_T * np.exp(1j * k * xs[right])
+    return out
+
+
+def _assert_basis_matches_transfer_states(fam, xs, tol=1e-13):
+    """Every column of fam.basis(xs) within tol of its largest test-side value."""
+    got = fam.basis(xs)
+    for j, k in enumerate(fam.ks):
+        want = _transfer_states(fam.barrier, float(k), xs)
+        assert np.max(np.abs(got[:, j] - want)) <= tol * np.max(np.abs(want)), k
 
 
 def test_solve_family_matches_pointwise(canonical_barrier):
     # the grid crosses the barrier top at k = 2: evanescent, then oscillatory
     ks = np.linspace(0.5, 3.0, 17)
     fam = _assert_family_matches_transfer(canonical_barrier, ks)
-    assert list(fam.kind[0]) == ["evan"] * 10 + ["osc"] * 7
+    _assert_basis_matches_transfer_states(fam, np.linspace(-1.0, 2.0, 61))
 
 
 def test_solve_family_random_barriers_with_wells():
@@ -151,11 +192,11 @@ def test_solve_family_random_barriers_with_wells():
 
 
 def test_solve_family_exact_degeneracy():
-    # E = V exactly on the inner step at k = 1 takes the linear {1, x} basis
+    # E = V exactly on the inner step at k = 1: q = 0 there, the linear limit
     bar = ss.make_symmetric(0.0, [(0.4, 3.0), (0.3, 0.5)])
     fam = _assert_family_matches_transfer(bar, np.array([0.6, 1.0, 1.4]))
-    assert list(fam.kind[:, 1]) == ["evan", "deg", "deg", "evan"]
     xs = np.linspace(-1.0, 2.5, 71)
+    _assert_basis_matches_transfer_states(fam, xs)
     eps = 1e-9
     for edge in bar.edges:
         lo, hi = fam.basis([edge - eps, edge + eps])[:, 1]
@@ -174,33 +215,14 @@ def test_family_basis_columns_are_the_scalar_states():
             rtol=1e-13, atol=1e-13)
 
 
-def test_basis_runs_match_masked_reference():
-    # unsorted k with every kind on the steps: k = 1 and k = 2 put E exactly
-    # on the heights 0.5 and 2; each kind's columns through a boolean mask
+def test_basis_on_unsorted_k_matches_transfer_states():
+    # unsorted k on both sides of both heights and on them (k = 1 and k = 2
+    # put E on 0.5 and 2), so each segment's columns switch between the pair
+    # and the local form many times
     bar = ss.make_symmetric(-0.5, [(0.4, 2.0), (0.35, 0.5)])
     ks = np.array([2.5, 0.3, 1.0, 2.0, 0.9, 1.0, 3.1, 0.5, 2.0, 1.2, 1.7])
     fam = ss.solve_family(bar, ks)
-    assert {"osc", "evan", "deg"} <= set(fam.kind.ravel())
-    xs = np.linspace(bar.a - 0.5, bar.b + 0.5, 61)
-    want = np.empty((len(xs), len(ks)), dtype=complex)
-    want[xs < bar.a] = np.exp(1j * np.outer(xs[xs < bar.a], ks)) + fam.A_R * np.exp(
-        -1j * np.outer(xs[xs < bar.a], ks))
-    want[xs >= bar.b] = fam.A_T * np.exp(1j * np.outer(xs[xs >= bar.b], ks))
-    edges = bar.edges
-    for j in range(len(bar.segments)):
-        rows = (xs >= edges[j]) & (xs < edges[j + 1])
-        d, r = xs[rows] - edges[j], xs[rows] - edges[j + 1]
-        for kind in ("osc", "evan", "deg"):
-            m = fam.kind[j] == kind
-            q, cp, cm = fam.wn[j, m], fam.c_plus[j, m], fam.c_minus[j, m]
-            if kind == "osc":
-                blk = cp * np.exp(1j * np.outer(d, q)) + cm * np.exp(-1j * np.outer(d, q))
-            elif kind == "evan":
-                blk = cp * np.exp(np.outer(r, q)) + cm * np.exp(-np.outer(d, q))
-            else:
-                blk = cp + cm * d[:, None]
-            want[np.ix_(rows, m)] = blk
-    np.testing.assert_allclose(fam.basis(xs), want, rtol=1e-14, atol=1e-14)
+    _assert_basis_matches_transfer_states(fam, np.linspace(bar.a - 0.5, bar.b + 0.5, 61))
 
 
 def test_interior_integrals_are_computed_once_and_read_only(canonical_fam):
@@ -229,7 +251,7 @@ def test_shifted_amplitudes_refuse_a_channel_by_name():
     ks = [1.0, 1.4390489260591632]
     ss.stationary._shifted_amplitudes(bar, ks, [1e-3])
     with pytest.raises(ss.ToleranceError, match=(
-            r"^unitarity violated by -1\.428e-09 at k=1\.4390489260591632: a narrow")):
+            r"^unitarity violated by -2\.470e-09 at k=1\.4390489260591632: a narrow")):
         ss.stationary._shifted_amplitudes(bar, ks, [1e-3, 0.0])
 
 
@@ -250,79 +272,60 @@ def test_unitarity_random_barriers(data):
     k = float(rng.uniform(0.2, 4.0))
     fam = ss.solve_family(bar, [k])
     assert abs(fam.T[0] + fam.R[0] - 1.0) < 1e-10
+    # and at k planted on and next to every step's E = V
+    fam = _assert_family_matches_transfer(bar, planted_ks(bar.heights), tol=1e-13)
+    assert np.all(np.abs(fam.T + fam.R - 1.0) < 1e-10)
 
 
-def test_segment_record_layout(canonical_fam, canonical_barrier):
-    fam = canonical_fam
-    shape = (len(canonical_barrier.segments), 1)
-    for arr in (fam.kind, fam.wn, fam.c_plus, fam.c_minus):
-        assert arr.shape == shape
-    assert fam.kind[0, 0] == "evan"   # V0 = 2 > E = 0.5
-    assert fam.wn[0, 0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
-    assert fam.ks.tolist() == [1.0]
+@pytest.mark.parametrize("k", [1.0, 2.0 * (1 + 1e-12), 2.0 * (1 - 1e-9), 2.5])
+def test_basis_matches_closed_form_rectangle(k):
+    # the 50-digit closed-form state of rect 0..1, V0 = 2, under, at and over
+    # the top, to 1e-13 of its peak
+    fam = ss.solve_family(ss.make_rectangular(0.0, 1.0, 2.0), [k])
+    xs = np.linspace(-0.5, 1.5, 41)
+    want = np.array([rect_full_value(1.0, 2.0, k, x) for x in xs])
+    assert np.max(np.abs(fam.basis(xs)[:, 0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _select_sweep(barrier, ks):
-    """The family's sweep and coefficient matching written with np.select and
-    string kinds, step for step: the arrays solve_family must reproduce bit
-    for bit."""
-    edges, heights = barrier.edges, barrier.heights
-    nseg, nk = len(heights), len(ks)
-    E = ks * ks / 2
-    kind = np.empty((nseg, nk), dtype="<U4")
-    wn = np.empty((nseg, nk))
-    uR, vR, uL, vL = (np.empty((nseg, nk), dtype=complex) for _ in range(4))
-    SR, SL = np.empty((nseg, nk)), np.empty((nseg, nk))
-    u = np.exp(1j * ks * barrier.b)
-    v = 1j * ks * u
-    S = np.zeros(nk)
-    for j in range(nseg - 1, -1, -1):
-        w, V = edges[j + 1] - edges[j], heights[j]
-        D = ks * ks - 2 * V
-        deg = np.abs(E - V) < 1e-12 * max(1.0, abs(V))
-        osc = ~deg & (D > 0)
-        evan = ~deg & ~osc
-        q = np.where(deg, 0.0, np.sqrt(np.abs(D)))
-        qs = np.where(deg, 1.0, q)
-        c, s = np.cos(q * w), np.sin(q * w)
-        e2 = np.exp(-2 * q * w)
-        ch, sh = (1 + e2) / 2, (1 - e2) / 2
-        m11 = np.select([osc, evan], [c, ch], 1.0)
-        m12 = np.select([osc, evan], [-s / qs, -sh / qs], -w)
-        m21 = np.select([osc, evan], [q * s, -q * sh], 0.0)
-        uR[j], vR[j], SR[j] = u, v, S
-        u, v = m11 * u + m12 * v, m21 * u + m11 * v
-        S = S + np.where(evan, q * w, 0.0)
-        uL[j], vL[j], SL[j] = u, v, S
-        kind[j] = np.select([osc, evan], ["osc", "evan"], "deg")
-        wn[j] = q
-    P0 = 0.5 * (u + v / (1j * ks)) * np.exp(-1j * ks * barrier.a)
-    Q0 = 0.5 * (u - v / (1j * ks)) * np.exp(1j * ks * barrier.a)
-    A_T, A_R = np.exp(-S) / P0, Q0 / P0
-    fL, fR = np.exp(SL - S) / P0, np.exp(SR - S) / P0
-    qs = np.where(kind == "deg", 1.0, wn)
-    osc, evan = kind == "osc", kind == "evan"
-    c_plus = np.select([osc, evan], [0.5 * (uL + vL / (1j * qs)) * fL,
-                                     0.5 * (uR + vR / qs) * fR], uL * fL)
-    c_minus = np.select([osc, evan], [0.5 * (uL - vL / (1j * qs)) * fL,
-                                      0.5 * (uL - vL / qs) * fL], vL * fL)
-    return {"A_T": A_T, "A_R": A_R, "kind": kind, "wn": wn,
-            "c_plus": c_plus, "c_minus": c_minus}
+def _quadrature_integrals(bar, k):
+    """The six interior integrals by 24-node Gauss-Legendre quadrature of the
+    test-side states, on pieces ending at the edges and x_c, each cut so
+    that |q| times a sub-piece stays below 1."""
+    x_c = bar.x_c
+    cuts = sorted({float(e) for e in bar.edges} | {x_c})
+    q = max(abs(cmath.sqrt(k * k - 2 * v)) for v in bar.heights)
+    xs, wx = gauss_legendre_nodes(cuts, max(1, math.ceil(q * max(np.diff(cuts)))))
+    psi, mir = _transfer_states(bar, k, xs), _transfer_states(bar, k, 2 * x_c - xs)
+    left = xs < x_c
+    return {
+        "left": np.sum(wx[left] * np.abs(psi[left]) ** 2),
+        "right": np.sum(wx[~left] * np.abs(psi[~left]) ** 2),
+        "cross": np.sum(wx[left] * np.conj(psi[left]) * mir[left]),
+        "odd": np.sum(wx[left] * np.abs(psi[left] - mir[left]) ** 2),
+        "square": np.sum(wx * psi**2),
+        "mirror": np.sum(wx * psi * mir),
+    }
 
 
-def test_solve_family_bit_identical_to_select_sweep():
-    # k = 1 and k = 2 put E exactly on the heights 0.5 and 2 (deg columns);
-    # the rest of the grid is under (evan) or over (osc) each height, and
-    # the well is osc throughout
-    bar = ss.make_symmetric(-0.3, [(0.4, 2.0), (0.3, 0.5), (0.25, -1.5)])
-    ks = np.concatenate([np.linspace(0.2, 3.1, 59), [1.0, 2.0]])
-    fam = ss.solve_family(bar, ks)
-    want = _select_sweep(bar, ks)
-    assert {"osc", "evan", "deg"} <= set(want["kind"].ravel())
-    for name, arr in want.items():
-        got = getattr(fam, name)
-        assert got.dtype.kind == arr.dtype.kind and got.shape == arr.shape
-        assert np.array_equal(got, arr), name
+@pytest.mark.parametrize("seed", ["rect", "well", 0, 1, 2, 3, 4, 5],
+                         ids=lambda s: s if isinstance(s, str) else f"wells{s}")
+def test_planted_degeneracy_matches_transfer_matrices(seed):
+    # k within 1e-12 to 1e-6 of E = V on every step, and on it: amplitudes to
+    # 1e-13, states to 1e-13 of their peak and all six interior integrals to
+    # 1e-12 relative, each against the test-side transfer matrices; rect
+    # 0..1 (V0 = 2), three steps down into a well, and random barriers with
+    # wells, with k off the steps too
+    bar = {"rect": ss.make_rectangular(0.0, 1.0, 2.0),
+           "well": ss.make_symmetric(-0.3, [(0.4, 2.0), (0.3, 0.5), (0.25, -1.5)])}.get(seed)
+    if bar is None:
+        bar = random_symmetric_barrier(np.random.default_rng(seed), allow_wells=True)
+    ks = np.concatenate([planted_ks(bar.heights), [0.2, 1.7, 3.1]])
+    fam = _assert_family_matches_transfer(bar, ks, tol=1e-13)
+    _assert_basis_matches_transfer_states(fam, np.linspace(bar.a - 0.5, bar.b + 0.5, 81))
+    got = fam.interior_integrals()
+    for j, k in enumerate(ks):
+        for name, value in _quadrature_integrals(bar, float(k)).items():
+            assert abs(getattr(got, name)[j] - value) <= 1e-12 * abs(value), (k, name)
 
 
 # ----------------------------------------------- closed-form interior kernel

@@ -254,6 +254,13 @@ def test_phase_family_must_be_dense():
         ss.phase_time(ss.solve_family(bar, [7.0, 8.0]))
 
 
+@pytest.mark.parametrize("phase_points", [0, -3])
+def test_time_report_refuses_phase_points_below_one(canonical_packet, canonical_barrier,
+                                                     phase_points):
+    with pytest.raises(ss.DomainError, match="phase_points must be at least 1"):
+        ss.build_time_report(canonical_packet, canonical_barrier, phase_points=phase_points)
+
+
 def test_phase_empty_family():
     # an empty k grid is refused before any phase table is formed
     with pytest.raises(ss.DomainError):

@@ -53,6 +53,13 @@ def test_packet_preconditions():
     for x0 in (np.nan, -np.inf):
         with pytest.raises(ss.ConfigError, match="x0 must be finite"):
             ss.make_gaussian_packet(x0, 8.0, 1.0, barrier=bar)
+    # a non-finite sigma or k0 is named, not refused later as a k-grid fault
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ss.ConfigError, match="sigma must be positive and finite"):
+            ss.make_gaussian_packet(-1e9, sigma, 1.0)
+    for k0 in (np.inf, np.nan):
+        with pytest.raises(ss.ConfigError, match="k0 must be positive and finite"):
+            ss.make_gaussian_packet(-40.0, 8.0, k0)
 
 
 def test_boundary_equalities_accepted():
@@ -164,6 +171,12 @@ def test_snapshot_grid_checks(canonical_packet, canonical_barrier):
             canonical_packet, canonical_barrier, 0.0,
             xs=np.linspace(-42.0, -38.0, 81),
         )
+
+
+@pytest.mark.parametrize("dx", [0.0, -0.02, np.inf, np.nan])
+def test_snapshot_refuses_a_bad_dx(canonical_packet, canonical_barrier, dx):
+    with pytest.raises(ss.DomainError, match="dx must be positive and finite"):
+        ss.snapshot(canonical_packet, canonical_barrier, 0.0, dx=dx)
 
 
 def test_synthesize_component_names(canonical_packet, canonical_barrier):
