@@ -42,6 +42,8 @@ from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
 from .times import build_time_report, dwell_tables, route_b
 from .wavepacket import (
+    auto_grid,
+    check_alias,
     make_gaussian_packet,
     norms_and_overlap,
     snapshot,
@@ -532,12 +534,14 @@ def cmd_evolve(cfg: RunConfig) -> None:
     if not dx > 0:
         raise ConfigError(f"key 'dx' in [run] must be positive, got {dx!r}")
 
-    # the oracle's grid first: a span beyond its step budget is refused at once
-    start = _oracle_start(cfg, packet, ts) if cfg.oracle else None
+    # the oracle's grid and steps first: a span beyond its step budget is
+    # refused at once
+    plan = _oracle_plan(cfg, packet, ts) if cfg.oracle else None
+    fam = solve_family(cfg.barrier, packet.ks)
     scalars = []
     strict = cfg.tolerance_profile == "strict"
     for i, t in enumerate(ts):
-        snap = snapshot(packet, cfg.barrier, t, dx=dx)
+        snap = snapshot(packet, cfg.barrier, t, dx=dx, fam=fam)
         norms_and_overlap(snap, strict=strict)
         _write_csv(
             cfg.out_dir / f"evolve_{i:03d}.csv", cfg,
@@ -566,37 +570,49 @@ def cmd_evolve(cfg: RunConfig) -> None:
     payload["alias_period"] = 2 * np.pi / packet.dk  # no auto grid spans it
     payload["packet_warnings"] = list(packet.warnings)
     if cfg.oracle:
-        payload["oracle"] = _evolve_oracle(cfg, packet, ts[0], start)
+        payload["oracle"] = _evolve_oracle(cfg, packet, fam, ts[0], plan)
     _write_json(cfg.out_dir / "evolve.json", payload)
 
 
-def _oracle_start(cfg, packet, ts):
-    """(grid, psi0, nsteps) of the time-domain cross-check from ts[0] to
-    ts[-1], or None with fewer than two distinct times."""
-    from .oracle import CROSS_CHECK_DX, cross_check_start
+def _oracle_plan(cfg, packet, ts):
+    """(grid, nsteps, time_error) of the time-domain cross-check from ts[0]
+    to ts[-1], or None with fewer than two distinct times.
+
+    The grid is the hull of the snapshot grids of both times at
+    CROSS_CHECK_DX, which put x_c on a node alike; for ts[0] >= 0 it is the
+    grid of ts[-1].
+    """
+    from .oracle import CROSS_CHECK_DX, cross_check_plan
 
     if ts[-1] <= ts[0]:
         return None
-    s0 = snapshot(packet, cfg.barrier, ts[0], dx=CROSS_CHECK_DX)
-    return cross_check_start(s0.x_grid, s0.psi_full, float(packet.ks[-1]), ts[-1] - ts[0])
+    dx, x_c = CROSS_CHECK_DX, cfg.barrier.x_c
+    ends = np.array([auto_grid(packet, cfg.barrier, t, dx=dx)[[0, -1]] for t in (ts[0], ts[-1])])
+    m = np.round((ends - x_c) / dx).astype(int)
+    xs = x_c + dx * np.arange(m[:, 0].min(), m[:, 1].max() + 1)
+    plan = cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0])
+    check_alias(packet, xs, ts[-1])
+    return plan
 
 
-def _evolve_oracle(cfg, packet, t0, start) -> dict:
+def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
     from .oracle import crank_nicolson_evolve
 
-    if start is None:
+    if plan is None:
         return {"skipped": "need at least two distinct times"}
-    grid, psi0, nsteps = start
-    psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, nsteps * grid.dt)
-    ref = snapshot(packet, cfg.barrier, t0 + nsteps * grid.dt, xs=grid.xs)
-    l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))
+    grid, nsteps, time_error = plan
+    span = nsteps * grid.dt
+    psi0, ref = (snapshot(packet, cfg.barrier, t, xs=grid.xs, fam=fam).psi_full
+                 for t in (t0, t0 + span))
+    psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, span)
+    l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * grid.dx))
     if cfg.tolerance_profile == "strict" and l2 > 1e-4:
         raise ToleranceError(
             f"time-domain cross-check exceeded 1e-4: l2_vs_synthesis = {l2:.3e} "
-            f"(dt = {grid.dt}, dx = {grid.dx:.6g})"
+            f"(dt = {grid.dt:.6g}, {nsteps} steps, dx = {grid.dx:.6g})"
         )
-    return {"l2_vs_synthesis": l2, "dt": grid.dt, "dx": grid.dx,
-            "steps": nsteps}
+    return {"l2_vs_synthesis": l2, "dt": grid.dt, "dx": grid.dx, "steps": nsteps,
+            "time_error_estimate": time_error, "x_min": grid.x_min, "n": grid.n}
 
 
 def cmd_times(cfg: RunConfig) -> None:

@@ -19,15 +19,15 @@ arrays over k and only the last six rows kept.
 Crank-Nicolson steps the time-dependent equation on a uniform grid with
 reflecting ends, in space with the compact fourth-order (Numerov) Laplacian,
 which keeps both sides of the step tridiagonal (Moyer, Am. J. Phys. 72, 351
-(2004)), and in time with the diagonal Pade (2,2) approximant of
-exp(-i H dt), fourth order and unitary.  It factors into two Crank-Nicolson
+(2004)), and in time with the diagonal Pade (3,3) approximant of
+exp(-i H dt), sixth order and unitary.  It factors into three Crank-Nicolson
 steps with complex time steps (van Dijk and Toyama, Phys. Rev. E 75, 036707
 (2007)); each one's right-hand side is M psi with the Numerov mass matrix M, so
-a step is two LAPACK tridiagonal solves, each followed by an axpy.  Numerov's
-dispersion error k^6 dx^4 / 480 over the Pade time error k^10 dt^4 / 23040
-(both per unit time) is 48 (dx/dt)^4 / k^4; on the cross-check grid
-(dx = 0.02, dt = 0.04) that is 3 / k^4, so the two balance near k = 1.3 and
-the time error dominates above it.  A potential jump sampled at the nodes
+a step is three LAPACK tridiagonal solves, each followed by an axpy.  The
+step's phase error is E^7 dt^7 / 100800 at energy E, whatever the potential,
+so the cross-check takes dt from the packet's spectrum: the largest whole
+fraction of the span whose summed error, weighted by |G|^2, stays within a
+fixed budget (`cross_check_plan`).  A potential jump sampled at the nodes
 would cap the order at one (two where it sits midway between nodes), so the
 four nodes around each jump take moment-matched potential shifts, which keep
 the Hamiltonian real symmetric and the step unitary.  SciPy, which provides
@@ -90,16 +90,16 @@ def _march(rows, n, f, h, nsteps):
     """March the 3-term recurrence nsteps further (constant f), leftward.
 
     rows is the ring of the last _RING rows over k, with rows[n % _RING] the
-    newest; f is per k.  Returns the index of the new newest row.
+    newest; f is per k.  Numerov's w psi_n+1 = c psi_n - w psi_n-1 has the
+    same w on both sides within a region, so a step is psi_n+1 = (c / w)
+    psi_n - psi_n-1.  Returns the index of the new newest row.
     """
     w = 1 + h * h * f / 12
-    c = 2 * (1 - 5 * h * h * f / 12)
-    inv_w = 1 / w
+    c_w = 2 * (1 - 5 * h * h * f / 12) / w
     for _ in range(nsteps):
         new = rows[(n + 1) % _RING]
-        np.multiply(c, rows[n % _RING], out=new)
-        new -= w * rows[(n - 1) % _RING]
-        new *= inv_w
+        np.multiply(c_w, rows[n % _RING], out=new)
+        new -= rows[(n - 1) % _RING]
         n += 1
     return n
 
@@ -199,9 +199,14 @@ _NORM_DRIFT_PER_STEP = 1e-12
 
 _CHECK_INTERVAL = 0.8  # time between boundary and norm checks
 
-# i / z_j at the roots z_j = 3 -+ i sqrt(3) of the Pade (2,2) denominator
-# 1 - z/2 + z^2/12: factor j's time step is dt times this
-_PADE_STEPS = tuple(1j / complex(3.0, s * math.sqrt(3.0)) for s in (-1, 1))
+# The roots of the Pade (3,3) denominator 1 - z/2 + z^2/10 - z^3/120.  With
+# z = 4 + y it reads y^3 + 12 y - 8 = 0, so (Cardano) the real root is
+# 4 + y_1, y_1 = cbrt(4 sqrt(5) + 4) - cbrt(4 sqrt(5) - 4), and the pair is
+# 4 - y_1 / 2 -+ i sqrt(3 y_1^2 + 48) / 2.
+_PADE_ROOTS = (4.644370709252171, complex(3.6778146453739144, -3.5087619195674433),
+               complex(3.6778146453739144, 3.5087619195674433))
+# factor j's time step is dt times i / z_j
+_PADE_STEPS = tuple(1j / z for z in _PADE_ROOTS)
 
 
 def _lapack():
@@ -215,20 +220,21 @@ def _lapack():
 
 
 class CrankNicolson:
-    """Fourth-order (Pade (2,2)) propagator with a compact (Numerov)
+    """Sixth-order (Pade (3,3)) propagator with a compact (Numerov)
     Laplacian on a fixed grid with reflecting ends.
 
     With M = tridiag(1, 10, 1) / 12 and L = tridiag(1, -2, 1) / dx^2 the
     Hamiltonian is H = -M^-1 L / 2 + V, real symmetric because M and L
-    commute.  The step is R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) at
-    z = -i dt H, unitary because the two roots z_j = 3 +- i sqrt(3) of the
-    denominator are conjugate.  It factors as the product over j of
-    (1 + z/z_j) / (1 - z/z_j) = 2 (M + c_j K)^-1 M - 1, with K = -L/2 + M V
-    and c_j = i dt / z_j; the single root z = 2 (c = i dt / 2) would be the
-    implicit midpoint rule.  LAPACK's zgttrf factors both M + c_j K once, and
-    each factor of a step is one zgttrs solve of (M + c_j K) y = M psi
-    followed by 2y - psi.  M + c_j K is not symmetric: its lower entry in row
-    j + 1 carries V_j / 12 and its upper entry in row j carries V_{j+1} / 12.
+    commute.  The step is R(z) = D(-z) / D(z) at z = -i dt H, with
+    D(z) = 1 - z/2 + z^2/10 - z^3/120, unitary because D's roots z_j (one
+    real, one conjugate pair) are closed under conjugation.  It factors as
+    the product over j of (1 + z/z_j) / (1 - z/z_j) = 2 (M + c_j K)^-1 M - 1,
+    with K = -L/2 + M V and c_j = i dt / z_j; the single root z = 2
+    (c = i dt / 2) would be the implicit midpoint rule.  LAPACK's zgttrf
+    factors the three M + c_j K once, and each factor of a step is one
+    zgttrs solve of (M + c_j K) y = M psi followed by 2y - psi.  M + c_j K is
+    not symmetric: its lower entry in row j + 1 carries V_j / 12 and its
+    upper entry in row j carries V_{j+1} / 12.
 
     V is the potential at the nodes plus the shifts of `_jump_shifts` around
     each jump; the shifts of neighbouring jumps add.
@@ -341,39 +347,42 @@ def _grid_norm(psi, dx):
     return float(np.sum(np.abs(psi) ** 2 * w) * dx)
 
 
-# The time-domain cross-check's grid: at dx = dt / 2 the Numerov dispersion
-# error is 48 (dx/dt)^4 / k^4 = 3 / k^4 of the Pade time error
+# The time-domain cross-check's grid step
 CROSS_CHECK_DX = 0.02
-CROSS_CHECK_DT = 0.04
-# Most node solves (grid nodes x steps x 2 solves per step) one cross-check
-# may take: about 380 times a 10.6k-node, 25-step run, some 6 s at 30 ns each
+# Most node solves (grid nodes x steps x 3 solves per step) one cross-check
+# may take: about 2900 times a 7.5k-node, 3-step run, some 6 s at 30 ns each
 CROSS_CHECK_BUDGET = 2e8
+# The Pade step's own share of the cross-check's l2, 400 times under its
+# 1e-4 gate
+_TIME_ERROR = 2.5e-7
 
 
-def cross_check_start(xs, psi, k_hi: float, span: float):
-    """(grid, psi0, nsteps) for a Crank-Nicolson run over `span` from the field
-    psi sampled on xs, a uniform grid of step CROSS_CHECK_DX.
+def cross_check_plan(xs, ks, weights, span: float):
+    """(grid, nsteps, time_error) for a Crank-Nicolson run over `span` on xs,
+    a uniform grid, of a field with spectral weight `weights` (|G|^2 dk, sum
+    1) on the wavenumbers ks.
 
-    The grid widens xs by k_hi * span + 30 on each side, so nothing the
-    fastest component k_hi carries reaches the hard walls, and psi0 is psi
-    padded with zeros; nsteps is span in whole steps of CROSS_CHECK_DT (at
-    least one).  GridRefinementError, before anything is allocated, when
-    nodes x steps x 2 solves exceeds CROSS_CHECK_BUDGET.
+    Each step puts a phase error E^7 dt^7 / 100800 on the energy E = k^2 / 2
+    (the Pade (3,3) remainder (3!)^2 / (6! 7!) z^7), so over the span the
+    field is off by about time_error = span dt^6 sqrt(sum weights E^14) /
+    100800 in l2, whatever the potential.  nsteps is the least whole number (at least one) whose step
+    dt = span / nsteps keeps that within _TIME_ERROR.  GridRefinementError,
+    before anything is allocated, when nodes x steps x 3 solves exceeds
+    CROSS_CHECK_BUDGET.
     """
-    dx = float(xs[1] - xs[0])
-    n_pad = int((k_hi * span + 30.0) / dx) + 1
-    n = len(xs) + 2 * n_pad
-    nsteps = max(1, round(span / CROSS_CHECK_DT))
-    if n * nsteps * 2 > CROSS_CHECK_BUDGET:
+    n = len(xs)
+    E = 0.5 * np.asarray(ks, dtype=float) ** 2
+    rate = span * math.sqrt(float(np.sum(weights * E**14))) / 100800
+    nsteps = max(1, math.ceil(span * (rate / _TIME_ERROR) ** (1 / 6)))
+    solves = n * nsteps * len(_PADE_STEPS)
+    if solves > CROSS_CHECK_BUDGET:
         raise GridRefinementError(
             f"the time-domain cross-check over {span:.6g} needs {n} nodes x {nsteps} steps "
-            f"x 2 solves = {n * nsteps * 2:.3g}, beyond the budget of "
+            f"x {len(_PADE_STEPS)} solves = {solves:.3g}, beyond the budget of "
             f"{CROSS_CHECK_BUDGET:.3g}; shorten the span between the first and last times")
-    lo = float(xs[0]) - n_pad * dx
-    grid = GridSpec(x_min=lo, x_max=lo + (n - 1) * dx, n=n, dt=CROSS_CHECK_DT)
-    psi0 = np.zeros(n, dtype=complex)
-    psi0[n_pad:n_pad + len(xs)] = psi
-    return grid, psi0, nsteps
+    dt = span / nsteps
+    grid = GridSpec(x_min=float(xs[0]), x_max=float(xs[-1]), n=n, dt=dt)
+    return grid, nsteps, rate * dt**6
 
 
 def crank_nicolson_evolve(

@@ -354,21 +354,18 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
-             xs=None, dx: float = 0.02) -> PacketSnapshot:
+             xs=None, dx: float = 0.02, fam: SolutionFamily | None = None) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
     With xs=None the grid is `auto_grid`'s, refused (GridRefinementError)
     when it spans the k grid's alias period 2 pi / dk or more.  Either grid
     must bring the end densities below 1e-10, or WindowError is raised.
+    fam is the packet's family over barrier, solved here when not given.
     """
-    fam = solve_family(barrier, packet.ks)
+    if fam is None:
+        fam = solve_family(barrier, packet.ks)
     if xs is None:
-        xs = auto_grid(packet, barrier, t, dx=dx)
-        span, period = xs[-1] - xs[0], _TWO_PI / packet.dk  # fields repeat with period
-        if span >= period:
-            raise _refine(packet, span / period,
-                          f"the snapshot grid at t={t} spans {span:.4g}, at least "
-                          f"the k grid's alias period 2 pi/dk = {period:.4g}")
+        xs = check_alias(packet, auto_grid(packet, barrier, t, dx=dx), t)
     xs = _uniform_grid(xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
@@ -378,6 +375,17 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
         raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates the "
                           f"support at t={t}: end density {edge:.2e}")
     return snap
+
+
+def check_alias(packet: SpectralPacket, xs, t: float):
+    """xs, refused (GridRefinementError, naming the n_k needed) when it spans
+    the k grid's alias period 2 pi / dk or more: the fields repeat with it."""
+    span, period = xs[-1] - xs[0], _TWO_PI / packet.dk
+    if span >= period:
+        raise _refine(packet, span / period,
+                      f"the snapshot grid at t={t} spans {span:.4g}, at least "
+                      f"the k grid's alias period 2 pi/dk = {period:.4g}")
+    return xs
 
 
 def _snapshot_on(xs, fam, w, t):

@@ -79,7 +79,9 @@ def rect_interior(L, V0, k, a=0.0):
     """Interior representation of the full state: (c1, c2, kappa_or_q, kind).
 
     kind "evan": psi(x) = c1 e^{kappa (x-a)} + c2 e^{-kappa (x-a)};
-    kind "osc":  psi(x) = c1 e^{i q (x-a)} + c2 e^{-i q (x-a)}.
+    kind "osc":  psi(x) = c1 e^{i q (x-a)} + c2 e^{-i q (x-a)};
+    kind "lin":  psi(x) = c1 + c2 (x-a), at E = V (where `_rect_amps_mp`
+    takes its linear interior too).
     """
     kk = mp.mpf(k)
     V = mp.mpf(V0)
@@ -87,6 +89,8 @@ def rect_interior(L, V0, k, a=0.0):
     sh = mp.e ** (1j * kk * mp.mpf(a))
     p0 = sh + mp.mpc(A_R) / sh            # psi(a)
     dp0 = 1j * kk * (sh - mp.mpc(A_R) / sh)
+    if abs(kk**2 / 2 - V) < mp.mpf("1e-30"):
+        return p0, dp0, mp.mpf(0), "lin"
     if kk**2 / 2 < V:
         kap = mp.sqrt(2 * V - kk**2)
         c1 = (p0 + dp0 / kap) / 2
@@ -108,6 +112,8 @@ def rect_full_value(L, V0, k, x, a=0.0):
     if x >= a + L:
         return complex(mp.mpc(A_T) * mp.e ** (1j * kk * xm))
     c1, c2, w, kind = rect_interior(L, V0, k, a)
+    if kind == "lin":
+        return complex(c1 + c2 * (xm - a))
     if kind == "evan":
         return complex(c1 * mp.e ** (w * (xm - a)) + c2 * mp.e ** (-w * (xm - a)))
     return complex(c1 * mp.e ** (1j * w * (xm - a)) + c2 * mp.e ** (-1j * w * (xm - a)))

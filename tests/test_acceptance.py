@@ -18,6 +18,7 @@ import pytest
 
 import scatsplit as ss
 from scatsplit import oracle as orc
+from scatsplit.wavepacket import auto_grid
 from analytic import branch_sweep, ladder_clock
 from conftest import random_symmetric_barrier
 
@@ -213,8 +214,9 @@ def test_criterion_8_oracle_equivalence():
     # time-domain: spectral synthesis vs Crank-Nicolson on the same grid
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
-    s0 = ss.snapshot(pk, bar, 0.0, dx=orc.CROSS_CHECK_DX)
-    grid, psi0, steps = orc.cross_check_start(s0.x_grid, s0.psi_full, float(pk.ks[-1]), 4.0)
+    xs = auto_grid(pk, bar, 4.0, dx=orc.CROSS_CHECK_DX)
+    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 4.0)
+    psi0 = ss.snapshot(pk, bar, 0.0, xs=grid.xs).psi_full
     psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
     ref = ss.snapshot(pk, bar, steps * grid.dt, xs=grid.xs)
     l2 = math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))

@@ -170,7 +170,40 @@ def test_evolve_oracle_agrees(tmp_path):
                 + "[run]\ntimes = 0.0 4.0\ndx = 0.05\n")
     assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 0
     meta = json.loads((tmp_path / "evolve.json").read_text())
-    assert meta["oracle"]["l2_vs_synthesis"] < 1e-4
+    orc = meta["oracle"]
+    assert orc["l2_vs_synthesis"] < 1e-4
+    # the run's grid is the t = 4 snapshot grid at dx = 0.02, and its steps
+    # cover the span with the step error within the oracle's budget
+    from scatsplit import oracle
+    from scatsplit.wavepacket import auto_grid
+
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    xs = auto_grid(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192), bar, 4.0,
+                   dx=oracle.CROSS_CHECK_DX)
+    assert (orc["x_min"], orc["n"]) == (xs[0], len(xs))
+    assert orc["dx"] == pytest.approx(0.02, rel=1e-12)
+    assert orc["steps"] * orc["dt"] == pytest.approx(4.0, rel=1e-15)
+    assert 0 < orc["time_error_estimate"] <= oracle._TIME_ERROR
+
+
+def test_evolve_oracle_runs_on_the_hull_of_both_snapshot_grids(tmp_path):
+    # from t = -8 to 2 the earlier snapshot grid reaches further on both
+    # sides (the packet spreads more); the oracle runs on the hull of the two
+    # at dx = 0.02
+    from scatsplit import oracle
+    from scatsplit.wavepacket import auto_grid
+
+    ini = write(tmp_path, "run.ini",
+                CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
+                + "[run]\ntimes = -8.0 2.0\ndx = 0.05\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 0
+    orc = json.loads((tmp_path / "evolve.json").read_text())["oracle"]
+    assert orc["l2_vs_synthesis"] < 1e-5
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
+    grids = [auto_grid(pk, bar, t, dx=oracle.CROSS_CHECK_DX) for t in (-8.0, 2.0)]
+    lo, hi = min(g[0] for g in grids), max(g[-1] for g in grids)
+    assert orc["x_min"] == lo and orc["n"] == round((hi - lo) / oracle.CROSS_CHECK_DX) + 1
 
 
 def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
@@ -191,15 +224,15 @@ def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
     assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle",
                  "--tolerance-profile", "strict"]) == 3
     err = capsys.readouterr().err
-    assert "l2_vs_synthesis" in err and "dt = 0.04" in err and "dx = 0.02" in err
+    assert "l2_vs_synthesis" in err and "dt = 0.5, 2 steps" in err and "dx = 0.02" in err
 
 
 def test_evolve_oracle_beyond_its_step_budget_refuses_at_once(tmp_path, capsys):
-    # 1.8e6 nodes x 250000 steps: refused by name before any snapshot is written
+    # 2.6e6 nodes x 46990 steps: refused by name before any snapshot is written
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\ntimes = 0 1e4\ndx = 0.05\n")
     assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 3
     err = capsys.readouterr().err
-    assert "nodes x 250000 steps x 2 solves" in err and "budget of 2e+08" in err
+    assert "nodes x 46990 steps x 3 solves" in err and "budget of 2e+08" in err
     assert not list(tmp_path.glob("evolve_*.csv"))
 
 

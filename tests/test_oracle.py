@@ -11,6 +11,7 @@ import pytest
 
 import scatsplit as ss
 from scatsplit import oracle as orc
+from scatsplit.wavepacket import auto_grid
 from analytic import free_gaussian, rect_amplitudes, transfer_amplitudes
 
 
@@ -154,52 +155,88 @@ def test_cn_input_checks():
 
 
 def test_cn_step_matches_dense_solve():
-    # the Pade (2,2) step as two dense factors (M + c_j K)^-1 (M - c_j K),
-    # c_j = i dt / z_j at z_j = 3 -+ i sqrt(3), with K = -L/2 + M V, the
-    # Numerov mass matrix M = tridiag(1, 10, 1) / 12, the 3-point L and hard
-    # walls, and as R22 = (I - Z/2 + Z^2/12)^-1 (I + Z/2 + Z^2/12) at
-    # Z = -i dt M^-1 K; every node is at least 1e-3 from a jump, and the four
-    # nodes around each jump carry its shifts
+    # the Pade (3,3) step as three dense factors (M + c_j K)^-1 (M - c_j K),
+    # c_j = i dt / z_j at the roots z_j of D(z) = 1 - z/2 + z^2/10 - z^3/120
+    # (found here by numpy), with K = -L/2 + M V, the Numerov mass matrix
+    # M = tridiag(1, 10, 1) / 12, the 3-point L and hard walls, and as
+    # R33 = D(Z)^-1 D(-Z) at Z = -i dt M^-1 K, at a small dt and at one the
+    # cross-check takes; every node is at least 1e-3 from a jump, and the
+    # four nodes around each jump carry its shifts
     bar = ss.make_symmetric(0.0, [(0.33, 2.0), (0.41, -1.0)])
-    grid = orc.GridSpec(-2.03, 3.0, 41, 0.01)
-    xs, dx, dt = grid.xs, grid.dx, grid.dt
-    assert np.min(np.abs(np.subtract.outer(xs, bar.edges))) > 1e-3
-    V = ss.potential_at(bar, xs)
-    for xe, vm, vp in zip(bar.edges, np.r_[0.0, bar.heights], np.r_[bar.heights, 0.0]):
-        j = int(np.searchsorted(xs, xe)) - 1
-        V[j - 1:j + 3] += orc._jump_shifts((xe - xs[j]) / dx, vm, vp, dx)
-    ones = np.ones(40)
-    M = (10 * np.eye(41) + np.diag(ones, 1) + np.diag(ones, -1)) / 12
-    L = (np.diag(ones, 1) + np.diag(ones, -1) - 2 * np.eye(41)) / dx**2
-    K = -L / 2 + M @ np.diag(V)
+    roots = np.roots([-1 / 120, 1 / 10, -1 / 2, 1])
+    assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(np.array(orc._PADE_ROOTS)))) < 1e-14
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-    got = orc.CrankNicolson(bar, grid).step(psi0)
-    want = psi0
-    for z in (3 - 1j * math.sqrt(3), 3 + 1j * math.sqrt(3)):
-        c = 1j * dt / z
-        want = np.linalg.solve(M + c * K, (M - c * K) @ want)
-    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-    Z = -1j * dt * np.linalg.solve(M, K)
-    I = np.eye(41)
-    r22 = np.linalg.solve(I - Z / 2 + Z @ Z / 12, (I + Z / 2 + Z @ Z / 12) @ psi0)
-    assert np.max(np.abs(got - r22)) < 1e-13 * np.max(np.abs(r22))
+    for dt in (0.01, 0.3):
+        grid = orc.GridSpec(-2.03, 3.0, 41, dt)
+        xs, dx = grid.xs, grid.dx
+        assert np.min(np.abs(np.subtract.outer(xs, bar.edges))) > 1e-3
+        V = ss.potential_at(bar, xs)
+        for xe, vm, vp in zip(bar.edges, np.r_[0.0, bar.heights], np.r_[bar.heights, 0.0]):
+            j = int(np.searchsorted(xs, xe)) - 1
+            V[j - 1:j + 3] += orc._jump_shifts((xe - xs[j]) / dx, vm, vp, dx)
+        ones = np.ones(40)
+        M = (10 * np.eye(41) + np.diag(ones, 1) + np.diag(ones, -1)) / 12
+        L = (np.diag(ones, 1) + np.diag(ones, -1) - 2 * np.eye(41)) / dx**2
+        K = -L / 2 + M @ np.diag(V)
+        got = orc.CrankNicolson(bar, grid).step(psi0)
+        want = psi0
+        for z in roots:
+            c = 1j * dt / z
+            want = np.linalg.solve(M + c * K, (M - c * K) @ want)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        Z = -1j * dt * np.linalg.solve(M, K)
+        I = np.eye(41)
+        Z2 = Z @ Z
+        D = I - Z / 2 + Z2 / 10 - Z2 @ Z / 120
+        r33 = np.linalg.solve(D, (I + Z / 2 + Z2 / 10 + Z2 @ Z / 120) @ psi0)
+        assert np.max(np.abs(got - r33)) < 1e-13 * np.max(np.abs(r33))
+        assert abs(np.linalg.norm(got) - np.linalg.norm(psi0)) < 1e-13 * np.linalg.norm(psi0)
 
 
 def test_cn_time_order():
     # a free Gaussian on a fine grid (dx = 0.005), so the time error
-    # dominates: the Pade step's error against the exact packet falls about
-    # 16x per halving of dt (the midpoint rule's would fall 4x)
+    # dominates: the Pade (3,3) step's error against the exact packet falls
+    # about 64x per halving of dt (measured 62x; the Pade (2,2) step's would
+    # fall 16x, the midpoint rule's 4x)
     free = ss.make_rectangular(0.0, 1.0, 0.0)
     xs = np.linspace(-30.0, 30.0, 12001)
     psi0 = np.array([free_gaussian(x, 0.0, -4.0, 4.0, 2.0) for x in xs])
     ref = np.array([free_gaussian(x, 4.0, -4.0, 4.0, 2.0) for x in xs])
     errors = []
-    for dt in (0.08, 0.04, 0.02):
+    for dt in (0.4, 0.2, 0.1):
         grid = orc.GridSpec(-30.0, 30.0, 12001, dt)
         out = orc.crank_nicolson_evolve(free, grid, psi0, 4.0)
         errors.append(math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx)))
-    assert errors[0] > 14 * errors[1] > 196 * errors[2]
+    assert errors[0] > 48 * errors[1] > 48**2 * errors[2]
+
+
+@pytest.mark.parametrize("x0, sigma, k0, span", [
+    (-4.0, 4.0, 2.0, 4.0),
+    (-40.0, 2.5, 2.2, 6.0),
+    (-40.0, 8.0, 1.0, 4.0),
+])
+def test_cross_check_steps_keep_a_free_gaussian_within_budget(x0, sigma, k0, span):
+    # a free Gaussian on a fine grid (dx = 0.005, so the step's error
+    # dominates) over the steps cross_check_plan takes from the packet's
+    # spectrum: its l2 against the exact packet stays within twice the
+    # budget, and the plan's estimate of it within 10 % (measured 1.5 %)
+    free = ss.make_rectangular(0.0, 1.0, 0.0)
+    pk = ss.make_gaussian_packet(x0, sigma, k0, n=512)
+    k_hi = float(pk.ks[-1])
+    lo = x0 - 8 * sigma - 5
+    hi = x0 + k_hi * span + 8 * sigma * math.hypot(1.0, span / sigma**2) + 5
+    xs = np.linspace(lo, hi, round((hi - lo) / 0.005) + 1)
+    grid, nsteps, estimate = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, span)
+    assert grid.dt == pytest.approx(span / nsteps, rel=1e-15) and grid.n == len(xs)
+    psi0 = np.array([free_gaussian(x, 0.0, x0, sigma, k0) for x in grid.xs])
+    ref = np.array([free_gaussian(x, span, x0, sigma, k0) for x in grid.xs])
+    out = orc.crank_nicolson_evolve(free, grid, psi0, span)
+    l2 = math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx))
+    assert l2 < 2 * orc._TIME_ERROR
+    assert estimate <= orc._TIME_ERROR and abs(l2 / estimate - 1) < 0.1
+    # one step fewer would have been over the budget
+    assert estimate * (nsteps / (nsteps - 1)) ** 6 > orc._TIME_ERROR or nsteps == 1
 
 
 def test_cn_watches_the_walls_between_checks_of_the_last_step():
@@ -207,7 +244,7 @@ def test_cn_watches_the_walls_between_checks_of_the_last_step():
     # clear of both walls by the last step (t = 8), so only a check made in
     # between sees it touch the edge
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    grid = orc.GridSpec(-60.0, 0.0, 3001, orc.CROSS_CHECK_DT)
+    grid = orc.GridSpec(-60.0, 0.0, 3001, 0.04)
     psi0 = np.array([free_gaussian(x, 0.0, -10.0, 2.0, 5.0) for x in grid.xs])
     cn = orc.CrankNicolson(free, grid)
     nsteps = round(8.0 / grid.dt)
@@ -220,12 +257,12 @@ def test_cn_watches_the_walls_between_checks_of_the_last_step():
 
 
 def test_cn_spatial_order_at_fixed_dt():
-    # a packet crossing x = 0 at the cross-check dt, each grid against the
+    # a packet crossing x = 0 at dt = 0.04, each grid against the
     # same scheme at dx = 0.005: with no jump the compact Laplacian's
     # error falls 16x per halving of dx; the jumps, off the nodes at every dx
     # here, stay bounded at the cross-check dx
     def run(bar, dx):
-        grid = orc.GridSpec(-30.0, 20.0, round(50.0 / dx) + 1, orc.CROSS_CHECK_DT)
+        grid = orc.GridSpec(-30.0, 20.0, round(50.0 / dx) + 1, 0.04)
         psi0 = np.exp(-(grid.xs + 12.0) ** 2 / 16 + 2j * grid.xs) / (8 * math.pi) ** 0.25
         return orc.crank_nicolson_evolve(bar, grid, psi0, 6.0)
 
@@ -248,11 +285,29 @@ def test_cross_check_grid_resolves_jumps_off_nodes():
     # step as it is, 3.5e-3 for the 3-point Laplacian at dx = 0.004)
     bar = ss.make_symmetric(-0.5, [(0.4137, 3.0), (0.3311, 1.0)])
     pk = ss.make_gaussian_packet(bar.a - 25.0, 5.0, 1.2, barrier=bar, n=256)
-    s0 = ss.snapshot(pk, bar, 14.0, dx=orc.CROSS_CHECK_DX)
-    grid, psi0, steps = orc.cross_check_start(s0.x_grid, s0.psi_full, float(pk.ks[-1]), 8.0)
+    xs = auto_grid(pk, bar, 22.0, dx=orc.CROSS_CHECK_DX)
+    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 8.0)
+    psi0 = ss.snapshot(pk, bar, 14.0, xs=grid.xs).psi_full
     psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
     ref = ss.snapshot(pk, bar, 14.0 + steps * grid.dt, xs=grid.xs)
     assert math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx)) < 2e-5
+
+
+def test_cross_check_fields_leave_no_subnormal():
+    # the cross-check starts from the synthesized field on its whole grid,
+    # so no zero pad feeds the solves tiny values that underflow: no entry
+    # of the start or end field is subnormal (a pad of them slowed a solve
+    # about 8x per node), and the start field's smallest modulus is normal
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
+    xs = auto_grid(pk, bar, 40.0, dx=orc.CROSS_CHECK_DX)
+    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 40.0)
+    psi0 = ss.snapshot(pk, bar, 0.0, xs=grid.xs).psi_full
+    psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
+    assert np.abs(psi0).min() > 1e-100
+    for psi in (psi0, psi1):
+        parts = np.abs(np.concatenate([psi.real, psi.imag]))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 
 
 def test_cn_singular_factor_is_typed(monkeypatch):

@@ -108,13 +108,15 @@ def test_unitarity_guard_trips_on_nan():
 def test_unitarity_refusal_names_a_narrow_resonance():
     # within 1e-8 of a double-barrier resonance plain transfer matrices miss
     # unitarity by 3.6e-9 as well: the gate reads the sweep's conditioning,
-    # and the refusal names the resonance by its dwell time
+    # and the refusal names the resonance by its dwell time; the miss's
+    # mantissa is the rounding of an ill-conditioned sweep, so only its sign
+    # and exponent are pinned
     bar = ss.make_symmetric(0.0, [(0.8, 60.0), (1.0, 0.0)])
     k = 1.4390489260591632
     A_T, A_R = transfer_amplitudes(bar.edges, bar.heights, k)
     assert abs(abs(A_T) ** 2 + abs(A_R) ** 2 - 1.0) > 1e-9
     with pytest.raises(ss.ToleranceError, match=(
-            r"^unitarity violated by -2\.470e-09 at k=1\.4390489260591632: a narrow "
+            r"^unitarity violated by -\d\.\d{3}e-09 at k=1\.4390489260591632: a narrow "
             r"resonance there \(dwell time 3\.83e\+08\) leaves the transfer sweep "
             r"ill-conditioned")):
         ss.solve_family(bar, [1.0, k])
@@ -246,12 +248,12 @@ def test_shifted_amplitudes_match_per_channel_families():
 
 def test_shifted_amplitudes_refuse_a_channel_by_name():
     # the unshifted channel sits on the narrow resonance that solve_family
-    # refuses; the shifted one is off it
+    # refuses; the shifted one is off it (the miss's mantissa is rounding)
     bar = ss.make_symmetric(0.0, [(0.8, 60.0), (1.0, 0.0)])
     ks = [1.0, 1.4390489260591632]
     ss.stationary._shifted_amplitudes(bar, ks, [1e-3])
     with pytest.raises(ss.ToleranceError, match=(
-            r"^unitarity violated by -2\.470e-09 at k=1\.4390489260591632: a narrow")):
+            r"^unitarity violated by -\d\.\d{3}e-09 at k=1\.4390489260591632: a narrow")):
         ss.stationary._shifted_amplitudes(bar, ks, [1e-3, 0.0])
 
 
@@ -277,10 +279,11 @@ def test_unitarity_random_barriers(data):
     assert np.all(np.abs(fam.T + fam.R - 1.0) < 1e-10)
 
 
-@pytest.mark.parametrize("k", [1.0, 2.0 * (1 + 1e-12), 2.0 * (1 - 1e-9), 2.5])
+@pytest.mark.parametrize("k", [1.0, 2.0, 2.0 * (1 + 1e-12), 2.0 * (1 - 1e-9), 2.5])
 def test_basis_matches_closed_form_rectangle(k):
-    # the 50-digit closed-form state of rect 0..1, V0 = 2, under, at and over
-    # the top, to 1e-13 of its peak
+    # the 50-digit closed-form state of rect 0..1, V0 = 2, under, exactly at
+    # (E = V, the linear interior), next to and over the top, to 1e-13 of its
+    # peak
     fam = ss.solve_family(ss.make_rectangular(0.0, 1.0, 2.0), [k])
     xs = np.linspace(-0.5, 1.5, 41)
     want = np.array([rect_full_value(1.0, 2.0, k, x) for x in xs])
