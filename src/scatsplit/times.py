@@ -17,8 +17,9 @@ The dwell times, route B and the phase times read the closed-form kernel
 table is a strided slice of the packet family.  Route A stays numerical, on
 a Gauss-Legendre grid of its own, so it checks the kernel instead of sharing
 it.  One route-A pass serves both sub-processes: one grid, one sub-state
-basis, and one trapezoid pass at a step set by the packet's energy band, one
-phase table and one GEMM over the stacked rows per time block.
+basis over the stacked rows, and one time scan at the packet's band rate
+(`wavepacket._density_scan`, the scan `event_window` runs too) read as a
+trapezoid and a midpoint sum.
 
 The traversal phase time saturates with barrier length for opaque barriers
 while the transmission dwell time grows like the inverse tunneling
@@ -49,14 +50,12 @@ from .errors import (
 )
 from .potentials import BarrierSpec, make_rectangular, potential_at
 from .stationary import SolutionFamily, solve_family
-from .wavepacket import SpectralPacket, _density_scan, _event_spans, _trap_w
+from .wavepacket import SpectralPacket, _density_scan, _event_spans, _spectral_mean, _trap_w
 
 _R_DEFINED = 1e-12
 
 _ROUTE_A_TAIL = 1e-10
 _ROUTE_A_RTOL = 1e-6
-_BAND_OVERSAMPLE = 2.0  # route A's time step samples the band at twice its rate
-_SCAN_BLOCK = 128  # time nodes per route-A scan (even): bounds its phase table and GEMM
 _PIECE_NODES = 24
 _SUBPIECE_QL = 16.0  # route A's sub-pieces span at most 16 / |q| or 16 / kappa
 
@@ -145,8 +144,7 @@ def _spectral_coef_norm(packet, fam, component):
     1e-12, for "tr" when it underflows to 0 (an opaque barrier).
     """
     C = fam.T if component == "tr" else fam.R
-    scale = 2.0 ** np.frexp(C.max())[1]  # keeps a subnormal C's digits, exactly
-    C_bar = float(np.sum(packet.spectral_weight * (C / scale))) * scale
+    C_bar = _spectral_mean(packet, C)
     if component == "ref" and C_bar <= _R_DEFINED:
         raise UndefinedTimeError("reflected spectral norm vanishes")
     if not C_bar > 0:
@@ -166,17 +164,10 @@ def _routeA(packet, fam, components, window, xs, wx) -> tuple[dict, int]:
     over the window (t_lo, t_hi) of `_event_spans` (t_lo < 0 covers a
     precursor), on the grid (xs, wx) of `_piece_grid`.  One pass serves
     every component: the "tr" rows and the "ref" rows at or left of x_c are
-    stacked into one matrix, so each time block is one phase table and one
-    GEMM, with one weighted sum per component.
-
-    On the packet's k grid the density is a finite sum of exp(-i (E_k -
-    E_k') t), band-limited to Omega = (k_hi^2 - k_lo^2) / 2: the trapezoid
-    rule at a step h < 2 pi / Omega is exact up to the window's tails
-    (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).  h is 2 pi /
-    (_BAND_OVERSAMPLE Omega), shrunk to fit the window, and the density is
-    sampled at h / 2; the value is the mean of the trapezoid on the even
-    nodes and the midpoint sum on the odd ones.  Each component has its own
-    checks: WindowError unless both ends are below 1e-10 of its peak,
+    stacked into one matrix, scanned once (`_density_scan`) with one weighted
+    sum per component.  The value is the mean of the trapezoid on the scan's
+    even nodes and the midpoint sum on its odd ones.  Each component has its
+    own checks: WindowError unless both ends are below 1e-10 of its peak,
     ToleranceError unless its two sums agree to _ROUTE_A_RTOL.
     """
     C_bar = [_spectral_coef_norm(packet, fam, c)[0] for c in components]
@@ -188,19 +179,11 @@ def _routeA(packet, fam, components, window, xs, wx) -> tuple[dict, int]:
     for i, (start, n) in enumerate(zip(np.cumsum([0, *rows]), rows)):
         W[i, start:start + n] = wx[:n]
     t_lo, t_hi = window
-    omega = (packet.ks[-1] ** 2 - packet.ks[0] ** 2) / 2
-    n = math.ceil((t_hi - t_lo) * _BAND_OVERSAMPLE * omega / (2 * math.pi)) + 1
-    h, m = (t_hi - t_lo) / (n - 1), 2 * n - 1
-    # blocks of an even number of nodes keep each node's parity; the sums add
-    sums, peak = np.zeros((2, len(components))), np.zeros(len(components))
-    for j in range(0, m, _SCAN_BLOCK):
-        fs = _density_scan(M, packet, W, t_lo + j * h / 2, h / 2, min(_SCAN_BLOCK, m - j))
-        if j == 0:
-            first = fs[:, 0]
-        sums += fs[:, ::2].sum(axis=1), fs[:, 1::2].sum(axis=1)
-        peak = np.maximum(peak, fs.max(axis=1))
-    tail = np.maximum(first, fs[:, -1]) / peak
-    trap, mid = h * (sums[0] - (first + fs[:, -1]) / 2), h * sums[1]
+    dt, s = _density_scan(M, packet, W, t_lo, t_hi)
+    ends, h = s[:, [0, -1]], 2 * dt
+    tail = ends.max(axis=1) / s.max(axis=1)
+    trap = h * (s[:, ::2].sum(axis=1) - ends.sum(axis=1) / 2)
+    mid = h * s[:, 1::2].sum(axis=1)
     taus = {}
     for i, c in enumerate(components):
         if not tail[i] < _ROUTE_A_TAIL:
@@ -213,7 +196,7 @@ def _routeA(packet, fam, components, window, xs, wx) -> tuple[dict, int]:
                 f"route A's {c} trapezoid and midpoint sums at time step {h:.4g} "
                 f"disagree beyond rtol={_ROUTE_A_RTOL}: {trap[i]:.10g} vs {mid[i]:.10g}")
         taus[c] = I / C_bar[i]
-    return taus, m
+    return taus, s.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ Re<psi_tr|psi_ref> are constant/zero only up to a genuine transient of order
 a derivative kink at x_c that sources the overlap until the interior empties.
 Post-event the identities hold to ~1e-9.  Use event_window/quiet_times to
 sample in the regime where the sharp statements apply.  Each time scan takes
-its window once from the spectrum (`_event_spans`); a k grid that cannot
-resolve it, or whose alias period 2 pi/dk a snapshot grid spans, is refused
-by name with the n_k it needs.
+its window from the spectrum (`_event_spans`), its step from the energy band
+(`_density_scan`); a k grid that cannot resolve the window, or whose alias
+period 2 pi/dk a snapshot grid spans, is refused by name with the n_k it needs.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ _NEG_K_FRACTION = 1e-10
 
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
 _SIGNIFICANT = 1e-10   # a k counts in a time scan above this share of the peak
+_BAND_OVERSAMPLE = 2.0  # time scans sample the packet's energy band at twice its rate
+_SCAN_BLOCK = 128       # time nodes per GEMM of a scan at most: bounds its phase matrix
 
 # rows per chirp-z block (and per block of interior basis rows); each chirp-z
 # block is re-anchored at its first node to bound its rounding
@@ -224,25 +226,33 @@ def _weights(packet, t):
     return _coef(packet) * np.exp(-0.5j * (t * packet.ks**2))
 
 
-def _density_scan(M, packet, wx, t0, dt, n):
-    """sum_x wx |M @ w(t)|^2 at t = t0 + j dt, j = 0 .. n - 1: one GEMM of
-    the x-by-k basis M against the k-by-t phase matrix.  wx is a weight per
-    row of M, or one such vector per row of a matrix wx (one sum each).
+def _density_scan(M, packet, wx, t_lo, t_hi):
+    """(dt, s): s_j = sum_x wx |M @ w(t_j)|^2 at t_j = t_lo + j dt, j = 0 ..
+    m - 1, m odd and t_(m-1) = t_hi; wx weighs the rows of the x-by-k basis
+    M, or each row of a matrix wx does (one sum each).
 
-    With j = B p + q for B = ceil(sqrt(n)), exp(-i E t_j) is the block phase
-    exp(-i E (t0 + B p dt)) times the in-block phase exp(-i E q dt), so the
-    matrix is built from two tables of about sqrt(n) times each (the
-    weights folded into the block table) at one complex multiply per entry.
-    The tables are time-major, so the products run over contiguous k.
+    On the k grid the density is a finite sum of exp(-i (E_k - E_k') t),
+    band-limited to Omega = (k_hi^2 - k_lo^2) / 2, so the trapezoid rule at a
+    step h < 2 pi / Omega is exact up to the window's tails (Trefethen and
+    Weideman, SIAM Rev. 56, 385 (2014)).  h is 2 pi / (_BAND_OVERSAMPLE
+    Omega), shrunk to fit the window, and dt = h / 2: the even and the odd
+    nodes are each a grid of step h.  With j = B p + q, B = isqrt(_SCAN_BLOCK),
+    exp(-i E t_j) is a block phase at t_lo + B p dt (weights folded in) times
+    an in-block phase at q dt: one in-block table per scan, and per B block
+    phases one time-major phase matrix, at a complex multiply per entry, and
+    one GEMM.
     """
-    B = math.isqrt(n - 1) + 1
-    P = -(-n // B)
-    E = 0.5 * packet.ks**2
-    blk = np.exp(-1j * np.multiply.outer(t0 + B * dt * np.arange(P), E))
-    blk *= _coef(packet)
+    E, coef, B = 0.5 * packet.ks**2, _coef(packet), math.isqrt(_SCAN_BLOCK)
+    n = math.ceil((t_hi - t_lo) * _BAND_OVERSAMPLE * (E[-1] - E[0]) / _TWO_PI) + 1
+    m, dt = 2 * n - 1, (t_hi - t_lo) / (2 * n - 2)
     inb = np.exp(-1j * np.multiply.outer(dt * np.arange(B), E))
-    W = (blk[:, None, :] * inb[None, :, :]).reshape(P * B, len(E))
-    return (wx @ np.abs(M @ W.T) ** 2)[..., :n]
+    s = np.empty(np.shape(wx)[:-1] + (m,))
+    for j in range(0, m, B * B):
+        t = t_lo + dt * np.arange(j, min(j + B * B, m), B)
+        blk = np.exp(-1j * np.multiply.outer(t, E)) * coef
+        W = (blk[:, None, :] * inb[None, :, :]).reshape(-1, len(E))
+        s[..., j:j + B * B] = (wx @ np.abs(M @ W.T) ** 2)[..., :m - j]
+    return dt, s
 
 
 def _uniform_grid(xs) -> np.ndarray:
@@ -345,7 +355,7 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
     k_hi = float(packet.ks[-1])
     pad = 6.0 * sig_t + 5.0
-    x_lo = min(packet.x0, 2 * barrier.a - packet.x0 - k_hi * t) - pad
+    x_lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
     x_hi = max(barrier.b, packet.x0 + k_hi * t) + pad
     x_c = barrier.x_c
     n_lo = math.ceil((x_c - x_lo) / dx)
@@ -489,10 +499,11 @@ def _refine(packet, factor, why):
 def event_window(packet: SpectralPacket, barrier: BarrierSpec):
     """(t_quiet_until, t_quiet_from): times bracketing the barrier crossing.
 
-    Probes the full-state density on a line across the barrier at 600 times
-    on [0, t_hi] (`_event_spans`); quiet means below 1e-9 of the peak.  The
-    conservation identities for the masked sub-states hold to ~1e-9 inside
-    the returned quiet regions, versus O(1e-3) transients in between.
+    Probes the full-state density on a line across the barrier on the
+    band-rate grid of `_density_scan` over [0, t_hi] (`_event_spans`); quiet
+    means below 1e-9 of the peak.  The conservation identities for the
+    masked sub-states hold to ~1e-9 inside the returned quiet regions,
+    versus O(1e-3) transients in between.
     """
     fam = solve_family(barrier, packet.ks)
     t_hi = _event_spans(packet, fam)[1]
@@ -500,8 +511,7 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec):
     # can sit on nodes of trapped cavity modes and miss persistent density
     probe_x = np.unique(np.concatenate([np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33),
                                         barrier.edges]))
-    dt = t_hi / 599
-    s = _density_scan(fam.basis(probe_x), packet, np.ones(len(probe_x)), 0.0, dt, 600)
+    dt, s = _density_scan(fam.basis(probe_x), packet, np.ones(len(probe_x)), 0.0, t_hi)
     pk = int(np.argmax(s))
     quiet = s < 1e-9 * s[pk]
     if not s[-1] < 0.25e-9 * s[pk]:
@@ -525,4 +535,10 @@ def quiet_times(packet: SpectralPacket, barrier: BarrierSpec,
 
 def spectral_transmitted_norm(packet: SpectralPacket, barrier: BarrierSpec) -> float:
     """T from the spectrum: trapezoid of |G|^2 T(k) (the asymptotic value of T_t)."""
-    return float(np.sum(packet.spectral_weight * solve_family(barrier, packet.ks).T))
+    return _spectral_mean(packet, solve_family(barrier, packet.ks).T)
+
+
+def _spectral_mean(packet: SpectralPacket, C) -> float:
+    """Trapezoid of |G|^2 C(k), C scaled so that a subnormal C keeps its digits."""
+    scale = 2.0 ** np.frexp(C.max())[1]
+    return float(np.sum(packet.spectral_weight * (C / scale))) * scale

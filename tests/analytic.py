@@ -7,7 +7,8 @@ sweep is the float midpoint test for the reflection sub-state; the plain
 transfer matrices, the plane-wave sum and the adaptive and fine-grid integrals
 at the end are the references for the vectorized solver, the chirp-z field
 synthesis and the closed-form interior integrals; the Richardson stencil on
-the transfer matrices is the reference for the closed-form phase times.
+the transfer matrices is the reference for the closed-form phase times; the
+per-time GEMV is the reference for the time scans' two-table GEMM.
 """
 
 import cmath
@@ -401,3 +402,22 @@ def gauss_legendre_nodes(cuts, n_sub, n=24):
                            for lo, hi in zip(cuts[:-1], cuts[1:])] + [cuts[-1:]])
     mid, half = (ends[1:] + ends[:-1]) / 2, (ends[1:] - ends[:-1]) / 2
     return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
+
+
+def packet_weights(packet, t):
+    """The trapezoid weights of the field integral at time t, written out:
+    G exp(-i k^2 t / 2) dk / sqrt(2 pi), halved at the grid's ends.  The
+    phase is formed and reduced mod 2 pi in long double, which keeps the
+    digits a double product loses at phases of 1e4 rad."""
+    tw = np.ones(len(packet.ks))
+    tw[0] = tw[-1] = 0.5
+    phase = np.asarray(packet.ks, dtype=np.longdouble) ** 2 / 2 * np.longdouble(t)
+    phase = np.fmod(phase, 4 * np.arctan(np.longdouble(1)) * 2).astype(float)
+    return packet.G * np.exp(-1j * phase) * tw * packet.dk / np.sqrt(2 * np.pi)
+
+
+def density_per_time(M, packet, wx, t_lo, dt, m):
+    """sum_x wx |M @ w(t)|^2 at t = t_lo + j dt for j = 0 .. m - 1, the
+    times in long double, one GEMV per time."""
+    ts = np.longdouble(t_lo) + np.longdouble(dt) * np.arange(m)
+    return np.array([wx @ np.abs(M @ packet_weights(packet, t)) ** 2 for t in ts])

@@ -159,6 +159,18 @@ def test_evolve_strict_rejects_midevent_sample(tmp_path):
                  "--tolerance-profile", "strict"]) == 3
 
 
+def test_evolve_follows_the_packet_backward_in_time(tmp_path):
+    # at t = -30 the packet sits near x0 - 30 k0, and its fastest k lead it
+    # left: the snapshot grid pads around them, not around x0 (t = 20 is
+    # mid-event, so this runs on the default profile)
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
+                + "[run]\ntimes = -30.0 20.0\n")
+    assert main(["evolve", "--config", ini, "--out", str(tmp_path)]) == 0
+    snap = json.loads((tmp_path / "evolve.json").read_text())["snapshots"][0]
+    assert snap["t"] == -30.0 and snap["x_min"] < -40.0 - 30.0 * (1.0 + 6.5 / 8.0)
+    assert abs(snap["norm_full"] - 1.0) < 1e-6
+
+
 def test_evolve_needs_packet(tmp_path):
     ini = write(tmp_path, "run.ini", CANONICAL + "[run]\ntimes = 0.0\n")
     assert main(["evolve", "--config", ini, "--out", str(tmp_path)]) == 2

@@ -37,6 +37,50 @@ def test_every_top_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" for each top-level private name a module defines (by
+    def, class or assignment) that no module reads: not the module itself,
+    not a module importing it from there, and no attribute access."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads, attrs = set(), set()  # (defining module, name) pairs read; attributes read
+    for mod, tree in trees.items():
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        attrs |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        reads |= {(mod, name) for name in loaded}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                reads |= {(node.module or "__init__", a.name) for a in node.names
+                          if (a.asname or a.name) in loaded}
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{mod}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and (mod, name) not in reads and name not in attrs]
+    return unread
+
+
+def test_unread_private_name_is_detected():
+    # b's _A is a leftover of a move to a: a reads its own, no one reads b's
+    sources = {"a": "_A = 1\n_B = 2\ndef _f():\n    return _A\n",
+               "b": "from .a import _f\n_A = 1\nX = _f()\n"}
+    assert _unread_private_names(sources) == ["a._B", "b._A"]
+
+
+def test_every_private_name_is_read():
+    # a constant or helper left behind by a move is read nowhere
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert _unread_private_names(sources) == []
+
+
 def test_every_export_resolves():
     assert [name for name in ss.__all__ if not hasattr(ss, name)] == []
 

@@ -13,7 +13,8 @@ from scatsplit import wavepacket as wp
 import mpmath as mp
 
 from analytic import (
-    adaptive_integral, gauss_legendre_nodes, rect_phase_delay, richardson_phase_delay,
+    adaptive_integral, density_per_time, gauss_legendre_nodes, rect_phase_delay,
+    richardson_phase_delay,
 )
 
 # high-precision reference values for the k=1, V0=2, L=1 rectangle, frozen
@@ -403,7 +404,7 @@ def test_route_a_grid_matches_kernel(bar, ks):
 @pytest.mark.parametrize("case", ["canonical", "sliver", "opaque"])
 def test_route_a_matches_a_fine_simpson_reference(case, canonical_packet, canonical_barrier):
     # the band-limited trapezoid against composite Simpson on 2049 nodes over
-    # the same window and space grid
+    # the same window and space grid, its densities one GEMV per time
     pk, bar = {"canonical": (canonical_packet, canonical_barrier),
                "sliver": _precursor_case(), "opaque": _opaque_case()}[case]
     fam = ss.solve_family(bar, pk.ks)
@@ -413,7 +414,7 @@ def test_route_a_matches_a_fine_simpson_reference(case, canonical_packet, canoni
     rows = {"tr": len(xs), "ref": int(np.searchsorted(xs, bar.x_c, side="right"))}
     h = (t_hi - t_lo) / 2048
     for comp, M in zip(("tr", "ref"), fam.split_basis(xs)):
-        fs = wp._density_scan(M[:rows[comp]], pk, wx[:rows[comp]], t_lo, h, 2049)
+        fs = density_per_time(M[:rows[comp]], pk, wx[:rows[comp]], t_lo, h, 2049)
         simpson = h / 3 * (fs[0] + fs[-1] + 4 * fs[1:-1:2].sum() + 2 * fs[2:-2:2].sum())
         want = simpson / tm._spectral_coef_norm(pk, fam, comp)[0]
         assert abs(got[comp] - want) <= 1e-12 * abs(want), comp
@@ -426,7 +427,7 @@ def test_route_a_half_step_check_refuses_an_aliased_step(canonical_packet, canon
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
     window = wp._event_spans(canonical_packet, fam)[:2]
     grid = tm._piece_grid(canonical_barrier, canonical_packet.ks)
-    monkeypatch.setattr(tm, "_BAND_OVERSAMPLE", 0.5)
+    monkeypatch.setattr(wp, "_BAND_OVERSAMPLE", 0.5)
     with pytest.raises(ss.ToleranceError, match="trapezoid and midpoint sums") as info:
         tm._routeA(canonical_packet, fam, ("tr", "ref"), window, *grid)
     assert info.type is ss.ToleranceError
@@ -434,24 +435,31 @@ def test_route_a_half_step_check_refuses_an_aliased_step(canonical_packet, canon
 
 def test_route_a_scans_a_long_window_in_blocks(canonical_barrier, monkeypatch):
     # a window near the recurrence time asks for more than 2049 time nodes:
-    # no scan samples more than 2049 of them, and the blocks sum to the value
-    # of one scan over them all
+    # each GEMM of the scan but the last takes B^2 <= _SCAN_BLOCK of them,
+    # the last fewer than B more than are left, and the blocks give the value
+    # of one GEMM over them all
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=canonical_barrier, n=1024)
     fam = ss.solve_family(canonical_barrier, pk.ks)
     t_lo, _, recurrence = wp._event_spans(pk, fam)
     args = (pk, fam, ("tr", "ref"), (t_lo, t_lo + 0.9 * recurrence),
             *tm._piece_grid(canonical_barrier, pk.ks))
-    sampled = []
+    widths = []
 
-    def scan(*a):
-        sampled.append(a[-1])
-        return wp._density_scan(*a)
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            widths.append(other.shape[-1])
+            return self.view(np.ndarray) @ other
 
-    monkeypatch.setattr(tm, "_density_scan", scan)
+    monkeypatch.setattr(tm, "_density_scan", lambda M, *a: wp._density_scan(M.view(Spy), *a))
     blocked, n = tm._routeA(*args)
-    assert n > 2049 and len(sampled) > 1 and max(sampled) <= 2049 and sum(sampled) == n
-    monkeypatch.setattr(tm, "_SCAN_BLOCK", n + 1)
+    B = math.isqrt(wp._SCAN_BLOCK)
+    last = n - B * B * (len(widths) - 1)
+    assert n > 2049 and len(widths) > 1 and widths[:-1] == [B * B] * (len(widths) - 1)
+    assert B * B <= wp._SCAN_BLOCK
+    assert 0 < last <= widths[-1] < last + B
+    widths.clear()
+    monkeypatch.setattr(wp, "_SCAN_BLOCK", (math.isqrt(n) + 1) ** 2)
     whole, _ = tm._routeA(*args)
-    assert sampled[-1] == n
+    assert len(widths) == 1 and widths[0] >= n
     for comp in ("tr", "ref"):
         assert abs(blocked[comp] - whole[comp]) <= 1e-13 * abs(whole[comp])

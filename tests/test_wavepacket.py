@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import scatsplit as ss
+from scatsplit import times as tm
 from scatsplit import wavepacket as wp
-from analytic import free_gaussian, plane_wave_sum, transfer_amplitudes
+from analytic import (
+    density_per_time, free_gaussian, packet_weights, plane_wave_sum, transfer_amplitudes,
+)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -146,6 +149,32 @@ def test_event_window_brackets_transit(canonical_packet, canonical_barrier):
     assert 0.0 < t_pre < t_transit < t_post
 
 
+def test_event_window_times_are_nodes_of_the_band_scan(canonical_packet, canonical_barrier):
+    # event_window reads the band-rate scan route A reads, over [0, t_hi]:
+    # both of its times are nodes of that grid, well under the 600 probes it
+    # once took, and the later one is quiet enough for a strict snapshot
+    fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
+    t_hi = wp._event_spans(canonical_packet, fam)[1]
+    dt, s = wp._density_scan(fam.basis(np.array([0.5])), canonical_packet, np.ones(1), 0.0, t_hi)
+    t_pre, t_post = ss.event_window(canonical_packet, canonical_barrier)
+    assert len(s) < 600
+    for t in (t_pre, t_post):
+        j = round(t / dt)
+        assert 0 < j < len(s) - 1 and t == dt * j
+    snap = ss.snapshot(canonical_packet, canonical_barrier, t_post)
+    ss.norms_and_overlap(snap, strict=True)
+
+
+def test_spectral_T_keeps_a_subnormal_mean():
+    # kappa w ~ 370: T is subnormal on the whole k grid, and the unscaled sum
+    # of |G|^2 T rounds to 0; both spectral means read one scaled sum
+    bar = ss.make_rectangular(0.0, 8.25, 1000.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=128)
+    T_bar = ss.spectral_transmitted_norm(pk, bar)
+    assert T_bar > 0
+    assert T_bar == tm._spectral_coef_norm(pk, ss.solve_family(bar, pk.ks), "tr")[0]
+
+
 def test_spectral_T_matches_late_T_t(canonical_packet, canonical_barrier):
     T_bar = ss.spectral_transmitted_norm(canonical_packet, canonical_barrier)
     _, t_post = ss.event_window(canonical_packet, canonical_barrier)
@@ -248,19 +277,11 @@ def test_snapshot_grid_beyond_alias_period_refused():
 # -------------------------------------------------------- chirp-z synthesis
 
 
-def _test_weights(packet, t):
-    """The trapezoid weights of the field integral, written out test-side."""
-    tw = np.ones(len(packet.ks))
-    tw[0] = tw[-1] = 0.5
-    return (packet.G * np.exp(-0.5j * packet.ks**2 * t) * tw * packet.dk
-            / np.sqrt(2 * np.pi))
-
-
 def _basis_reference(packet, barrier, t, xs):
     """Fields and norms by the per-grid x-by-k basis GEMV, with the reflection
     basis z [Psi_full(x) - Psi_full(2 x_c - x)] masked to x <= x_c."""
     fam = ss.solve_family(barrier, packet.ks)
-    w = _test_weights(packet, t)
+    w = packet_weights(packet, t)
     M = fam.basis(xs)
     mirror = fam.basis((2 * barrier.x_c - xs)[::-1])[::-1]
     Mr = np.where((xs <= barrier.x_c)[:, None], fam.z * (M - mirror), 0.0)
@@ -279,7 +300,7 @@ def _assert_matches_basis(snap, packet, barrier):
         packet, barrier, snap.t, snap.x_grid)
     # the packet's peak before it spreads; a grid in the tails (the two-point
     # one) is not held to its own tiny values
-    peak = np.sum(np.abs(_test_weights(packet, snap.t)))
+    peak = np.sum(np.abs(packet_weights(packet, snap.t)))
     assert np.max(np.abs(snap.psi_full - full)) < 1e-12 * peak
     assert np.max(np.abs(snap.psi_ref - ref)) < 1e-12 * peak
     assert np.max(np.abs(snap.psi_tr - (full - ref))) < 1e-12 * peak
@@ -337,7 +358,7 @@ def test_outer_fields_match_plane_wave_sums():
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=64)
     t = 30.0
     xs = np.linspace(-60.0, 40.0, 401)
-    w = _test_weights(pk, t)
+    w = packet_weights(pk, t)
     amps = [transfer_amplitudes(bar.edges, bar.heights, k) for k in pk.ks]
     A_T = np.array([a[0] for a in amps])
     A_R = np.array([a[1] for a in amps])
@@ -384,21 +405,31 @@ def test_drifting_grid_refused(canonical_packet, canonical_barrier):
         ss.synthesize(canonical_packet, canonical_barrier, "full", 0.0, xs[::-1])
 
 
-def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier):
-    # the time scans of event_window and route A, against one GEMV per t;
-    # n covers a one-row block table, square and ragged tables and the largest
-    # Simpson grid.  Every grid starts and ends on density (the packet reaches
-    # the barrier near t = 40 and leaks out slowly), and the late ones reach
-    # phases E t of 1e4 rad and more.
+def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier, monkeypatch):
+    # the time scan of event_window and route A, against one GEMV per t.
+    # Every window starts and ends on density (the packet reaches the barrier
+    # near t = 40 and leaks out slowly), and the late ones reach phases E t
+    # of 1e4 rad and more.  The grid is odd, spans the window exactly and
+    # takes the longest step within the band's rate: dt <= pi / (oversample
+    # Omega), with one node pair fewer beyond it.  Up to t = 1e4, blocks of
+    # 1, 9 and 2500 time nodes per GEMM (one GEMM over the short window)
+    # match too; beyond it a double phase E t rounds at about the bound.
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
     M = fam.basis(np.linspace(-1.0, 2.0, 33))
     wx = np.linspace(0.5, 1.5, 33)
-    assert 0.5 * canonical_packet.ks[-1] ** 2 * 1e4 > 1e4
-    for t0, t1 in ((30.0, 50.0), (38.0, 1e4), (1e4, 2e4)):
-        for n in (2, 3, 240, 601, 2049):
-            dt = (t1 - t0) / (n - 1)
-            want = np.array([wx @ np.abs(M @ _test_weights(canonical_packet, t0 + j * dt)) ** 2
-                             for j in range(n)])
-            got = wp._density_scan(M, canonical_packet, wx, t0, dt, n)
-            assert got.shape == (n,)
-            assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
+    ks = canonical_packet.ks
+    omega = (ks[-1] ** 2 - ks[0] ** 2) / 2
+    assert 0.5 * ks[-1] ** 2 * 1e4 > 1e4
+    for t_lo, t_hi in ((30.0, 50.0), (38.0, 1e4), (1e4, 2e4)):
+        dt, got = wp._density_scan(M, canonical_packet, wx, t_lo, t_hi)
+        m = len(got)
+        assert got.shape == (m,) and m % 2 == 1
+        assert dt * (m - 1) == pytest.approx(t_hi - t_lo, rel=1e-15)
+        assert dt <= np.pi / (wp._BAND_OVERSAMPLE * omega) < (t_hi - t_lo) / (m - 3)
+        want = density_per_time(M, canonical_packet, wx, t_lo, dt, m)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
+        for block in (1, 9, 2500) if t_hi <= 1e4 else ():
+            monkeypatch.setattr(wp, "_SCAN_BLOCK", block)
+            assert np.max(np.abs(wp._density_scan(M, canonical_packet, wx, t_lo, t_hi)[1]
+                                 - want)) < 1e-12 * np.max(want)
+        monkeypatch.undo()
