@@ -26,10 +26,8 @@ from .stationary import (
     solve_family,
 )
 from .wavepacket import (
-    KGridSpec,
     PacketSnapshot,
     SpectralPacket,
-    default_kgrid,
     event_window,
     make_gaussian_packet,
     norms_and_overlap,
@@ -58,8 +56,6 @@ from .larmor import (
 )
 from .oracle import (
     CrankNicolson,
-    GridSpec,
-    crank_nicolson_evolve,
     numerov_solve,
 )
 
@@ -72,8 +68,6 @@ __all__ = [
     "CrankNicolson",
     "DomainError",
     "GridRefinementError",
-    "GridSpec",
-    "KGridSpec",
     "PacketSnapshot",
     "PhaseTimes",
     "ScatsplitError",
@@ -86,8 +80,6 @@ __all__ = [
     "WindowError",
     "build_time_report",
     "clock_times",
-    "crank_nicolson_evolve",
-    "default_kgrid",
     "default_omega",
     "dwell_tables",
     "event_window",

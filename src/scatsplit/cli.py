@@ -575,12 +575,11 @@ def cmd_evolve(cfg: RunConfig) -> None:
 
 
 def _oracle_plan(cfg, packet, ts):
-    """(grid, nsteps, time_error) of the time-domain cross-check from ts[0]
+    """(xs, dt, nsteps, time_error) of the time-domain cross-check from ts[0]
     to ts[-1], or None with fewer than two distinct times.
 
-    The grid is the hull of the snapshot grids of both times at
-    CROSS_CHECK_DX, which put x_c on a node alike; for ts[0] >= 0 it is the
-    grid of ts[-1].
+    xs is the hull of the snapshot grids of both times at CROSS_CHECK_DX,
+    which put x_c on a node alike; for ts[0] >= 0 it is the grid of ts[-1].
     """
     from .oracle import CROSS_CHECK_DX, cross_check_plan
 
@@ -592,27 +591,27 @@ def _oracle_plan(cfg, packet, ts):
     xs = x_c + dx * np.arange(m[:, 0].min(), m[:, 1].max() + 1)
     plan = cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0])
     check_alias(packet, xs, ts[-1])
-    return plan
+    return (xs, *plan)
 
 
 def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
-    from .oracle import crank_nicolson_evolve
+    from .oracle import CrankNicolson
 
     if plan is None:
         return {"skipped": "need at least two distinct times"}
-    grid, nsteps, time_error = plan
-    span = nsteps * grid.dt
-    psi0, ref = (snapshot(packet, cfg.barrier, t, xs=grid.xs, fam=fam).psi_full
-                 for t in (t0, t0 + span))
-    psi1 = crank_nicolson_evolve(cfg.barrier, grid, psi0, span)
-    l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * grid.dx))
+    xs, dt, nsteps, time_error = plan
+    dx = float((xs[-1] - xs[0]) / (len(xs) - 1))
+    psi0, ref = (snapshot(packet, cfg.barrier, t, xs=xs, fam=fam).psi_full
+                 for t in (t0, t0 + nsteps * dt))
+    psi1 = CrankNicolson(cfg.barrier, xs, dt).evolve(psi0, nsteps)
+    l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * dx))
     if cfg.tolerance_profile == "strict" and l2 > 1e-4:
         raise ToleranceError(
             f"time-domain cross-check exceeded 1e-4: l2_vs_synthesis = {l2:.3e} "
-            f"(dt = {grid.dt:.6g}, {nsteps} steps, dx = {grid.dx:.6g})"
+            f"(dt = {dt:.6g}, {nsteps} steps, dx = {dx:.6g})"
         )
-    return {"l2_vs_synthesis": l2, "dt": grid.dt, "dx": grid.dx, "steps": nsteps,
-            "time_error_estimate": time_error, "x_min": grid.x_min, "n": grid.n}
+    return {"l2_vs_synthesis": l2, "dt": dt, "dx": dx, "steps": nsteps,
+            "time_error_estimate": time_error, "x_min": float(xs[0]), "n": len(xs)}
 
 
 def cmd_times(cfg: RunConfig) -> None:

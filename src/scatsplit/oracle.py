@@ -16,8 +16,9 @@ step that divides every segment width and keeps the most demanding k's phase
 error (or, under the barrier, growth-rate error) within budget, with NumPy
 arrays over k and only the last six rows kept.
 
-Crank-Nicolson steps the time-dependent equation on a uniform grid with
-reflecting ends, in space with the compact fourth-order (Numerov) Laplacian,
+Crank-Nicolson, `CrankNicolson(barrier, xs, dt).evolve(psi0, nsteps)`, steps
+the time-dependent equation on an ascending uniform grid xs with reflecting
+ends, in space with the compact fourth-order (Numerov) Laplacian,
 which keeps both sides of the step tridiagonal (Moyer, Am. J. Phys. 72, 351
 (2004)), and in time with the diagonal Pade (3,3) approximant of
 exp(-i H dt), sixth order and unitary.  It factors into three Crank-Nicolson
@@ -27,46 +28,22 @@ a step is three LAPACK tridiagonal solves, each followed by an axpy.  The
 step's phase error is E^7 dt^7 / 100800 at energy E, whatever the potential,
 so the cross-check takes dt from the packet's spectrum: the largest whole
 fraction of the span whose summed error, weighted by |G|^2, stays within a
-fixed budget (`cross_check_plan`).  A potential jump sampled at the nodes
-would cap the order at one (two where it sits midway between nodes), so the
-four nodes around each jump take moment-matched potential shifts, which keep
-the Hamiltonian real symmetric and the step unitary.  SciPy, which provides
+fixed budget (`cross_check_plan` returns that dt and the number of steps).
+A potential jump sampled at the nodes would cap the order at one (two where
+it sits midway between nodes), so the four nodes around each jump take
+moment-matched potential shifts, which keep the Hamiltonian real symmetric
+and the step unitary.  SciPy, which provides
 the solve, is imported only when a propagator is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridRefinementError, ToleranceError
 from .potentials import BarrierSpec, potential_at
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    x_min: float
-    x_max: float
-    n: int
-    dt: float = 1e-3
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise DomainError("grid needs at least 3 points")
-        if not self.x_max > self.x_min:
-            raise DomainError("need x_max > x_min")
-        if not self.dt > 0:
-            raise DomainError("dt must be positive")
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
 
 
 # -- Numerov stationary oracle -------------------------------------------------
@@ -240,20 +217,26 @@ class CrankNicolson:
     each jump; the shifts of neighbouring jumps add.
     """
 
-    def __init__(self, barrier: BarrierSpec, grid: GridSpec):
-        self.grid = grid
-        xs = grid.xs
-        dx, dt = grid.dx, grid.dt
+    def __init__(self, barrier: BarrierSpec, xs, dt: float):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1 or len(xs) < 3:
+            raise DomainError("grid needs at least 3 points")
+        if not 0 < dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {dt}")
+        # every node within 1e-9 dx of x0 + j dx, or the stencils do not hold
+        dx = (xs[-1] - xs[0]) / (len(xs) - 1)
+        if not (dx > 0 and np.max(np.abs(xs - (xs[0] + dx * np.arange(len(xs))))) <= 1e-9 * dx):
+            raise DomainError("grid must be uniform and ascending")
         # a node within 1e-6 dx of a jump counts as right of it, as does a
         # node exactly on it
         V = potential_at(barrier, xs + 1e-6 * dx)
         for xe in barrier.edges:
-            pos = (xe - grid.x_min) / dx
+            pos = (xe - xs[0]) / dx
             j = math.ceil(pos - 1e-6) - 1  # the last node left of the jump
             b = min(pos - j, 1.0)
             shifts = _jump_shifts(b, _v_limit(barrier, xe, -1), _v_limit(barrier, xe, +1), dx)
             for i, shift in zip(range(j - 1, j + 3), shifts):
-                if 0 <= i < grid.n:
+                if 0 <= i < len(xs):
                     V[i] += shift
         zgttrf, self._zgttrs = _lapack()
         self._factors = []
@@ -266,7 +249,7 @@ class CrankNicolson:
                     f"Crank-Nicolson system matrix is singular (zgttrf info={info})"
                 )
             self._factors.append(lu)
-        self._dx = dx
+        self._n, self._dx, self._dt = len(xs), dx, dt
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         for lu in self._factors:
@@ -288,9 +271,9 @@ class CrankNicolson:
         """Run nsteps, watching for boundary contamination and norm drift
         every _CHECK_INTERVAL of time and at the last step."""
         psi = np.asarray(psi0, dtype=complex)
-        if psi.shape != (self.grid.n,):
+        if psi.shape != (self._n,):
             raise DomainError("initial field does not match the grid")
-        check_every = max(1, round(_CHECK_INTERVAL / self.grid.dt))
+        check_every = max(1, round(_CHECK_INTERVAL / self._dt))
         norm0 = _grid_norm(psi, self._dx)
         for i in range(nsteps):
             psi = self.step(psi)
@@ -358,7 +341,7 @@ _TIME_ERROR = 2.5e-7
 
 
 def cross_check_plan(xs, ks, weights, span: float):
-    """(grid, nsteps, time_error) for a Crank-Nicolson run over `span` on xs,
+    """(dt, nsteps, time_error) for a Crank-Nicolson run over `span` on xs,
     a uniform grid, of a field with spectral weight `weights` (|G|^2 dk, sum
     1) on the wavenumbers ks.
 
@@ -381,17 +364,4 @@ def cross_check_plan(xs, ks, weights, span: float):
             f"x {len(_PADE_STEPS)} solves = {solves:.3g}, beyond the budget of "
             f"{CROSS_CHECK_BUDGET:.3g}; shorten the span between the first and last times")
     dt = span / nsteps
-    grid = GridSpec(x_min=float(xs[0]), x_max=float(xs[-1]), n=n, dt=dt)
-    return grid, nsteps, rate * dt**6
-
-
-def crank_nicolson_evolve(
-    barrier: BarrierSpec, grid: GridSpec, psi0: np.ndarray, t_span: float
-) -> np.ndarray:
-    """Convenience wrapper: evolve psi0 over t_span (rounded to whole steps)."""
-    nsteps = int(round(t_span / grid.dt))
-    if abs(nsteps * grid.dt - t_span) > 1e-9:
-        raise DomainError(
-            f"t_span {t_span} is not a whole number of dt={grid.dt} steps"
-        )
-    return CrankNicolson(barrier, grid).evolve(psi0, nsteps)
+    return dt, nsteps, rate * dt**6

@@ -45,6 +45,7 @@ DEGENERATE_R = 1e-12
 # whose Taylor coefficients are 1 / n!
 _PAIR_QW = 1.0
 _INV_FACT = np.array([1 / math.factorial(n) for n in range(30)])
+_SERIES_TERMS = 14  # terms of `_series`, m <= 3: its last coefficient is 1 / 29!
 
 
 class InteriorIntegrals(NamedTuple):
@@ -255,11 +256,12 @@ def _phi(z):
     return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
 
 
-def _series(x, m, terms=14):
-    """sum_{i < terms} (-x)^i / (2i + m)! by Horner: cos(qd) is _series((qd)^2,
-    0) and sin(qd) / q is d _series((qd)^2, 1); rounding for |x| <= 4."""
-    out = np.full(np.shape(x), _INV_FACT[2 * terms - 2 + m])
-    for i in range(terms - 2, -1, -1):
+def _series(x, m):
+    """sum_{i < _SERIES_TERMS} (-x)^i / (2i + m)! by Horner: cos(qd) is
+    _series((qd)^2, 0) and sin(qd) / q is d _series((qd)^2, 1); rounding for
+    |x| <= 4."""
+    out = np.full(np.shape(x), _INV_FACT[2 * _SERIES_TERMS - 2 + m])
+    for i in range(_SERIES_TERMS - 2, -1, -1):
         out *= x
         np.subtract(_INV_FACT[2 * i + m], out, out=out)
     return out

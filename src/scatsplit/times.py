@@ -68,8 +68,8 @@ class DwellTable(NamedTuple):
     """Per-k dwell times and interior norms over a family's k grid."""
 
     tau_tr: np.ndarray       # NaN where the flux k T underflows to 0
-    tau_ref: np.ndarray      # NaN where R <= 1e-12
-    ref_defined: np.ndarray  # R > 1e-12
+    tau_ref: np.ndarray      # NaN where R < 1e-12
+    ref_defined: np.ndarray  # R >= 1e-12: not the family's `degenerate`
     norm_tr: np.ndarray      # interior norm over k, I / k = C tau, at every k
     norm_ref: np.ndarray     # 0 where R < 1e-12
 
@@ -94,7 +94,7 @@ def dwell_tables(fam: SolutionFamily) -> DwellTable:
     I_ref = np.abs(z) ** 2 * D
     flux = fam.ks * fam.T
     tau_tr = np.divide(I_tr, flux, out=np.full(len(fam.ks), np.nan), where=flux > 0)
-    defined = fam.R > _R_DEFINED
+    defined = ~fam.degenerate
     tau_ref = np.divide(I_ref, fam.ks * fam.R, out=np.full(len(fam.ks), np.nan), where=defined)
     return DwellTable(tau_tr, tau_ref, defined, I_tr / fam.ks, I_ref / fam.ks)
 

@@ -1,6 +1,7 @@
 """Spectral wave packets and their sub-process components.
 
-A packet is defined by complex spectral samples on a uniform k > 0 grid:
+A packet is defined by complex spectral samples on a uniform k > 0 grid, for
+the Gaussian n_k points over k0 +/- 6.5/sigma floored at 1e-3 k0:
 g(k) is the Fourier transform of the initial condition and G(k) = g(k) - g(-k)
 its odd-projected form, renormalized so the grid trapezoid of |G|^2 is exactly
 one.  Time-dependent fields are superpositions of stationary states,
@@ -58,6 +59,7 @@ _TAIL_REL = 1e-8
 _NEG_K_FRACTION = 1e-10
 
 _EDGE_DENSITY = 1e-10  # snapshot grids must suppress end densities below this
+_CONSERVATION_TOL = 1e-6  # strict snapshots hold the conservation identities to this
 _SIGNIFICANT = 1e-10   # a k counts in a time scan above this share of the peak
 _BAND_OVERSAMPLE = 2.0  # time scans sample the packet's energy band at twice its rate
 _SCAN_BLOCK = 128       # time nodes per GEMM of a scan at most: bounds its phase matrix
@@ -65,34 +67,6 @@ _SCAN_BLOCK = 128       # time nodes per GEMM of a scan at most: bounds its phas
 # rows per chirp-z block (and per block of interior basis rows); each chirp-z
 # block is re-anchored at its first node to bound its rounding
 _X_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class KGridSpec:
-    k_min: float
-    k_max: float
-    n: int
-
-    def __post_init__(self):
-        if not self.k_min > 0:
-            raise DomainError(f"k grid must be positive, got k_min={self.k_min}")
-        if not self.k_max > self.k_min:
-            raise DomainError("need k_max > k_min")
-        if self.n < 16:
-            raise DomainError("k grid needs at least 16 points")
-
-    @property
-    def ks(self) -> np.ndarray:
-        return np.linspace(self.k_min, self.k_max, self.n)
-
-    @property
-    def dk(self) -> float:
-        return (self.k_max - self.k_min) / (self.n - 1)
-
-
-def default_kgrid(k0: float, sigma: float, n: int = DEFAULT_NK) -> KGridSpec:
-    h = DEFAULT_HALF_WIDTH / sigma
-    return KGridSpec(max(k0 - h, _K_FLOOR_FRAC * k0), k0 + h, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +109,6 @@ def make_gaussian_packet(
     x0: float,
     sigma: float,
     k0: float,
-    grid: KGridSpec | None = None,
     barrier: BarrierSpec | None = None,
     n: int = DEFAULT_NK,
 ) -> SpectralPacket:
@@ -143,10 +116,12 @@ def make_gaussian_packet(
 
     Far-start preconditions: x0 + 5 sigma < a (when a barrier is given) and
     k0 >= 5/sigma, i.e. negligible initial barrier overlap and negligible
-    negative-momentum content.  When the symmetric grid k0 +/- 6.5/sigma would
-    start below 1e-3 k0 it is clamped to that floor and the packet carries a
-    "k_grid_clamped" warning; the on-grid renormalization keeps every norm
-    identity exact regardless.
+    negative-momentum content.  The k grid is n uniform points over
+    k0 +/- 6.5/sigma; where that would start below 1e-3 k0 it is clamped to
+    that floor and the packet carries a "k_grid_clamped" warning (and a
+    "cutoff_tail_*" one when the cut tail exceeds 1e-8 of the peak); the
+    on-grid renormalization keeps every norm identity exact regardless.  A
+    packet on another grid is a SpectralPacket built directly.
     """
     if not math.isfinite(x0):
         raise ConfigError(f"x0 must be finite, got {x0}")
@@ -165,26 +140,24 @@ def make_gaussian_packet(
             f"got x0={x0}, sigma={sigma}, a={barrier.a}"
         )
 
-    warnings = []
-    if grid is None:
-        grid = default_kgrid(k0, sigma, n=n)
-        if grid.k_min > k0 - DEFAULT_HALF_WIDTH / sigma:
-            warnings.append("k_grid_clamped")
-
-    ks = grid.ks
+    h = DEFAULT_HALF_WIDTH / sigma
+    k_lo, k_hi = max(k0 - h, _K_FLOOR_FRAC * k0), k0 + h
+    if n < 16:
+        raise DomainError("k grid needs at least 16 points")
+    if not k_hi > k_lo:
+        raise DomainError(f"the k grid k0 +/- {DEFAULT_HALF_WIDTH}/sigma collapses to k0 = {k0}")
+    ks = np.linspace(k_lo, k_hi, n)
     g = _gauss_g(ks, x0, sigma, k0)
     G = g - _gauss_g(-ks, x0, sigma, k0)
 
-    gmax = float(np.max(np.abs(g)))
-    tail = max(abs(g[0]), abs(g[-1])) / gmax
-    if tail > _TAIL_REL:
-        if "k_grid_clamped" in warnings:
+    # only a clamped grid can cut the tail above _TAIL_REL: the symmetric one
+    # ends at exp(-6.5^2 / 2) = 6.7e-10 of the peak
+    warnings = []
+    if k_lo > k0 - h:
+        warnings.append("k_grid_clamped")
+        tail = max(abs(g[0]), abs(g[-1])) / float(np.max(np.abs(g)))
+        if tail > _TAIL_REL:
             warnings.append(f"cutoff_tail_{tail:.1e}")
-        else:
-            raise GridRefinementError(
-                f"spectral tail at the grid cutoff is {tail:.2e} of the peak "
-                f"(> {_TAIL_REL}); widen the k grid"
-            )
     # fraction of |g|^2 mass at k <= 0, analytic for the Gaussian
     neg_fraction = 0.5 * math.erfc(k0 * sigma)
     if neg_fraction > _NEG_K_FRACTION:
@@ -192,7 +165,7 @@ def make_gaussian_packet(
             f"negative-momentum fraction {neg_fraction:.2e} exceeds {_NEG_K_FRACTION}"
         )
 
-    nrm = math.sqrt(float(np.sum(np.abs(G) ** 2 * _trap_w(len(ks))) * grid.dk))
+    nrm = math.sqrt(float(np.sum(np.abs(G) ** 2 * _trap_w(n)) * ((k_hi - k_lo) / (n - 1))))
     G = G / nrm
     for arr in (ks, g, G):
         arr.setflags(write=False)
@@ -412,20 +385,20 @@ def _snapshot_on(xs, fam, w, t):
     )
 
 
-def norms_and_overlap(snap: PacketSnapshot, strict: bool = False, tol: float = 1e-6):
+def norms_and_overlap(snap: PacketSnapshot, strict: bool = False):
     """(norm_full, T_t, R_t, overlap_re) with the support check re-applied.
 
-    strict=True additionally enforces the conservation identities at tol;
-    those are transiently violated at the 1e-3 level while the packet crosses
-    the barrier (see module docstring), so strict mode is meant for
-    quiescent-regime samples.
+    strict=True additionally enforces the conservation identities at
+    _CONSERVATION_TOL; those are transiently violated at the 1e-3 level while
+    the packet crosses the barrier (see module docstring), so strict mode is
+    meant for quiescent-regime samples.
     """
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if edge > _EDGE_DENSITY:
         raise WindowError(f"snapshot grid truncates the support (end density {edge:.2e})")
     if strict:
         resid = snapshot_residuals(snap)
-        bad = {k: v for k, v in resid.items() if abs(v) > tol}
+        bad = {k: v for k, v in resid.items() if abs(v) > _CONSERVATION_TOL}
         if bad:
             raise ToleranceError(f"conservation identities out of tolerance: {bad}")
     return snap.norm_full, snap.T_t, snap.R_t, snap.overlap_re

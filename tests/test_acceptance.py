@@ -215,11 +215,11 @@ def test_criterion_8_oracle_equivalence():
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
     xs = auto_grid(pk, bar, 4.0, dx=orc.CROSS_CHECK_DX)
-    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 4.0)
-    psi0 = ss.snapshot(pk, bar, 0.0, xs=grid.xs).psi_full
-    psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
-    ref = ss.snapshot(pk, bar, steps * grid.dt, xs=grid.xs)
-    l2 = math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx))
+    dt, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 4.0)
+    psi0 = ss.snapshot(pk, bar, 0.0, xs=xs).psi_full
+    psi1 = orc.CrankNicolson(bar, xs, dt).evolve(psi0, steps)
+    ref = ss.snapshot(pk, bar, steps * dt, xs=xs)
+    l2 = math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * orc.CROSS_CHECK_DX))
 
     # stationary: sweep solver vs restart finite differences
     worst_fd = 0.0

@@ -223,8 +223,8 @@ def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
     # default profile, refused with exit 3 under strict
     from scatsplit import oracle
 
-    evolve = oracle.crank_nicolson_evolve
-    monkeypatch.setattr(oracle, "crank_nicolson_evolve",
+    evolve = oracle.CrankNicolson.evolve
+    monkeypatch.setattr(oracle.CrankNicolson, "evolve",
                         lambda *args: evolve(*args) * (1 + 1e-3))
     ini = write(tmp_path, "run.ini",
                 CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")

@@ -81,6 +81,41 @@ def test_every_private_name_is_read():
     assert _unread_private_names(sources) == []
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """"function.parameter" for each parameter of a def or lambda, at any
+    depth, that its body never loads."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{getattr(fn, 'name', '<lambda>')}.{p}" for p in params if p not in loaded]
+    return unread
+
+
+def test_unread_parameter_is_detected():
+    # a read inside a nested function counts; a parameter only stored to does not
+    source = ("def f(a, b, *c, d=1, **e):\n    b = 2\n    def g(h):\n        return a\n"
+              "    return g(d)\n\nk = lambda x, y: x\n")
+    assert sorted(_unread_parameters(source)) == ["<lambda>.y", "f.b", "f.c", "f.e", "g.h"]
+
+
+# cli.load_config's `workers` is ignored, and kept only because
+# perfbench/tests/test_perfbench.py passes it positionally (ROADMAP item 1)
+_IGNORED_PARAMETERS = {"cli.load_config.workers"}
+
+
+def test_every_parameter_is_read():
+    # a knob left with one value in use, or a parameter a change stopped reading
+    unread = [f"{p.stem}.{name}" for p in MODULES for name in _unread_parameters(p.read_text())]
+    assert sorted(set(unread) - _IGNORED_PARAMETERS) == []
+    assert _IGNORED_PARAMETERS <= set(unread)  # the exemption is still needed
+
+
 def test_every_export_resolves():
     assert [name for name in ss.__all__ if not hasattr(ss, name)] == []
 

@@ -15,13 +15,19 @@ from scatsplit.wavepacket import auto_grid
 from analytic import free_gaussian, rect_amplitudes, transfer_amplitudes
 
 
-def test_gridspec_validation():
-    with pytest.raises(ss.DomainError):
-        orc.GridSpec(0.0, 1.0, 2, 0.01)
-    with pytest.raises(ss.DomainError):
-        orc.GridSpec(1.0, 1.0, 100, 0.01)
-    with pytest.raises(ss.DomainError):
-        orc.GridSpec(0.0, 1.0, 100, 0.0)
+def test_cn_grid_validation():
+    free = ss.make_rectangular(0.0, 1.0, 0.0)
+    xs = np.linspace(0.0, 1.0, 100)
+    bent = xs.copy()
+    bent[50] += 1e-6
+    for grid, dt in ((np.linspace(0.0, 1.0, 2), 0.01),  # under 3 nodes
+                     (np.full(100, 1.0), 0.01),          # no extent
+                     (xs[::-1], 0.01),                   # descending
+                     (xs ** 2, 0.01),                    # steps not uniform
+                     (bent, 0.01),                       # one node 1e-4 dx off
+                     (xs, 0.0), (xs, -0.01), (xs, math.nan), (xs, math.inf)):
+        with pytest.raises(ss.DomainError):
+            orc.CrankNicolson(free, grid, dt)
 
 
 def test_numerov_matches_closed_form(canonical_barrier):
@@ -122,36 +128,32 @@ def test_numerov_rejects_incommensurate_widths():
 
 def test_cn_free_gaussian():
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    grid = orc.GridSpec(-45.0, 25.0, 7001, 0.005)
-    xs = grid.xs
+    xs, dx = np.linspace(-45.0, 25.0, 7001), 0.01
     psi0 = np.array([free_gaussian(x, 0.0, -15.0, 4.0, 1.0) for x in xs])
-    out = orc.crank_nicolson_evolve(free, grid, psi0, 4.0)
+    out = orc.CrankNicolson(free, xs, 0.005).evolve(psi0, 800)
     ref = np.array([free_gaussian(x, 4.0, -15.0, 4.0, 1.0) for x in xs])
-    l2 = math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx))
+    l2 = math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * dx))
     assert l2 < 1e-4
     drift = abs(
-        float(np.sum(np.abs(out) ** 2) * grid.dx)
-        - float(np.sum(np.abs(psi0) ** 2) * grid.dx)
+        float(np.sum(np.abs(out) ** 2) * dx)
+        - float(np.sum(np.abs(psi0) ** 2) * dx)
     )
     assert drift < 1e-10  # the scheme is unitary up to roundoff
 
 
 def test_cn_detects_boundary_contamination():
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    grid = orc.GridSpec(-30.0, 0.0, 601, 0.01)
-    psi0 = np.array([free_gaussian(x, 0.0, -12.0, 3.0, 1.5) for x in grid.xs])
+    xs = np.linspace(-30.0, 0.0, 601)
+    psi0 = np.array([free_gaussian(x, 0.0, -12.0, 3.0, 1.5) for x in xs])
     with pytest.raises(ss.ToleranceError):
-        orc.crank_nicolson_evolve(free, grid, psi0, 12.0)
+        orc.CrankNicolson(free, xs, 0.01).evolve(psi0, 1200)
 
 
 def test_cn_input_checks():
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    grid = orc.GridSpec(-30.0, 10.0, 801, 0.01)
-    with pytest.raises(ss.DomainError):
-        orc.crank_nicolson_evolve(free, grid, np.zeros(17, dtype=complex), 1.0)
-    psi0 = np.array([free_gaussian(x, 0.0, -15.0, 3.0, 1.0) for x in grid.xs])
-    with pytest.raises(ss.DomainError):
-        orc.crank_nicolson_evolve(free, grid, psi0, 0.123)
+    cn = orc.CrankNicolson(free, np.linspace(-30.0, 10.0, 801), 0.01)
+    with pytest.raises(ss.DomainError, match="does not match the grid"):
+        cn.evolve(np.zeros(17, dtype=complex), 100)
 
 
 def test_cn_step_matches_dense_solve():
@@ -167,9 +169,9 @@ def test_cn_step_matches_dense_solve():
     assert np.max(np.abs(np.sort_complex(roots) - np.sort_complex(np.array(orc._PADE_ROOTS)))) < 1e-14
     rng = np.random.default_rng(3)
     psi0 = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    xs = np.linspace(-2.03, 3.0, 41)
+    dx = (xs[-1] - xs[0]) / 40
     for dt in (0.01, 0.3):
-        grid = orc.GridSpec(-2.03, 3.0, 41, dt)
-        xs, dx = grid.xs, grid.dx
         assert np.min(np.abs(np.subtract.outer(xs, bar.edges))) > 1e-3
         V = ss.potential_at(bar, xs)
         for xe, vm, vp in zip(bar.edges, np.r_[0.0, bar.heights], np.r_[bar.heights, 0.0]):
@@ -179,7 +181,7 @@ def test_cn_step_matches_dense_solve():
         M = (10 * np.eye(41) + np.diag(ones, 1) + np.diag(ones, -1)) / 12
         L = (np.diag(ones, 1) + np.diag(ones, -1) - 2 * np.eye(41)) / dx**2
         K = -L / 2 + M @ np.diag(V)
-        got = orc.CrankNicolson(bar, grid).step(psi0)
+        got = orc.CrankNicolson(bar, xs, dt).step(psi0)
         want = psi0
         for z in roots:
             c = 1j * dt / z
@@ -205,9 +207,8 @@ def test_cn_time_order():
     ref = np.array([free_gaussian(x, 4.0, -4.0, 4.0, 2.0) for x in xs])
     errors = []
     for dt in (0.4, 0.2, 0.1):
-        grid = orc.GridSpec(-30.0, 30.0, 12001, dt)
-        out = orc.crank_nicolson_evolve(free, grid, psi0, 4.0)
-        errors.append(math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx)))
+        out = orc.CrankNicolson(free, xs, dt).evolve(psi0, round(4.0 / dt))
+        errors.append(math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * 0.005)))
     assert errors[0] > 48 * errors[1] > 48**2 * errors[2]
 
 
@@ -227,12 +228,12 @@ def test_cross_check_steps_keep_a_free_gaussian_within_budget(x0, sigma, k0, spa
     lo = x0 - 8 * sigma - 5
     hi = x0 + k_hi * span + 8 * sigma * math.hypot(1.0, span / sigma**2) + 5
     xs = np.linspace(lo, hi, round((hi - lo) / 0.005) + 1)
-    grid, nsteps, estimate = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, span)
-    assert grid.dt == pytest.approx(span / nsteps, rel=1e-15) and grid.n == len(xs)
-    psi0 = np.array([free_gaussian(x, 0.0, x0, sigma, k0) for x in grid.xs])
-    ref = np.array([free_gaussian(x, span, x0, sigma, k0) for x in grid.xs])
-    out = orc.crank_nicolson_evolve(free, grid, psi0, span)
-    l2 = math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * grid.dx))
+    dt, nsteps, estimate = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, span)
+    assert dt == pytest.approx(span / nsteps, rel=1e-15)
+    psi0 = np.array([free_gaussian(x, 0.0, x0, sigma, k0) for x in xs])
+    ref = np.array([free_gaussian(x, span, x0, sigma, k0) for x in xs])
+    out = orc.CrankNicolson(free, xs, dt).evolve(psi0, nsteps)
+    l2 = math.sqrt(float(np.sum(np.abs(out - ref) ** 2) * (xs[-1] - xs[0]) / (len(xs) - 1)))
     assert l2 < 2 * orc._TIME_ERROR
     assert estimate <= orc._TIME_ERROR and abs(l2 / estimate - 1) < 0.1
     # one step fewer would have been over the budget
@@ -244,10 +245,10 @@ def test_cn_watches_the_walls_between_checks_of_the_last_step():
     # clear of both walls by the last step (t = 8), so only a check made in
     # between sees it touch the edge
     free = ss.make_rectangular(0.0, 1.0, 0.0)
-    grid = orc.GridSpec(-60.0, 0.0, 3001, 0.04)
-    psi0 = np.array([free_gaussian(x, 0.0, -10.0, 2.0, 5.0) for x in grid.xs])
-    cn = orc.CrankNicolson(free, grid)
-    nsteps = round(8.0 / grid.dt)
+    xs = np.linspace(-60.0, 0.0, 3001)
+    psi0 = np.array([free_gaussian(x, 0.0, -10.0, 2.0, 5.0) for x in xs])
+    cn = orc.CrankNicolson(free, xs, 0.04)
+    nsteps = 200  # to t = 8
     psi = psi0
     for _ in range(nsteps):
         psi = cn.step(psi)
@@ -262,9 +263,9 @@ def test_cn_spatial_order_at_fixed_dt():
     # error falls 16x per halving of dx; the jumps, off the nodes at every dx
     # here, stay bounded at the cross-check dx
     def run(bar, dx):
-        grid = orc.GridSpec(-30.0, 20.0, round(50.0 / dx) + 1, 0.04)
-        psi0 = np.exp(-(grid.xs + 12.0) ** 2 / 16 + 2j * grid.xs) / (8 * math.pi) ** 0.25
-        return orc.crank_nicolson_evolve(bar, grid, psi0, 6.0)
+        xs = np.linspace(-30.0, 20.0, round(50.0 / dx) + 1)
+        psi0 = np.exp(-(xs + 12.0) ** 2 / 16 + 2j * xs) / (8 * math.pi) ** 0.25
+        return orc.CrankNicolson(bar, xs, 0.04).evolve(psi0, 150)  # to t = 6
 
     def errors(bar, dxs):
         ref = run(bar, 0.005)
@@ -286,11 +287,11 @@ def test_cross_check_grid_resolves_jumps_off_nodes():
     bar = ss.make_symmetric(-0.5, [(0.4137, 3.0), (0.3311, 1.0)])
     pk = ss.make_gaussian_packet(bar.a - 25.0, 5.0, 1.2, barrier=bar, n=256)
     xs = auto_grid(pk, bar, 22.0, dx=orc.CROSS_CHECK_DX)
-    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 8.0)
-    psi0 = ss.snapshot(pk, bar, 14.0, xs=grid.xs).psi_full
-    psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
-    ref = ss.snapshot(pk, bar, 14.0 + steps * grid.dt, xs=grid.xs)
-    assert math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * grid.dx)) < 2e-5
+    dt, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 8.0)
+    psi0 = ss.snapshot(pk, bar, 14.0, xs=xs).psi_full
+    psi1 = orc.CrankNicolson(bar, xs, dt).evolve(psi0, steps)
+    ref = ss.snapshot(pk, bar, 14.0 + steps * dt, xs=xs)
+    assert math.sqrt(float(np.sum(np.abs(psi1 - ref.psi_full) ** 2) * orc.CROSS_CHECK_DX)) < 2e-5
 
 
 def test_cross_check_fields_leave_no_subnormal():
@@ -301,9 +302,9 @@ def test_cross_check_fields_leave_no_subnormal():
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
     xs = auto_grid(pk, bar, 40.0, dx=orc.CROSS_CHECK_DX)
-    grid, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 40.0)
-    psi0 = ss.snapshot(pk, bar, 0.0, xs=grid.xs).psi_full
-    psi1 = orc.crank_nicolson_evolve(bar, grid, psi0, steps * grid.dt)
+    dt, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 40.0)
+    psi0 = ss.snapshot(pk, bar, 0.0, xs=xs).psi_full
+    psi1 = orc.CrankNicolson(bar, xs, dt).evolve(psi0, steps)
     assert np.abs(psi0).min() > 1e-100
     for psi in (psi0, psi1):
         parts = np.abs(np.concatenate([psi.real, psi.imag]))
@@ -316,8 +317,7 @@ def test_cn_singular_factor_is_typed(monkeypatch):
         return dl, d, du, du[:-1], np.arange(len(d), dtype=np.int32), 5
     monkeypatch.setattr(orc, "_lapack", lambda: (singular, None))
     with pytest.raises(ss.ToleranceError, match="singular"):
-        orc.CrankNicolson(ss.make_rectangular(0.0, 1.0, 0.0),
-                          orc.GridSpec(-5.0, 5.0, 11, 0.01))
+        orc.CrankNicolson(ss.make_rectangular(0.0, 1.0, 0.0), np.linspace(-5.0, 5.0, 11), 0.01)
 
 
 def test_package_import_does_not_load_scipy():

@@ -40,7 +40,6 @@ CAUSES = {
     "unitarity": r"unitarity violated by .* narrow resonance",
     "route_a_half_step": r"route A's \w+ trapezoid and midpoint sums .* disagree",
     "phase_grid": r"transmitted phase jumps by >= pi/2",
-    "spectral_tail": r"spectral tail at the grid cutoff",
     "opaque": r"transmitted spectral norm underflows to 0",
     "no_reflection": r"reflected spectral norm vanishes",
     "packet_config": r"invalid \[packet\]|packet must start well left",

@@ -84,8 +84,13 @@ def test_reflection_dwell_undefined_without_reflection(canonical_barrier):
 def test_dwell_tables_nan_at_resonance(canonical_barrier):
     kres = math.sqrt(2 * 2.0 + math.pi**2)
     fam = ss.solve_family(canonical_barrier, np.array([1.0, kres]))
-    tau_tr, tau_ref, defined = ss.dwell_tables(fam)[:3]
+    table = ss.dwell_tables(fam)
+    tau_tr, tau_ref, defined = table[:3]
     assert defined.tolist() == [True, False]
+    # one rule: reflection exists where the family is not degenerate, and
+    # there alone the reflected sub-state has an interior norm
+    np.testing.assert_array_equal(defined, ~fam.degenerate)
+    np.testing.assert_array_equal(table.norm_ref != 0, defined)
     assert np.isfinite(tau_tr).all()
     assert np.isnan(tau_ref[1]) and np.isfinite(tau_ref[0])
 

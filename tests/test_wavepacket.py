@@ -22,25 +22,27 @@ def test_spectrum_normalized(canonical_packet):
 
 
 def test_kgrid_validation():
-    with pytest.raises(ss.DomainError):
-        ss.KGridSpec(-0.5, 2.0, 64)
-    with pytest.raises(ss.DomainError):
-        ss.KGridSpec(1.0, 1.0, 64)
-    with pytest.raises(ss.DomainError):
-        ss.KGridSpec(0.5, 2.0, 8)
+    with pytest.raises(ss.DomainError, match="at least 16 points"):
+        ss.make_gaussian_packet(-40.0, 8.0, 1.0, n=8)
+    # 6.5 / sigma is under half an ulp of k0: k0 +/- 6.5/sigma rounds to k0
+    with pytest.raises(ss.DomainError, match="collapses"):
+        ss.make_gaussian_packet(-40.0, 1e18, 1.0, n=64)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, n=64)
+    assert pk.ks[0] == 1 - 6.5 / 8 and pk.ks[-1] == 1 + 6.5 / 8 and pk.warnings == ()
 
 
 def test_default_kgrid_clamped_floor():
     # k0 - 6.5/sigma < 0 here, so the lower edge clamps to a positive floor
-    grid = ss.default_kgrid(0.7, 8.0)
-    assert grid.k_min > 0
     pk = ss.make_gaussian_packet(-45.0, 8.0, 0.7, n=128)
-    assert "k_grid_clamped" in pk.warnings
+    assert pk.ks[0] > 0
+    # |g| at the floor is 1.6e-7 of the peak, over the 1e-8 tail bound
+    assert pk.warnings == ("k_grid_clamped", "cutoff_tail_1.6e-07")
     assert abs(pk.norm_G - 1.0) < 1e-12  # renormalized despite the cut tail
-    # k0 - 6.5/sigma = 3.25e-4 > 0 lies below the floor 1e-3 k0: clamped too
+    # k0 - 6.5/sigma = 3.25e-4 > 0 lies below the floor 1e-3 k0: clamped too,
+    # with a tail under the bound
     pk = ss.make_gaussian_packet(-45.0, 8.0, 0.812825, n=128)
     assert pk.ks[0] == pytest.approx(8.12825e-4, rel=1e-12)
-    assert "k_grid_clamped" in pk.warnings
+    assert pk.warnings == ("k_grid_clamped",)
 
 
 def test_packet_preconditions():
@@ -72,12 +74,6 @@ def test_boundary_equalities_accepted():
     assert pk.k0 == 0.625
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=64)  # x0 + 5 sigma = a
     assert pk.x0 == -40.0
-
-
-def test_narrow_grid_tail_rejected():
-    grid = ss.KGridSpec(0.8, 1.2, 64)  # only +-1.6 sigma_k wide
-    with pytest.raises(ss.GridRefinementError):
-        ss.make_gaussian_packet(-40.0, 8.0, 1.0, grid=grid)
 
 
 # ------------------------------------------------------------- free packet
@@ -119,7 +115,7 @@ def test_snapshot_partition_and_identity(canonical_packet, canonical_barrier):
 def test_quiet_time_conservation(canonical_packet, canonical_barrier):
     for t in ss.quiet_times(canonical_packet, canonical_barrier, n_pre=2, n_post=2):
         snap = ss.snapshot(canonical_packet, canonical_barrier, float(t), dx=0.05)
-        norm, T_t, R_t, ov = ss.norms_and_overlap(snap, strict=True, tol=1e-6)
+        norm, T_t, R_t, ov = ss.norms_and_overlap(snap, strict=True)
         assert abs(norm - 1.0) < 1e-9
         assert abs(T_t + R_t - 1.0) < 1e-8
         assert abs(ov) < 1e-8
@@ -314,7 +310,7 @@ STEP_BARRIER = ss.make_symmetric(0.0, [(0.4, 1.5), (0.3, 0.8)])
 # a rectangle whose second resonance lies 3e-7 below a k of canonical_packet:
 # that k is degenerate (R < 1e-12, so z = 0) with |A_R| ~ 5e-7, a reflected
 # wave that psi_tr carries
-_K_RES = ss.default_kgrid(1.0, 8.0, n=384).ks[200] * (1 - 3e-7)
+_K_RES = ss.make_gaussian_packet(-40.0, 8.0, 1.0, n=384).ks[200] * (1 - 3e-7)
 RESONANT_BARRIER = ss.make_rectangular(0.0, 4.0, (_K_RES**2 - (np.pi / 4) ** 2) / 2)
 
 
