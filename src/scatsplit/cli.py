@@ -498,7 +498,7 @@ def cmd_solve(cfg: RunConfig) -> None:
         diff_T = float(np.max(np.abs(a_t - fam.A_T)))
         diff_R = float(np.max(np.abs(a_r - fam.A_R)))
         payload["oracle"] = {"max_abs_diff_A_T": diff_T, "max_abs_diff_A_R": diff_R}
-        if cfg.tolerance_profile == "strict" and max(diff_T, diff_R) > 1e-6:
+        if cfg.tolerance_profile == "strict" and not max(diff_T, diff_R) <= 1e-6:
             raise ToleranceError(
                 f"independent-solver cross-check exceeded 1e-6: {payload['oracle']}"
             )
@@ -605,7 +605,7 @@ def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
                  for t in (t0, t0 + nsteps * dt))
     psi1 = CrankNicolson(cfg.barrier, xs, dt).evolve(psi0, nsteps)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * dx))
-    if cfg.tolerance_profile == "strict" and l2 > 1e-4:
+    if cfg.tolerance_profile == "strict" and not l2 <= 1e-4:
         raise ToleranceError(
             f"time-domain cross-check exceeded 1e-4: l2_vs_synthesis = {l2:.3e} "
             f"(dt = {dt:.6g}, {nsteps} steps, dx = {dx:.6g})"

@@ -63,8 +63,6 @@ class SpinScatteringRun:
     tau_clock_ref: float | None
     sigma_z_T: float               # out-of-plane diagnostics
     sigma_z_R: float
-    channel_norms_T: tuple
-    channel_norms_R: tuple
 
 
 def make_spin_run(barrier: BarrierSpec, omega: float,
@@ -107,8 +105,6 @@ def spin_ladder(barrier: BarrierSpec, omegas,
             tau_clock_ref=theta_R / omega if omega != 0 else None,
             sigma_z_T=(nT[0] - nT[1]) / (nT[0] + nT[1]) if nT.sum() > 0 else 0.0,
             sigma_z_R=(nR[0] - nR[1]) / (nR[0] + nR[1]) if nR.sum() > 0 else 0.0,
-            channel_norms_T=(float(nT[0]), float(nT[1])),
-            channel_norms_R=(float(nR[0]), float(nR[1])),
         ))
     return runs
 

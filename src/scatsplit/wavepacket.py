@@ -354,7 +354,7 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
         raise DomainError("snapshot grid needs at least 2 points")
     snap = _snapshot_on(xs, fam, _weights(packet, t), t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
-    if edge > _EDGE_DENSITY:
+    if not edge <= _EDGE_DENSITY:
         raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates the "
                           f"support at t={t}: end density {edge:.2e}")
     return snap
@@ -394,11 +394,11 @@ def norms_and_overlap(snap: PacketSnapshot, strict: bool = False):
     meant for quiescent-regime samples.
     """
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
-    if edge > _EDGE_DENSITY:
+    if not edge <= _EDGE_DENSITY:
         raise WindowError(f"snapshot grid truncates the support (end density {edge:.2e})")
     if strict:
         resid = snapshot_residuals(snap)
-        bad = {k: v for k, v in resid.items() if abs(v) > _CONSERVATION_TOL}
+        bad = {k: v for k, v in resid.items() if not abs(v) <= _CONSERVATION_TOL}
         if bad:
             raise ToleranceError(f"conservation identities out of tolerance: {bad}")
     return snap.norm_full, snap.T_t, snap.R_t, snap.overlap_re

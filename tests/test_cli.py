@@ -99,7 +99,10 @@ def test_solve_oracle_crosscheck(tmp_path):
     # k high enough that the step must shrink below 0.005
     ("kind = rectangular\na = 0.0\nb = 1.0\nv0 = 2.0\n",
      "k_min = 0.5\nk_max = 20.0\nn_k = 64\n"),
-], ids=["narrow_segment", "high_k"])
+    # kappa w ~ 715: an unscaled march overflows and reads NaN
+    ("kind = rectangular\na = 0.0\nb = 16.0\nv0 = 1000.0\n",
+     "k_min = 0.5\nk_max = 3.0\nn_k = 8\n"),
+], ids=["narrow_segment", "high_k", "opaque"])
 def test_solve_oracle_strict_passes(tmp_path, barrier, run):
     ini = write(tmp_path, "run.ini", "[barrier]\n" + barrier + "[run]\n" + run)
     assert main(["solve", "--config", ini, "--out", str(tmp_path), "--oracle",
@@ -107,6 +110,16 @@ def test_solve_oracle_strict_passes(tmp_path, barrier, run):
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["oracle"]["max_abs_diff_A_T"] < 1e-6
     assert meta["oracle"]["max_abs_diff_A_R"] < 1e-6
+
+
+def test_solve_oracle_strict_refuses_nan(tmp_path, monkeypatch, capsys):
+    # a NaN difference must fail the 1e-6 gate, not pass it
+    monkeypatch.setattr(cli, "numerov_solve",
+                        lambda barrier, ks: (np.full(len(ks), np.nan + 0j),) * 2)
+    ini = write(tmp_path, "run.ini", CANONICAL + "[run]\nk_min = 0.6\nk_max = 1.8\nn_k = 5\n")
+    assert main(["solve", "--config", ini, "--out", str(tmp_path), "--oracle",
+                 "--tolerance-profile", "strict"]) == 3
+    assert "independent-solver cross-check exceeded 1e-6" in capsys.readouterr().err
 
 
 def test_decompose_branch_column(tmp_path):
@@ -219,24 +232,25 @@ def test_evolve_oracle_runs_on_the_hull_of_both_snapshot_grids(tmp_path):
 
 
 def test_evolve_oracle_strict_gates_l2(tmp_path, monkeypatch, capsys):
-    # a Crank-Nicolson field off by 1e-3 everywhere: reported under the
-    # default profile, refused with exit 3 under strict
+    # a Crank-Nicolson field off by 1e-3 everywhere, or NaN: reported under
+    # the default profile, refused with exit 3 under strict
     from scatsplit import oracle
 
     evolve = oracle.CrankNicolson.evolve
-    monkeypatch.setattr(oracle.CrankNicolson, "evolve",
-                        lambda *args: evolve(*args) * (1 + 1e-3))
     ini = write(tmp_path, "run.ini",
                 CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
                 + "[run]\ntimes = 0.0 1.0\ndx = 0.05\n")
-    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 0
-    meta = json.loads((tmp_path / "evolve.json").read_text())
-    assert meta["oracle"]["l2_vs_synthesis"] > 1e-4
-    capsys.readouterr()
-    assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle",
-                 "--tolerance-profile", "strict"]) == 3
-    err = capsys.readouterr().err
-    assert "l2_vs_synthesis" in err and "dt = 0.5, 2 steps" in err and "dx = 0.02" in err
+    for factor in (1 + 1e-3, math.nan):
+        monkeypatch.setattr(oracle.CrankNicolson, "evolve",
+                            lambda *args, factor=factor: evolve(*args) * factor)
+        assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle"]) == 0
+        meta = json.loads((tmp_path / "evolve.json").read_text())
+        assert not meta["oracle"]["l2_vs_synthesis"] <= 1e-4
+        capsys.readouterr()
+        assert main(["evolve", "--config", ini, "--out", str(tmp_path), "--oracle",
+                     "--tolerance-profile", "strict"]) == 3
+        err = capsys.readouterr().err
+        assert "l2_vs_synthesis" in err and "dt = 0.5, 2 steps" in err and "dx = 0.02" in err
 
 
 def test_evolve_oracle_beyond_its_step_budget_refuses_at_once(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,27 +85,64 @@ def test_numerov_opaque_barrier_within_1e8():
 
 
 def test_numerov_step_survives_width_rounding():
-    # 0.8500000000000001 / 0.005 is 170.00000000000003 in floats; the step
-    # must stay width/170 so the 0.9 segments remain whole multiples of it
+    # 0.8500000000000001 / 0.005 is 170.00000000000003 in floats; the
+    # segment must still take 170 steps, not 171
     bar = ss.make_symmetric(0.0, [(0.8500000000000001, 2.0), (0.9, 1.0)])
-    assert orc.numerov_step_size(bar, [1.0]) == bar.widths[0] / 170
+    h = orc.numerov_step_size(bar, [1.0])
+    assert h == 0.005
+    assert orc._segment_steps(bar, [1.0]).tolist() == [170, 180, 180, 170]
     A_T, A_R = orc.numerov_solve(bar, [1.0])
     fam = ss.solve_family(bar, [1.0])
     assert abs(A_T[0] - fam.A_T[0]) < 1e-8
     assert abs(A_R[0] - fam.A_R[0]) < 1e-8
 
 
-def test_numerov_step_divides_every_width():
-    # at k = 25.5 the wanted step is 0.3/496, which does not divide 0.5; the
-    # next whole fraction of 0.3 that does is taken instead of a refusal
-    bar = ss.make_symmetric(0.0, ((0.3, 1.0), (0.5, 2.0)))
-    h = orc.numerov_step_size(bar, [25.5])
-    steps = bar.widths / h
-    assert np.max(np.abs(steps - np.round(steps))) < 1e-9 * steps.max()
-    A_T, A_R = orc.numerov_solve(bar, [25.5])
-    t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, 25.5)
-    assert abs(A_T[0] - t_ref) < 1e-8
-    assert abs(A_R[0] - r_ref) < 1e-8
+def test_numerov_takes_incommensurate_widths():
+    # no step divides both 0.3 and 0.2 sqrt 2, nor 0.4137 and 0.2281 below
+    # 0.005, and at k = 25.5 0.3/496 does not divide 0.5: each segment steps
+    # on its own whole fraction of its width
+    for half in ([(0.3, 2.0), (0.2 * math.sqrt(2.0), 1.0)], [(0.4137, 2.0), (0.2281, 1.0)],
+                 [(0.3, 1.0), (0.5, 2.0)]):
+        bar = ss.make_symmetric(0.0, half)
+        for k in (1.0, 25.5):
+            h = orc.numerov_step_size(bar, [k])
+            steps = orc._segment_steps(bar, [k])
+            assert np.all(bar.widths / steps <= h * (1 + 1e-9))
+            A_T, A_R = orc.numerov_solve(bar, [k])
+            t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, k)
+            assert abs(A_T[0] - t_ref) < 1e-8
+            assert abs(A_R[0] - r_ref) < 1e-8
+
+
+def test_numerov_refines_a_steep_narrow_segment_at_low_k():
+    # a 0.024-wide wall of height 32 between two wells: at k = 0.129 its
+    # five phase-budget steps leave the exit stencil off by 1e-7 psi, and
+    # the amplitudes off by 6.3e-7; the stencil's own bound takes 14 steps
+    # there and 222 in the wells, and the amplitudes read 1.3e-8
+    bar = ss.make_symmetric(0.0, [(0.8869389407384182, -7.777999280123533),
+                                  (0.023782932543673814, 31.93471009854384)])
+    k = 0.12889861242497666
+    assert orc._segment_steps(bar, [k]).tolist() == [222, 14, 14, 222]
+    A_T, A_R = orc.numerov_solve(bar, [k])
+    t_ref, r_ref = transfer_amplitudes(bar.edges, bar.heights, k)
+    assert abs(A_T[0] - t_ref) < 5e-8
+    assert abs(A_R[0] - r_ref) < 5e-8
+
+
+def test_numerov_opaque_beyond_float_range():
+    # kappa w ~ 715 > 709: psi grows past the float range under the barrier,
+    # so the march rescales and A_T ~ 1e-311 comes from the log scale
+    bar = ss.make_rectangular(0.0, 16.0, 1000.0)
+    ks = [1.0, 3.0, 10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        A_T, A_R = orc.numerov_solve(bar, ks)
+    assert np.all(np.isfinite(A_T)) and np.all(np.isfinite(A_R))
+    for k, a_t, a_r in zip(ks, A_T, A_R):
+        t_ref, r_ref = rect_amplitudes(16.0, 1000.0, k)
+        assert 0 < abs(t_ref) < 1e-300
+        assert abs(a_t - t_ref) < 1e-8 * abs(t_ref)
+        assert abs(a_r - r_ref) < 1e-8
 
 
 def test_numerov_free_identity():
@@ -118,12 +156,6 @@ def test_numerov_rejects_bad_k(canonical_barrier):
     for ks in ([0.0], [1.0, -0.5, 2.0], [], [float("nan")]):
         with pytest.raises(ss.DomainError):
             orc.numerov_solve(canonical_barrier, ks)
-
-
-def test_numerov_rejects_incommensurate_widths():
-    bar = ss.make_symmetric(0.0, [(0.3, 2.0), (0.2 * math.sqrt(2.0), 1.0)])
-    with pytest.raises(ss.GridRefinementError, match="at or below 0.005"):
-        orc.numerov_solve(bar, [1.0])
 
 
 def test_cn_free_gaussian():
@@ -147,6 +179,16 @@ def test_cn_detects_boundary_contamination():
     psi0 = np.array([free_gaussian(x, 0.0, -12.0, 3.0, 1.5) for x in xs])
     with pytest.raises(ss.ToleranceError):
         orc.CrankNicolson(free, xs, 0.01).evolve(psi0, 1200)
+
+
+def test_cn_refuses_a_nan_field():
+    # a NaN density must fail the edge check, not pass it
+    free = ss.make_rectangular(0.0, 1.0, 0.0)
+    xs = np.linspace(-30.0, 10.0, 801)
+    psi0 = np.array([free_gaussian(x, 0.0, -10.0, 3.0, 1.0) for x in xs])
+    psi0[400] = np.nan
+    with pytest.raises(ss.ToleranceError, match="edge density nan"):
+        orc.CrankNicolson(free, xs, 0.01).evolve(psi0, 1)
 
 
 def test_cn_input_checks():

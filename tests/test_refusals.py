@@ -5,6 +5,8 @@ Every run of the five commands either succeeds or refuses by name: it exits
 cannot meet), never 4, and every refusal's stderr starts with one of the
 CLI's labels and names one of a closed set of causes.  RuntimeWarning is an
 error in this suite, so a stray overflow or division reads as exit 4 too.
+`solve` runs with `--oracle --tolerance-profile strict`, so every solve draw
+also meets the Numerov cross-check at 1e-6.
 
 Barriers are rectangles (30 %; V0 from U(-5, 60), 10^U(-3, 3) or
 -10^U(-1, 2), width 10^U(-2, 1.2)), opaque rectangles (10 %) and symmetric
@@ -43,6 +45,7 @@ CAUSES = {
     "opaque": r"transmitted spectral norm underflows to 0",
     "no_reflection": r"reflected spectral norm vanishes",
     "packet_config": r"invalid \[packet\]|packet must start well left",
+    "oracle": r"independent-solver cross-check exceeded",
 }
 
 
@@ -106,7 +109,8 @@ def test_every_refusal_is_named(tmp_path, capsys):
         ini.write_text(_config(rng, command))
         out = tmp_path / f"out{i}"
         capsys.readouterr()
-        code = main([command, "--config", str(ini), "--out", str(out)])
+        flags = ["--oracle", "--tolerance-profile", "strict"] if command == "solve" else []
+        code = main([command, "--config", str(ini), "--out", str(out), *flags])
         err = capsys.readouterr().err.strip()
         where = f"draw {i} ({command}): exit {code}, {err!r}\n{ini.read_text()}"
         assert code in (0, 2, 3), where

@@ -377,6 +377,21 @@ def test_time_report_computes_interior_integrals_once(canonical_packet, canonica
     assert calls == [len(canonical_packet.ks)]
 
 
+@pytest.mark.parametrize("component", ["tr", "ref"])
+def test_time_report_refuses_a_nan_route_b(canonical_packet, canonical_barrier,
+                                           monkeypatch, component):
+    # a NaN route B time must fail the 1e-3 agreement check, not pass it
+    route_b = tm.route_b
+
+    def planted(packet, fam, table, which):
+        out = route_b(packet, fam, table, which)
+        return {**out, "density": math.nan} if which == component else out
+
+    monkeypatch.setattr(tm, "route_b", planted)
+    with pytest.raises(ss.ToleranceError, match="route A and route B disagree"):
+        ss.build_time_report(canonical_packet, canonical_barrier)
+
+
 # ---------------------------------------------------------- route-A kernels
 
 

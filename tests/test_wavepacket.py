@@ -1,5 +1,7 @@
 """Spectral packet synthesis: normalization, free-space limit, conservation."""
 
+import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -119,6 +121,17 @@ def test_quiet_time_conservation(canonical_packet, canonical_barrier):
         assert abs(norm - 1.0) < 1e-9
         assert abs(T_t + R_t - 1.0) < 1e-8
         assert abs(ov) < 1e-8
+
+
+def test_nan_fails_the_snapshot_checks(canonical_packet, canonical_barrier):
+    # a NaN end density or conservation residual must fail its check
+    snap = ss.snapshot(canonical_packet, canonical_barrier, 20.0, dx=0.05)
+    psi = snap.psi_full.copy()
+    psi[0] = np.nan
+    with pytest.raises(ss.WindowError, match="end density nan"):
+        ss.norms_and_overlap(dataclasses.replace(snap, psi_full=psi))
+    with pytest.raises(ss.ToleranceError, match="norm_minus_1"):
+        ss.norms_and_overlap(dataclasses.replace(snap, norm_full=math.nan), strict=True)
 
 
 def test_transient_overlap_and_constant_R(canonical_packet, canonical_barrier):
