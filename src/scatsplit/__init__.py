@@ -30,12 +30,10 @@ from .wavepacket import (
     SpectralPacket,
     event_window,
     make_gaussian_packet,
-    norms_and_overlap,
     quiet_times,
     snapshot,
     snapshot_residuals,
     spectral_transmitted_norm,
-    synthesize,
 )
 from .times import (
     PhaseTimes,
@@ -88,7 +86,6 @@ __all__ = [
     "make_rectangular",
     "make_spin_run",
     "make_symmetric",
-    "norms_and_overlap",
     "numerov_solve",
     "phase_time",
     "potential_at",
@@ -101,5 +98,4 @@ __all__ = [
     "solve_family",
     "spectral_transmitted_norm",
     "spin_ladder",
-    "synthesize",
 ]

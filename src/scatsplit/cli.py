@@ -37,7 +37,7 @@ from .errors import (
     ConfigError, DomainError, ScatsplitError, ToleranceError, UndefinedTimeError,
 )
 from .larmor import clock_times, spin_ladder
-from .oracle import numerov_solve
+from .oracle import CROSS_CHECK_DX, CrankNicolson, cross_check_plan, numerov_solve
 from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
 from .times import build_time_report, dwell_tables, route_b
@@ -45,7 +45,6 @@ from .wavepacket import (
     auto_grid,
     check_alias,
     make_gaussian_packet,
-    norms_and_overlap,
     snapshot,
     snapshot_residuals,
 )
@@ -541,8 +540,7 @@ def cmd_evolve(cfg: RunConfig) -> None:
     scalars = []
     strict = cfg.tolerance_profile == "strict"
     for i, t in enumerate(ts):
-        snap = snapshot(packet, cfg.barrier, t, dx=dx, fam=fam)
-        norms_and_overlap(snap, strict=strict)
+        snap = snapshot(packet, cfg.barrier, t, dx=dx, fam=fam, strict=strict)
         _write_csv(
             cfg.out_dir / f"evolve_{i:03d}.csv", cfg,
             ["x", "density_full", "density_tr", "density_ref"],
@@ -578,25 +576,18 @@ def _oracle_plan(cfg, packet, ts):
     """(xs, dt, nsteps, time_error) of the time-domain cross-check from ts[0]
     to ts[-1], or None with fewer than two distinct times.
 
-    xs is the hull of the snapshot grids of both times at CROSS_CHECK_DX,
-    which put x_c on a node alike; for ts[0] >= 0 it is the grid of ts[-1].
+    xs is `auto_grid`'s over both times at CROSS_CHECK_DX: the hull of their
+    snapshot grids at that step, x_c on a node alike.
     """
-    from .oracle import CROSS_CHECK_DX, cross_check_plan
-
     if ts[-1] <= ts[0]:
         return None
-    dx, x_c = CROSS_CHECK_DX, cfg.barrier.x_c
-    ends = np.array([auto_grid(packet, cfg.barrier, t, dx=dx)[[0, -1]] for t in (ts[0], ts[-1])])
-    m = np.round((ends - x_c) / dx).astype(int)
-    xs = x_c + dx * np.arange(m[:, 0].min(), m[:, 1].max() + 1)
+    xs = auto_grid(packet, cfg.barrier, (ts[0], ts[-1]), dx=CROSS_CHECK_DX)
     plan = cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0])
     check_alias(packet, xs, ts[-1])
     return (xs, *plan)
 
 
 def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
-    from .oracle import CrankNicolson
-
     if plan is None:
         return {"skipped": "need at least two distinct times"}
     xs, dt, nsteps, time_error = plan

@@ -17,7 +17,8 @@ wave's (psi, psi') at b to (psi, psi') at a.  Each segment takes its own step,
 the coarsest whole fraction of its width at or below the step that keeps the
 most demanding k's summed phase error (or, under the barrier, growth-rate
 error) and its exit stencil's error within budget, so any widths are
-accepted.  The rows are rescaled as
+accepted; a k grid whose steps exceed NUMEROV_BUDGET is refused before
+marching.  The rows are rescaled as
 they grow, and the log scale is carried into A_T, so opaque barriers neither
 overflow nor lose the reflected amplitude.
 
@@ -66,6 +67,12 @@ _MIN_SEGMENT_STEPS = 5  # the 6-point derivative at a jump needs 5 steps behind 
 _RING = 6  # rows kept while marching: the derivative stencil's width
 
 _RESCALE = 256  # steps between rescalings of the ring
+
+# Most work one Numerov solve may take, in steps x (n_k + _STEP_OVERHEAD_K):
+# a step costs about 3 us plus 2.5 ns per k (NumPy 2.4, one core), so the
+# budget is some 6 s, as CROSS_CHECK_BUDGET's
+NUMEROV_BUDGET = 2e9
+_STEP_OVERHEAD_K = 1000  # a step's fixed cost, in k columns
 
 
 def _march(rows, n, f, h, nsteps):
@@ -143,7 +150,8 @@ def numerov_solve(barrier: BarrierSpec, ks):
     one-sided stencil.  The ring is rescaled by its newest rows every
     _RESCALE steps and the log scale S enters A_T = exp(-S) / P, so an
     opaque barrier neither overflows nor loses A_R.  At a, (psi, psi') give
-    the incident and reflected amplitudes P and Q.
+    the incident and reflected amplitudes P and Q.  GridRefinementError,
+    before marching, when the steps exceed NUMEROV_BUDGET.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or ks.size == 0:
@@ -152,6 +160,13 @@ def numerov_solve(barrier: BarrierSpec, ks):
         raise DomainError("k must be positive")
     E = ks * ks / 2
     steps = _segment_steps(barrier, ks)
+    total = int(steps.sum())
+    cost = total * (len(ks) + _STEP_OVERHEAD_K)
+    if cost > NUMEROV_BUDGET:
+        raise GridRefinementError(
+            f"the Numerov oracle needs {total} steps for {len(ks)} k up to k={ks.max():.6g}: "
+            f"{total} x ({len(ks)} + {_STEP_OVERHEAD_K}) = {cost:.3g}, beyond the budget of "
+            f"{NUMEROV_BUDGET:.3g}; lower the largest k")
 
     rows = np.empty((_RING, len(ks)), dtype=complex)
     n = 0

@@ -13,11 +13,15 @@ where phi_c is the full state or one of the masked sub-process states.  The
 stationary states (<phi_k|phi_k'> = 2 pi delta(k - k')) to make
 <Psi_full|Psi_full> = 1 given the G normalization above.
 
-On a uniform x grid no x-by-k basis is built.  Outside [a, b] each sub-state
-is a plane-wave pair with the family's amplitudes, so each field there is a
-chirp-z transform of the weights (`_plane_sum`); only the rows inside [a, b)
-use the family's basis, with the mirror identity on fields giving the
-reflection field on those left of x_c (`_split`).
+`snapshot` is the one public route to the fields: all three on one uniform
+x grid, the caller's or `auto_grid`'s, with their conservation scalars.  No
+x-by-k basis is built.  Outside [a, b] each sub-state is a plane-wave pair
+with the family's amplitudes, so each field there is a chirp-z transform of
+the weights (`_plane_sum`); only the rows inside [a, b) use the family's
+basis, with the mirror identity on fields giving the reflection field on
+those left of x_c (`_split`).  The fields repeat in x with the k grid's alias
+period 2 pi / dk, so any grid spanning it is refused, as is one whose end
+densities show it truncates the packet.
 
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
@@ -28,8 +32,8 @@ a derivative kink at x_c that sources the overlap until the interior empties.
 Post-event the identities hold to ~1e-9.  Use event_window/quiet_times to
 sample in the regime where the sharp statements apply.  Each time scan takes
 its window from the spectrum (`_event_spans`), its step from the energy band
-(`_density_scan`); a k grid that cannot resolve the window, or whose alias
-period 2 pi/dk a snapshot grid spans, is refused by name with the n_k it needs.
+(`_density_scan`).  A k grid too coarse for the window or for a snapshot grid
+is refused by name with the n_k it needs.
 """
 
 from __future__ import annotations
@@ -244,21 +248,6 @@ def _uniform_grid(xs) -> np.ndarray:
     return xs
 
 
-def synthesize(packet: SpectralPacket, barrier: BarrierSpec, component: str,
-               t: float, xs) -> np.ndarray:
-    """Time-dependent field samples for component in {"full", "tr", "ref"}.
-
-    "ref" and "tr" are the masked sub-process fields; they sum to "full"
-    pointwise by construction.  xs must be a uniform ascending grid (see
-    `_uniform_grid`): the fields are chirp-z transforms on it.
-    """
-    if component not in ("full", "tr", "ref"):
-        raise DomainError(f"component must be full|tr|ref, got {component!r}")
-    xs = _uniform_grid(xs)
-    full, ref = _split(solve_family(barrier, packet.ks), _weights(packet, t), xs)
-    return {"full": full, "ref": ref, "tr": full - ref}[component]
-
-
 def _split(fam: SolutionFamily, w, xs):
     """(psi_full, psi_ref) on the uniform grid xs for weights w.  Left of a
     psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) over the non-degenerate k; from
@@ -315,9 +304,10 @@ def _plane_sum(C, ks, xs):
     return out
 
 
-def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
+def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, times,
               dx: float = 0.02) -> np.ndarray:
-    """Uniform snapshot grid covering the dispersed support at time t.
+    """Uniform grid x_c + dx * (-n_lo .. n_hi) covering the dispersed support
+    at each of the times: on each side the most nodes any one time needs.
 
     Uniformity matters: trapezoid norms on piecewise-stitched grids pick up
     spurious boundary terms at spacing jumps.  The grid is anchored so the
@@ -325,50 +315,60 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     """
     if not 0 < dx < math.inf:
         raise DomainError(f"dx must be positive and finite, got {dx}")
-    sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
-    k_hi = float(packet.ks[-1])
-    pad = 6.0 * sig_t + 5.0
-    x_lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
-    x_hi = max(barrier.b, packet.x0 + k_hi * t) + pad
-    x_c = barrier.x_c
-    n_lo = math.ceil((x_c - x_lo) / dx)
-    n_hi = math.ceil((x_hi - x_c) / dx)
+    k_hi, x_c = float(packet.ks[-1]), barrier.x_c
+    counts = []
+    for t in times:
+        sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
+        pad = 6.0 * sig_t + 5.0
+        x_lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
+        x_hi = max(barrier.b, packet.x0 + k_hi * t) + pad
+        counts.append((math.ceil((x_c - x_lo) / dx), math.ceil((x_hi - x_c) / dx)))
+    n_lo, n_hi = map(max, zip(*counts))
     return x_c + dx * np.arange(-n_lo, n_hi + 1)
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
-             xs=None, dx: float = 0.02, fam: SolutionFamily | None = None) -> PacketSnapshot:
+             xs=None, dx: float = 0.02, fam: SolutionFamily | None = None,
+             strict: bool = False) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
-    With xs=None the grid is `auto_grid`'s, refused (GridRefinementError)
-    when it spans the k grid's alias period 2 pi / dk or more.  Either grid
-    must bring the end densities below 1e-10, or WindowError is raised.
-    fam is the packet's family over barrier, solved here when not given.
+    The grid is xs, or `auto_grid`'s at dx when xs is None.  Either is
+    refused (GridRefinementError, `check_alias`) when it spans the k grid's
+    alias period 2 pi / dk or more, and (WindowError) unless it brings the
+    end densities below 1e-10.  strict=True also holds the conservation
+    identities (`snapshot_residuals`) to 1e-6, or raises ToleranceError;
+    they are transiently violated at the 1e-3 level while the packet crosses
+    the barrier (see the module docstring), so strict mode is meant for
+    quiet-time samples.  fam is the packet's family over barrier, solved
+    here when not given.
     """
-    if fam is None:
-        fam = solve_family(barrier, packet.ks)
-    if xs is None:
-        xs = check_alias(packet, auto_grid(packet, barrier, t, dx=dx), t)
-    xs = _uniform_grid(xs)
+    xs = _uniform_grid(auto_grid(packet, barrier, (t,), dx=dx) if xs is None else xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
+    check_alias(packet, xs, t)
+    if fam is None:
+        fam = solve_family(barrier, packet.ks)
     snap = _snapshot_on(xs, fam, _weights(packet, t), t)
     edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
     if not edge <= _EDGE_DENSITY:
         raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates the "
                           f"support at t={t}: end density {edge:.2e}")
+    if strict:
+        bad = {k: v for k, v in snapshot_residuals(snap).items()
+               if not abs(v) <= _CONSERVATION_TOL}
+        if bad:
+            raise ToleranceError(f"conservation identities out of tolerance: {bad}")
     return snap
 
 
-def check_alias(packet: SpectralPacket, xs, t: float):
-    """xs, refused (GridRefinementError, naming the n_k needed) when it spans
-    the k grid's alias period 2 pi / dk or more: the fields repeat with it."""
+def check_alias(packet: SpectralPacket, xs, t: float) -> None:
+    """GridRefinementError, naming the n_k needed, when the grid xs spans the
+    k grid's alias period 2 pi / dk or more: the fields repeat with it."""
     span, period = xs[-1] - xs[0], _TWO_PI / packet.dk
     if span >= period:
         raise _refine(packet, span / period,
                       f"the snapshot grid at t={t} spans {span:.4g}, at least "
                       f"the k grid's alias period 2 pi/dk = {period:.4g}")
-    return xs
 
 
 def _snapshot_on(xs, fam, w, t):
@@ -383,25 +383,6 @@ def _snapshot_on(xs, fam, w, t):
         norm_full=norm_full, T_t=norm_full - R_t - 2 * ov.real, R_t=R_t,
         overlap_re=ov.real, overlap_im=ov.imag,
     )
-
-
-def norms_and_overlap(snap: PacketSnapshot, strict: bool = False):
-    """(norm_full, T_t, R_t, overlap_re) with the support check re-applied.
-
-    strict=True additionally enforces the conservation identities at
-    _CONSERVATION_TOL; those are transiently violated at the 1e-3 level while
-    the packet crosses the barrier (see module docstring), so strict mode is
-    meant for quiescent-regime samples.
-    """
-    edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
-    if not edge <= _EDGE_DENSITY:
-        raise WindowError(f"snapshot grid truncates the support (end density {edge:.2e})")
-    if strict:
-        resid = snapshot_residuals(snap)
-        bad = {k: v for k, v in resid.items() if not abs(v) <= _CONSERVATION_TOL}
-        if bad:
-            raise ToleranceError(f"conservation identities out of tolerance: {bad}")
-    return snap.norm_full, snap.T_t, snap.R_t, snap.overlap_re
 
 
 def snapshot_residuals(snap: PacketSnapshot) -> dict:

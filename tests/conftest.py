@@ -10,6 +10,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 import scatsplit as ss
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--fuzz-seeds", type=int, default=1, metavar="N",
+        help="run the CLI fuzz of tests/test_refusals.py over seeds 1 .. N (default 1); "
+             "its per-cause refusal bounds hold at seed 1 only")
+
+
 @pytest.fixture(scope="session")
 def canonical_barrier():
     """Rectangular bump, height 2, on [0, 1]: tunneling regime at k = 1."""

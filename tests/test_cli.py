@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ def test_solve_oracle_strict_refuses_nan(tmp_path, monkeypatch, capsys):
     assert "independent-solver cross-check exceeded 1e-6" in capsys.readouterr().err
 
 
+def test_solve_oracle_beyond_its_step_budget_refuses_at_once(tmp_path, capsys):
+    # 64 k up to 2e5: Numerov's phase budget asks 1.07e8 steps, some 6 min,
+    # refused by name before marching; up to 2000 (339 809 steps) it runs
+    run = "[run]\nk_min = 0.5\nk_max = {}\nn_k = 64\n"
+    argv = ["solve", "--config", str(tmp_path / "run.ini"), "--out", str(tmp_path), "--oracle"]
+    write(tmp_path, "run.ini", CANONICAL + run.format(2e5))
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "tolerance failure: the Numerov oracle needs 107456994 steps for 64 k up to "
+        "k=200000: 107456994 x (64 + 1000) = 1.14e+11, beyond the budget of 2e+09; "
+        "lower the largest k\n")
+    assert not (tmp_path / "solve.json").exists()
+    write(tmp_path, "run.ini", CANONICAL + run.format(2000.0))
+    assert main(argv) == 0
+    assert (tmp_path / "solve.json").exists()
+
+
 def test_decompose_branch_column(tmp_path):
     ini = write(tmp_path, "run.ini", CANONICAL + "[run]\nk_min = 0.5\nk_max = 2.0\nn_k = 8\n")
     assert main(["decompose", "--config", ini, "--out", str(tmp_path)]) == 0
@@ -203,7 +223,7 @@ def test_evolve_oracle_agrees(tmp_path):
     from scatsplit.wavepacket import auto_grid
 
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
-    xs = auto_grid(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192), bar, 4.0,
+    xs = auto_grid(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192), bar, (4.0,),
                    dx=oracle.CROSS_CHECK_DX)
     assert (orc["x_min"], orc["n"]) == (xs[0], len(xs))
     assert orc["dx"] == pytest.approx(0.02, rel=1e-12)
@@ -226,7 +246,7 @@ def test_evolve_oracle_runs_on_the_hull_of_both_snapshot_grids(tmp_path):
     assert orc["l2_vs_synthesis"] < 1e-5
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
-    grids = [auto_grid(pk, bar, t, dx=oracle.CROSS_CHECK_DX) for t in (-8.0, 2.0)]
+    grids = [auto_grid(pk, bar, (t,), dx=oracle.CROSS_CHECK_DX) for t in (-8.0, 2.0)]
     lo, hi = min(g[0] for g in grids), max(g[-1] for g in grids)
     assert orc["x_min"] == lo and orc["n"] == round((hi - lo) / oracle.CROSS_CHECK_DX) + 1
 

@@ -116,22 +116,29 @@ def test_snapshot_partition_and_identity(canonical_packet, canonical_barrier):
 
 def test_quiet_time_conservation(canonical_packet, canonical_barrier):
     for t in ss.quiet_times(canonical_packet, canonical_barrier, n_pre=2, n_post=2):
-        snap = ss.snapshot(canonical_packet, canonical_barrier, float(t), dx=0.05)
-        norm, T_t, R_t, ov = ss.norms_and_overlap(snap, strict=True)
-        assert abs(norm - 1.0) < 1e-9
-        assert abs(T_t + R_t - 1.0) < 1e-8
-        assert abs(ov) < 1e-8
+        snap = ss.snapshot(canonical_packet, canonical_barrier, float(t), dx=0.05, strict=True)
+        assert abs(snap.norm_full - 1.0) < 1e-9
+        assert abs(snap.T_t + snap.R_t - 1.0) < 1e-8
+        assert abs(snap.overlap_re) < 1e-8
 
 
-def test_nan_fails_the_snapshot_checks(canonical_packet, canonical_barrier):
+def test_nan_fails_the_snapshot_checks(canonical_packet, canonical_barrier, monkeypatch):
     # a NaN end density or conservation residual must fail its check
-    snap = ss.snapshot(canonical_packet, canonical_barrier, 20.0, dx=0.05)
-    psi = snap.psi_full.copy()
-    psi[0] = np.nan
+    snapshot_on = wp._snapshot_on
+
+    def first_node_nan(*args):
+        snap = snapshot_on(*args)
+        psi = snap.psi_full.copy()
+        psi[0] = np.nan
+        return dataclasses.replace(snap, psi_full=psi)
+
+    monkeypatch.setattr(wp, "_snapshot_on", first_node_nan)
     with pytest.raises(ss.WindowError, match="end density nan"):
-        ss.norms_and_overlap(dataclasses.replace(snap, psi_full=psi))
+        ss.snapshot(canonical_packet, canonical_barrier, 20.0, dx=0.05, strict=True)
+    monkeypatch.setattr(wp, "_snapshot_on", lambda *args: dataclasses.replace(
+        snapshot_on(*args), norm_full=math.nan))
     with pytest.raises(ss.ToleranceError, match="norm_minus_1"):
-        ss.norms_and_overlap(dataclasses.replace(snap, norm_full=math.nan), strict=True)
+        ss.snapshot(canonical_packet, canonical_barrier, 20.0, dx=0.05, strict=True)
 
 
 def test_transient_overlap_and_constant_R(canonical_packet, canonical_barrier):
@@ -170,8 +177,7 @@ def test_event_window_times_are_nodes_of_the_band_scan(canonical_packet, canonic
     for t in (t_pre, t_post):
         j = round(t / dt)
         assert 0 < j < len(s) - 1 and t == dt * j
-    snap = ss.snapshot(canonical_packet, canonical_barrier, t_post)
-    ss.norms_and_overlap(snap, strict=True)
+    ss.snapshot(canonical_packet, canonical_barrier, t_post, strict=True)
 
 
 def test_spectral_T_keeps_a_subnormal_mean():
@@ -215,12 +221,6 @@ def test_snapshot_grid_checks(canonical_packet, canonical_barrier):
 def test_snapshot_refuses_a_bad_dx(canonical_packet, canonical_barrier, dx):
     with pytest.raises(ss.DomainError, match="dx must be positive and finite"):
         ss.snapshot(canonical_packet, canonical_barrier, 0.0, dx=dx)
-
-
-def test_synthesize_component_names(canonical_packet, canonical_barrier):
-    with pytest.raises(ss.DomainError):
-        ss.synthesize(canonical_packet, canonical_barrier, "transmitted", 0.0,
-                      np.array([0.0]))
 
 
 def test_unresolved_resonance_refused_by_name():
@@ -281,6 +281,22 @@ def test_snapshot_grid_beyond_alias_period_refused():
             r"^the snapshot grid at t=0\.0 spans 55\.3, at least the k grid's alias "
             r"period 2 pi/dk = 40\.46; needs n_k >= 96 \(now 64\)$")):
         ss.snapshot(pk, bar, 0.0, dx=0.05)
+
+
+def test_given_grid_beyond_alias_period_refused():
+    # a caller's grid is held to the alias period as an automatic one is: on
+    # 64 k points the fields repeat every 2 pi / dk = 182.7 in x, and this
+    # grid spans 548, so it holds three copies of the packet (norm_full 3)
+    bar = ss.make_rectangular(0.0, 1.0, 0.0)
+    pk = ss.make_gaussian_packet(-40.0, 6.0, 2.0, barrier=bar, n=64)
+    xs = -40.0 + 0.05 * np.arange(-5481, 5482)
+    with pytest.raises(ss.GridRefinementError, match=(
+            r"^the snapshot grid at t=0\.0 spans 548\.1, at least the k grid's alias "
+            r"period 2 pi/dk = 182\.7; needs n_k >= 209 \(now 64\)$")):
+        ss.snapshot(pk, bar, 0.0, xs=xs)
+    # the synthesis under it does hold three copies
+    snap = wp._snapshot_on(xs, ss.solve_family(bar, pk.ks), wp._weights(pk, 0.0), 0.0)
+    assert abs(snap.norm_full - 3.0) < 1e-9
 
 
 # -------------------------------------------------------- chirp-z synthesis
@@ -375,7 +391,8 @@ def test_outer_fields_match_plane_wave_sums():
     left, right = xs < bar.a, xs >= bar.b
     tol = 1e-12 * np.sum(np.abs(w))
 
-    full = ss.synthesize(pk, bar, "full", t, xs)
+    snap = ss.snapshot(pk, bar, t, xs=xs)
+    full = snap.psi_full
     want_left = (np.array(plane_wave_sum(pk.ks, w, xs[left]))
                  + np.conj(plane_wave_sum(pk.ks, np.conj(w * A_R), xs[left])))
     want_right = np.array(plane_wave_sum(pk.ks, w * A_T, xs[right]))
@@ -383,7 +400,7 @@ def test_outer_fields_match_plane_wave_sums():
     assert np.max(np.abs(full[right] - want_right)) < tol
 
     # left of a the mirror point 2 x_c - x lies right of b
-    ref = ss.synthesize(pk, bar, "ref", t, xs)
+    ref = snap.psi_ref
     mirror = np.conj(plane_wave_sum(
         pk.ks, np.conj(w * z * A_T * np.exp(2j * pk.ks * bar.x_c)), xs[left]))
     zsum = (np.array(plane_wave_sum(pk.ks, w * z, xs[left]))
@@ -392,7 +409,7 @@ def test_outer_fields_match_plane_wave_sums():
     assert np.all(ref[xs > bar.x_c] == 0)
 
     # psi_tr: the incoming wave A_tr_In e^{ikx} left of a, all of psi_full from b on
-    tr = ss.synthesize(pk, bar, "tr", t, xs)
+    tr = snap.psi_tr
     A_tr_In = -A_T * np.exp(2j * pk.ks * bar.x_c) / (A_R - A_T * np.exp(2j * pk.ks * bar.x_c))
     want_tr = np.array(plane_wave_sum(pk.ks, w * A_tr_In, xs[left]))
     assert np.max(np.abs(tr[left] - want_tr)) < tol
@@ -406,12 +423,9 @@ def test_drifting_grid_refused(canonical_packet, canonical_barrier):
     steps = 0.02 * (1 + 0.9e-9 * np.arange(n - 1) / (n - 2))
     xs = -120.0 + np.concatenate([[0.0], np.cumsum(steps)])
     assert np.ptp(np.diff(xs)) <= 1e-9 * (xs[1] - xs[0])
-    with pytest.raises(ss.DomainError):
-        ss.snapshot(canonical_packet, canonical_barrier, 0.0, xs=xs)
-    with pytest.raises(ss.DomainError):
-        ss.synthesize(canonical_packet, canonical_barrier, "full", 0.0, xs)
-    with pytest.raises(ss.DomainError):
-        ss.synthesize(canonical_packet, canonical_barrier, "full", 0.0, xs[::-1])
+    for grid in (xs, xs[::-1]):
+        with pytest.raises(ss.DomainError, match="uniform and ascending"):
+            ss.snapshot(canonical_packet, canonical_barrier, 0.0, xs=grid)
 
 
 def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier, monkeypatch):
