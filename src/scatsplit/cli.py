@@ -37,12 +37,15 @@ from .errors import (
     ConfigError, DomainError, ScatsplitError, ToleranceError, UndefinedTimeError,
 )
 from .larmor import clock_times, spin_ladder
-from .oracle import CROSS_CHECK_DX, CrankNicolson, cross_check_plan, numerov_solve
+from .oracle import (
+    CROSS_CHECK_DX, CrankNicolson, _segment_steps, cross_check_plan, numerov_solve,
+)
 from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
 from .times import build_time_report, dwell_tables, route_b
 from .wavepacket import (
-    auto_grid,
+    _auto_extent,
+    _full_fields,
     check_alias,
     make_gaussian_packet,
     snapshot,
@@ -496,7 +499,8 @@ def cmd_solve(cfg: RunConfig) -> None:
         a_t, a_r = numerov_solve(cfg.barrier, ks)
         diff_T = float(np.max(np.abs(a_t - fam.A_T)))
         diff_R = float(np.max(np.abs(a_r - fam.A_R)))
-        payload["oracle"] = {"max_abs_diff_A_T": diff_T, "max_abs_diff_A_R": diff_R}
+        payload["oracle"] = {"max_abs_diff_A_T": diff_T, "max_abs_diff_A_R": diff_R,
+                             "numerov_steps": int(_segment_steps(cfg.barrier, ks).sum())}
         if cfg.tolerance_profile == "strict" and not max(diff_T, diff_R) <= 1e-6:
             raise ToleranceError(
                 f"independent-solver cross-check exceeded 1e-6: {payload['oracle']}"
@@ -573,27 +577,27 @@ def cmd_evolve(cfg: RunConfig) -> None:
 
 
 def _oracle_plan(cfg, packet, ts):
-    """(xs, dt, nsteps, time_error) of the time-domain cross-check from ts[0]
-    to ts[-1], or None with fewer than two distinct times.
+    """(xs, guard, dt, nsteps, time_error) of the time-domain cross-check
+    from ts[0] to ts[-1], or None with fewer than two distinct times.
 
     xs is `auto_grid`'s over both times at CROSS_CHECK_DX: the hull of their
-    snapshot grids at that step, x_c on a node alike.
+    snapshot grids at that step, x_c on a node alike.  guard is the hull of
+    their guard spans, on which the run is refused as a snapshot is.
     """
     if ts[-1] <= ts[0]:
         return None
-    xs = auto_grid(packet, cfg.barrier, (ts[0], ts[-1]), dx=CROSS_CHECK_DX)
+    xs, guard = _auto_extent(packet, cfg.barrier, (ts[0], ts[-1]), CROSS_CHECK_DX)
     plan = cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0])
-    check_alias(packet, xs, ts[-1])
-    return (xs, *plan)
+    check_alias(packet, guard, ts[-1])
+    return (xs, guard, *plan)
 
 
 def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
     if plan is None:
         return {"skipped": "need at least two distinct times"}
-    xs, dt, nsteps, time_error = plan
+    xs, guard, dt, nsteps, time_error = plan
     dx = float((xs[-1] - xs[0]) / (len(xs) - 1))
-    psi0, ref = (snapshot(packet, cfg.barrier, t, xs=xs, fam=fam).psi_full
-                 for t in (t0, t0 + nsteps * dt))
+    psi0, ref = _full_fields(packet, fam, (t0, t0 + nsteps * dt), xs, guard).T
     psi1 = CrankNicolson(cfg.barrier, xs, dt).evolve(psi0, nsteps)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * dx))
     if cfg.tolerance_profile == "strict" and not l2 <= 1e-4:

@@ -19,9 +19,13 @@ x-by-k basis is built.  Outside [a, b] each sub-state is a plane-wave pair
 with the family's amplitudes, so each field there is a chirp-z transform of
 the weights (`_plane_sum`); only the rows inside [a, b) use the family's
 basis, with the mirror identity on fields giving the reflection field on
-those left of x_c (`_split`).  The fields repeat in x with the k grid's alias
-period 2 pi / dk, so any grid spanning it is refused, as is one whose end
-densities show it truncates the packet.
+those left of x_c (`_split`, which also gives the full field alone at
+several times in one pass: `_full_fields`, the time-domain cross-check's).
+An automatic grid pads the packet's reach by its initial width.  The fields
+repeat in x with the k grid's alias period 2 pi / dk, so any grid spanning
+it is refused, as is one whose end densities show it truncates the packet;
+an automatic grid is judged on a wider guard span (`_auto_extent`), whose
+ends meet an aliased copy of the packet first.
 
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
@@ -50,6 +54,7 @@ from .potentials import BarrierSpec
 from .stationary import SolutionFamily, _mirrored, solve_family
 
 _TWO_PI = 2 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16  # 2 pi - _TWO_PI: the pair holds 2 pi to 1e-32
 
 # default spectral grid: 2048 points over k0 +/- 6.5/sigma (6.5 keeps the
 # Gaussian cutoff tails under the 1e-8 relative bound; 6.0 would leave 1.5e-8)
@@ -200,7 +205,35 @@ def _coef(packet):
 
 def _weights(packet, t):
     """Spectral weights at the time t."""
-    return _coef(packet) * np.exp(-0.5j * (t * packet.ks**2))
+    return _coef(packet) * np.exp(-1j * _phase(packet.ks, t))
+
+
+def _two_prod(a, b):
+    """(p, e) with p = a b rounded and a b = p + e exactly, from Veltkamp's
+    halves (Dekker, Numer. Math. 18, 224 (1971))."""
+    p = a * b
+    c = 134217729.0 * a  # 2^27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _phase(ks, t, n=1):
+    """E t n mod 2 pi per k, E = k^2 / 2, for times t and integers n (arrays
+    of them broadcast together in front of the k axis), within a few ulp of
+    pi.  k^2, E t and E t n are exact two-products and their sum is reduced
+    once against 2 pi to 1e-32: a double product E t alone rounds by 1e-12
+    rad at 1e4 rad."""
+    t, n = (np.asarray(v, dtype=float)[..., None] for v in (t, n))
+    e, de = _two_prod(ks, ks)
+    p, dp = _two_prod(0.5 * e, t)
+    dp = dp + 0.5 * de * t
+    p, dq = _two_prod(p, n)
+    r = np.rint(p / _TWO_PI)
+    u, du = _two_prod(r, _TWO_PI)
+    return ((p - u) - du) + (dq + dp * n - r * _TWO_PI_LO)
 
 
 def _density_scan(M, packet, wx, t_lo, t_hi):
@@ -213,20 +246,32 @@ def _density_scan(M, packet, wx, t_lo, t_hi):
     step h < 2 pi / Omega is exact up to the window's tails (Trefethen and
     Weideman, SIAM Rev. 56, 385 (2014)).  h is 2 pi / (_BAND_OVERSAMPLE
     Omega), shrunk to fit the window, and dt = h / 2: the even and the odd
-    nodes are each a grid of step h.  With j = B p + q, B = isqrt(_SCAN_BLOCK),
-    exp(-i E t_j) is a block phase at t_lo + B p dt (weights folded in) times
-    an in-block phase at q dt: one in-block table per scan, and per B block
-    phases one time-major phase matrix, at a complex multiply per entry, and
-    one GEMM.
+    nodes are each a grid of step h.  With j = B^2 P + B p + q, B =
+    isqrt(_SCAN_BLOCK), exp(-i E t_j) is a row at t_lo + B^2 P dt times a
+    mid-block phase at B p dt (weights folded in) times an in-block phase at
+    q dt: two tables per scan and, per GEMM, one row, a time-major phase
+    matrix at a complex multiply per entry, and one GEMM.  The rows and the
+    step's phase E dt are reduced exactly (`_phase`, B^2 rows at a time), so
+    no time node t_lo + j dt is rounded; the tables are powers of
+    exp(-i E dt), within about B^2 ulp of their phases whatever E t.
     """
-    E, coef, B = 0.5 * packet.ks**2, _coef(packet), math.isqrt(_SCAN_BLOCK)
+    ks, E, B = packet.ks, 0.5 * packet.ks**2, math.isqrt(_SCAN_BLOCK)
     n = math.ceil((t_hi - t_lo) * _BAND_OVERSAMPLE * (E[-1] - E[0]) / _TWO_PI) + 1
     m, dt = 2 * n - 1, (t_hi - t_lo) / (2 * n - 2)
-    inb = np.exp(-1j * np.multiply.outer(dt * np.arange(B), E))
+    lo, step = _phase(ks, np.array([t_lo, dt]))
+
+    def powers(first, z):  # first * z^p for p = 0 .. B - 1, C-ordered as W needs
+        zs = np.tile(z, (B, 1))
+        zs[0] = first
+        return np.cumprod(zs, axis=0)
+
+    inb = powers(np.ones(len(ks)), np.exp(-1j * step))
+    mid = powers(_coef(packet), inb[-1] * np.exp(-1j * step))
     s = np.empty(np.shape(wx)[:-1] + (m,))
     for j in range(0, m, B * B):
-        t = t_lo + dt * np.arange(j, min(j + B * B, m), B)
-        blk = np.exp(-1j * np.multiply.outer(t, E)) * coef
+        if j % B**4 == 0:
+            rows = np.exp(-1j * (lo + _phase(ks, dt, np.arange(j, min(j + B**4, m), B * B))))
+        blk = rows[j // (B * B) % (B * B)] * mid[:-(-(m - j) // B)]
         W = (blk[:, None, :] * inb[None, :, :]).reshape(-1, len(E))
         s[..., j:j + B * B] = (wx @ np.abs(M @ W.T) ** 2)[..., :m - j]
     return dt, s
@@ -248,32 +293,37 @@ def _uniform_grid(xs) -> np.ndarray:
     return xs
 
 
-def _split(fam: SolutionFamily, w, xs):
-    """(psi_full, psi_ref) on the uniform grid xs for weights w.  Left of a
-    psi_ref = sum w (z e^{ikx} + A_R e^{-ikx}) over the non-degenerate k; from
-    b on psi_ref = 0.  On the rows in [a, x_c] psi_ref is the mirror identity
-    F(x) - F(2 x_c - x), F the field of weights w z (`_mirrored`)."""
-    bar = fam.barrier
+def _split(fam: SolutionFamily, W, xs, ref: bool = True):
+    """(psi_full, psi_ref) on the uniform grid xs, a column for each column
+    of the weights W (n_k by m); psi_ref is None unless ref.  Left of a
+    psi_full = sum w (e^{ikx} + A_R e^{-ikx}) and psi_ref = sum w (z e^{ikx}
+    + A_R e^{-ikx}) over the non-degenerate k; from b on psi_ref = 0.  On
+    the rows in [a, x_c] psi_ref is the mirror identity F(x) - F(2 x_c - x),
+    F the field of weights w z (`_mirrored`)."""
+    bar, m = fam.barrier, W.shape[1]
     i_a, i_b = np.searchsorted(xs, [bar.a, bar.b])
-    i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
-    wz, cR, deg = w * fam.z, np.conj(w * fam.A_R), fam.degenerate
-    full, ref = np.empty(len(xs), dtype=complex), np.zeros(len(xs), dtype=complex)
+    Wz, cR = W * fam.z[:, None], np.conj(W * fam.A_R[:, None])
     # Psi_ref = 0 at an exact resonance (z = 0), so its A_R e^{-ikx} is psi_tr's
-    P = _plane_sum(np.stack([w * fam.A_tr_In, wz, np.where(deg, 0, cR),
-                             np.where(deg, cR, 0)], axis=1), fam.ks, xs[:i_a])
-    ref[:i_a] = P[:, 1] + np.conj(P[:, 2])
-    full[:i_a] = P[:, 0] + ref[:i_a] + np.conj(P[:, 3])
-    full[i_b:] = _plane_sum((w * fam.A_T)[:, None], fam.ks, xs[i_b:])[:, 0]
+    cols = [W, cR] + ([Wz, np.where(fam.degenerate[:, None], 0, cR)] if ref else [])
+    P = _plane_sum(np.concatenate(cols, axis=1), fam.ks, xs[:i_a])
 
-    def fields(x, W):  # fam.basis(x) @ W in blocks of _X_CHUNK rows
-        return np.concatenate([fam.basis(x[i:i + _X_CHUNK]) @ W
+    def fields(x, V):  # fam.basis(x) @ V in blocks of _X_CHUNK rows
+        return np.concatenate([fam.basis(x[i:i + _X_CHUNK]) @ V
                                for i in range(0, max(len(x), 1), _X_CHUNK)])
 
-    F = fields(xs[i_a:i_b], np.stack([w, wz], axis=1))
-    full[i_a:i_b] = F[:, 0]
-    ref[i_a:i_c] = F[:i_c - i_a, 1] - _mirrored(bar, xs[i_a:i_b], F[:, 1],
-                                                lambda x: fields(x, wz[:, None])[:, 0])
-    return full, ref
+    full = np.empty((len(xs), m), dtype=complex)
+    full[:i_a] = P[:, :m] + np.conj(P[:, m:2 * m])
+    F = fields(xs[i_a:i_b], np.concatenate([W, Wz], axis=1) if ref else W)
+    full[i_a:i_b] = F[:, :m]
+    full[i_b:] = _plane_sum(W * fam.A_T[:, None], fam.ks, xs[i_b:])
+    if not ref:
+        return full, None
+    i_c = int(np.searchsorted(xs, bar.x_c, side="right"))
+    psi_ref = np.zeros_like(full)
+    psi_ref[:i_a] = P[:, 2 * m:3 * m] + np.conj(P[:, 3 * m:])
+    psi_ref[i_a:i_c] = F[:i_c - i_a, m:] - _mirrored(bar, xs[i_a:i_b], F[:, m:],
+                                                     lambda x: fields(x, Wz))
+    return full, psi_ref
 
 
 def _plane_sum(C, ks, xs):
@@ -288,7 +338,7 @@ def _plane_sum(C, ks, xs):
     nk, n = len(ks), len(xs)
     dx = (xs[-1] - xs[0]) / (n - 1) if n > 1 else 0.0
     m = min(n, _X_CHUNK)
-    L = 1 << (nk + m - 2).bit_length()  # FFT length >= nk + m - 1
+    L = _fft_len(nk + m - 1)
     half = 0.5 * dx * (ks[-1] - ks[0]) / (nk - 1)
     s = np.arange(L, dtype=float)
     s[m:] -= L  # circular lags m - j in [-(nk - 1), m - 1]
@@ -304,27 +354,53 @@ def _plane_sum(C, ks, xs):
     return out
 
 
+def _fft_len(n):
+    """The least 2^a 3^b 5^c >= n: a length numpy.fft transforms at full speed."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, times,
               dx: float = 0.02) -> np.ndarray:
-    """Uniform grid x_c + dx * (-n_lo .. n_hi) covering the dispersed support
-    at each of the times: on each side the most nodes any one time needs.
+    """Uniform grid x_c + dx * (-n_lo .. n_hi) covering the packet at each of
+    the times: on each side the most nodes any one time needs.
 
-    Uniformity matters: trapezoid norms on piecewise-stitched grids pick up
-    spurious boundary terms at spacing jumps.  The grid is anchored so the
-    mask point x_c falls exactly on a node (the densities kink there).
+    The packet reaches x0 + k_hi t, k_hi the top of its k grid, and its
+    reflection 2 a - x0 - k_hi t; beyond each reach the grid pads by the
+    initial width, 6 sigma + 5 (k_hi t already carries the spreading), and
+    on the right it reaches b at least.  Uniformity matters: trapezoid norms
+    on piecewise-stitched grids pick up spurious boundary terms at spacing
+    jumps.  The grid is anchored so the mask point x_c falls exactly on a
+    node (the densities kink there).
     """
+    return _auto_extent(packet, barrier, times, dx)[0]
+
+
+def _auto_extent(packet, barrier, times, dx):
+    """(xs, guard): `auto_grid`'s grid, and the two end nodes, on its
+    lattice, of the wider span the refusals judge: 6 sigma_t + 5 beyond
+    each reach and beyond b, sigma_t the packet's width at t.  A k grid too
+    coarse for the packet shows as a copy of it one alias period away, and
+    the guard's ends meet that copy first (`check_alias`, `_check_ends`)."""
     if not 0 < dx < math.inf:
         raise DomainError(f"dx must be positive and finite, got {dx}")
-    k_hi, x_c = float(packet.ks[-1]), barrier.x_c
+    k_hi, x_c, pad = float(packet.ks[-1]), barrier.x_c, 6.0 * packet.sigma + 5.0
     counts = []
     for t in times:
-        sig_t = packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2)
-        pad = 6.0 * sig_t + 5.0
-        x_lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
-        x_hi = max(barrier.b, packet.x0 + k_hi * t) + pad
-        counts.append((math.ceil((x_c - x_lo) / dx), math.ceil((x_hi - x_c) / dx)))
-    n_lo, n_hi = map(max, zip(*counts))
-    return x_c + dx * np.arange(-n_lo, n_hi + 1)
+        lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t)
+        hi = packet.x0 + k_hi * t
+        wide = 6.0 * packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2) + 5.0
+        counts.append([math.ceil((x_c - x) / dx) for x in (lo - pad, lo - wide)]
+                      + [math.ceil((x - x_c) / dx) for x in (max(barrier.b, hi + pad),
+                                                             max(barrier.b, hi) + wide)])
+    n_lo, g_lo, n_hi, g_hi = map(max, zip(*counts))
+    return x_c + dx * np.arange(-n_lo, n_hi + 1), x_c + dx * np.array([-g_lo, g_hi])
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
@@ -332,33 +408,57 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
              strict: bool = False) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
-    The grid is xs, or `auto_grid`'s at dx when xs is None.  Either is
-    refused (GridRefinementError, `check_alias`) when it spans the k grid's
-    alias period 2 pi / dk or more, and (WindowError) unless it brings the
-    end densities below 1e-10.  strict=True also holds the conservation
-    identities (`snapshot_residuals`) to 1e-6, or raises ToleranceError;
-    they are transiently violated at the 1e-3 level while the packet crosses
-    the barrier (see the module docstring), so strict mode is meant for
-    quiet-time samples.  fam is the packet's family over barrier, solved
-    here when not given.
+    The grid is xs, or `auto_grid`'s at dx when xs is None.  It is refused
+    (GridRefinementError, `check_alias`) when it spans the k grid's alias
+    period 2 pi / dk or more, and (WindowError) unless it brings the end
+    densities below 1e-10.  An auto grid is judged on the wider guard span
+    of `_auto_extent` instead: its span against the period, and the
+    densities at its two ends as well as at the grid's.  strict=True also
+    holds the conservation identities (`snapshot_residuals`) to 1e-6, or
+    raises ToleranceError; they are transiently violated at the 1e-3 level
+    while the packet crosses the barrier (see the module docstring), so
+    strict mode is meant for quiet-time samples.  fam is the packet's
+    family over barrier, solved here when not given.
     """
-    xs = _uniform_grid(auto_grid(packet, barrier, (t,), dx=dx) if xs is None else xs)
+    if xs is None:
+        xs, guard = _auto_extent(packet, barrier, (t,), dx)
+    else:
+        xs = guard = _uniform_grid(xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
-    check_alias(packet, xs, t)
+    check_alias(packet, guard, t)
     if fam is None:
         fam = solve_family(barrier, packet.ks)
-    snap = _snapshot_on(xs, fam, _weights(packet, t), t)
-    edge = max(abs(snap.psi_full[0]) ** 2, abs(snap.psi_full[-1]) ** 2)
-    if not edge <= _EDGE_DENSITY:
-        raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates the "
-                          f"support at t={t}: end density {edge:.2e}")
+    w = _weights(packet, t)
+    snap = _snapshot_on(xs, fam, w, t)
+    _check_ends(fam, w[:, None], snap.psi_full[:, None], guard, (t,))
     if strict:
         bad = {k: v for k, v in snapshot_residuals(snap).items()
                if not abs(v) <= _CONSERVATION_TOL}
         if bad:
             raise ToleranceError(f"conservation identities out of tolerance: {bad}")
     return snap
+
+
+def _full_fields(packet: SpectralPacket, fam: SolutionFamily, times, xs, guard):
+    """psi_full on the grid xs at each of the times, one column each, from
+    one synthesis (`_split` without psi_ref); each column is refused as a
+    snapshot on xs with the guard span would be (`_check_ends`)."""
+    W = np.stack([_weights(packet, t) for t in times], axis=1)
+    full = _split(fam, W, xs, ref=False)[0]
+    _check_ends(fam, W, full, guard, times)
+    return full
+
+
+def _check_ends(fam, W, full, guard, times):
+    """WindowError unless, for each time and its columns of the weights W and
+    fields full, the density is at most 1e-10 at the first and last rows of
+    full and at the nodes of guard (two rows of the basis)."""
+    ends = np.concatenate([full[[0, -1]], fam.basis(guard[[0, -1]]) @ W])
+    for t, edge in zip(times, np.max(np.abs(ends) ** 2, axis=0)):
+        if not edge <= _EDGE_DENSITY:
+            raise WindowError(f"snapshot grid [{guard[0]:.6g}, {guard[-1]:.6g}] truncates "
+                              f"the support at t={t}: end density {edge:.2e}")
 
 
 def check_alias(packet: SpectralPacket, xs, t: float) -> None:
@@ -372,7 +472,7 @@ def check_alias(packet: SpectralPacket, xs, t: float) -> None:
 
 
 def _snapshot_on(xs, fam, w, t):
-    full, ref = _split(fam, w, xs)
+    full, ref = (f[:, 0] for f in _split(fam, w[:, None], xs))
     tr = full - ref
     tw = _trap_w(len(xs)) * float(xs[1] - xs[0])
     norm_full = float(np.sum(np.abs(full) ** 2 * tw))

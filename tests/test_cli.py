@@ -91,6 +91,8 @@ def test_solve_oracle_crosscheck(tmp_path):
     meta = json.loads((tmp_path / "solve.json").read_text())
     assert meta["oracle"]["max_abs_diff_A_T"] < 1e-6
     assert meta["oracle"]["max_abs_diff_A_R"] < 1e-6
+    # Numerov's work: one segment of width 1 at its longest step, 0.005
+    assert meta["oracle"]["numerov_steps"] == 200
 
 
 @pytest.mark.parametrize("barrier, run", [

@@ -195,3 +195,24 @@ def test_every_refusal_is_named(tmp_path, capsys, request):
             over = {key: n for key, n in counts.items()
                     if key[1] != "ok" and n > BOUNDS.get(key, 0)}
             assert not over, over
+
+
+def test_an_aliased_reflection_is_refused(tmp_path, capsys):
+    # seed 9 draw 22: on 64 k the synthesized density at t = 0 misses the
+    # free packet's by 4.0e-7 of its peak left of the barrier (1.9e-10 on
+    # 128 k, so the miss is aliasing).  Its end density, 1.02e-10 at the
+    # grid's left end, refuses it, with and without the cross-check.
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[barrier]\nkind = symmetric\na = -1.785672848838217\nhalf_profile = "
+        "2.1593094086694795:0.29500779779614916, 0.01629451556539142:36.74960756008596, "
+        "0.02956330244899464:-7.496603520664456, 0.4117112972323485:-1.0589311898074625\n"
+        "[packet]\nx0 = -90.48942370209805\nsigma = 12.909428598641373\n"
+        "k0 = 0.7071266393114756\nn_k = 64\n"
+        "[run]\ntimes = 0.0 41.709490482075864\ndx = 0.05\n")
+    for flags in ([], ["--oracle"]):
+        capsys.readouterr()
+        assert main(["evolve", "--config", str(ini), "--out", str(tmp_path), *flags]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "tolerance failure: snapshot grid [-172.969, 85.9312] truncates the support "
+            "at t=0.0: end density 1.02e-10")

@@ -434,9 +434,9 @@ def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier,
     # near t = 40 and leaks out slowly), and the late ones reach phases E t
     # of 1e4 rad and more.  The grid is odd, spans the window exactly and
     # takes the longest step within the band's rate: dt <= pi / (oversample
-    # Omega), with one node pair fewer beyond it.  Up to t = 1e4, blocks of
-    # 1, 9 and 2500 time nodes per GEMM (one GEMM over the short window)
-    # match too; beyond it a double phase E t rounds at about the bound.
+    # Omega), with one node pair fewer beyond it.  Blocks of 1, 9 and 2500
+    # time nodes per GEMM (one GEMM over the short window) match too: every
+    # phase is reduced exactly, so no block size rounds a late time node.
     fam = ss.solve_family(canonical_barrier, canonical_packet.ks)
     M = fam.basis(np.linspace(-1.0, 2.0, 33))
     wx = np.linspace(0.5, 1.5, 33)
@@ -451,8 +451,101 @@ def test_density_scan_matches_per_time_loop(canonical_packet, canonical_barrier,
         assert dt <= np.pi / (wp._BAND_OVERSAMPLE * omega) < (t_hi - t_lo) / (m - 3)
         want = density_per_time(M, canonical_packet, wx, t_lo, dt, m)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(want)
-        for block in (1, 9, 2500) if t_hi <= 1e4 else ():
+        for block in (1, 9, 2500):
             monkeypatch.setattr(wp, "_SCAN_BLOCK", block)
             assert np.max(np.abs(wp._density_scan(M, canonical_packet, wx, t_lo, t_hi)[1]
                                  - want)) < 1e-12 * np.max(want)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k0, t", [(1.0, 1e4), (2.5, 2e4), (2.5, 1e5)])
+def test_weights_keep_long_time_phases(canonical_barrier, k0, t):
+    # a double product E t rounds by 1e-12 rad at 1e4 rad (the weights read
+    # 1.8e-12, 1.4e-11 and 9.3e-11 rad here with one); the exact
+    # two-products stay within the long-double reference's own rounding
+    pk = ss.make_gaussian_packet(-40.0, 8.0, k0, barrier=canonical_barrier, n=384)
+    assert np.max(np.abs(np.angle(wp._weights(pk, t) / packet_weights(pk, t)))) < 1e-13
+
+
+def test_phase_reduces_exactly():
+    # E t n mod 2 pi against 50 digits, to about an ulp of pi, for phases up
+    # to 1e7 rad and negative times
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ks = np.random.default_rng(3).uniform(0.01, 5.0, 40)
+    n = np.array([0, 1, 7, 997, 99999])
+    for t in (0.37, 1e4, -3e4, 1e5):
+        got = wp._phase(ks, t, n)
+        for i, j in np.ndindex(got.shape):
+            exact = mpmath.mpf(ks[j]) ** 2 / 2 * mpmath.mpf(t) * int(n[i])
+            miss = float(mpmath.fmod(exact - mpmath.mpf(got[i, j]), 2 * mpmath.pi))
+            assert min(abs(miss), 2 * math.pi - abs(miss)) < 5e-16
+
+
+# --------------------------------------------------------- snapshot grids
+
+
+def _guard_ends(packet, barrier, t, dx):
+    """The span every refusal judges, written out: 6 sigma_t + 5 beyond the
+    reaches x0 + k_hi min(t, 0) and 2 a - x0 - k_hi t on the left and beyond
+    max(b, x0 + k_hi t) on the right, on the nodes x_c + j dx."""
+    k_hi, x_c = packet.ks[-1], barrier.x_c
+    pad = 6.0 * packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2) + 5.0
+    lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
+    hi = max(barrier.b, packet.x0 + k_hi * t) + pad
+    return x_c - dx * math.ceil((x_c - lo) / dx), x_c + dx * math.ceil((hi - x_c) / dx)
+
+
+SLOW = (ss.make_rectangular(0.0, 1.0, 2.0), (-70.0, 12.0, 0.45, 512))
+WELL = (ss.make_rectangular(0.0, 6.0, -3.0), (-40.0, 6.0, 1.5, 384))
+
+
+@pytest.mark.parametrize("case, when, most", [
+    ("canonical", "start", 0.8), ("canonical", "pre", 0.8), ("canonical", "mid", 0.9),
+    ("canonical", "post", 0.9), ("slow", "start", 0.8), ("slow", "post", 0.8),
+    ("well", "mid", 0.9), ("well", "post", 0.9),
+])
+def test_auto_grid_pads_the_packet_not_the_barrier(canonical_packet, canonical_barrier,
+                                                   case, when, most):
+    # the grid pads the packet's reach by its initial width, 6 sigma + 5,
+    # where the guard span, on which refusals are judged, pads max(b, reach)
+    # by 6 sigma_t + 5.  Before the event the grid has a quarter fewer rows
+    # or more; once the reach k_hi t, common to both, dominates, a tenth
+    # fewer or more.  The grid's own end densities stay under 1e-10.
+    if case == "canonical":
+        pk, bar = canonical_packet, canonical_barrier
+    else:
+        bar, (x0, sigma, k0, n) = SLOW if case == "slow" else WELL
+        pk = ss.make_gaussian_packet(x0, sigma, k0, barrier=bar, n=n)
+    t_pre, t_post = ss.event_window(pk, bar)
+    t = {"start": 0.0, "pre": t_pre, "mid": (t_pre + t_post) / 2, "post": t_post}[when]
+    xs, guard = wp._auto_extent(pk, bar, (t,), 0.05)
+    assert np.array_equal(xs, wp.auto_grid(pk, bar, (t,), dx=0.05))
+    assert tuple(guard) == _guard_ends(pk, bar, t, 0.05)
+    assert guard[0] <= xs[0] and xs[-1] <= guard[1]
+    assert len(xs) <= most * ((guard[1] - guard[0]) / 0.05 + 1)
+    snap = ss.snapshot(pk, bar, t, dx=0.05)
+    assert np.array_equal(snap.x_grid, xs)
+    assert np.max(np.abs(snap.psi_full[[0, -1]]) ** 2) <= wp._EDGE_DENSITY
+
+
+@pytest.mark.parametrize("bar, times, xs", [
+    # the cross-check's own grid: both times on the hull of their auto grids
+    (None, (0.0, 45.0), None),
+    # a degenerate k, x_c off every node, the packet across the barrier
+    (RESONANT_BARRIER, (40.0, 60.0), np.linspace(-150.0, 120.0, 13501)),
+], ids=["cross_check_grid", "degenerate_k"])
+def test_full_fields_match_snapshots(canonical_packet, canonical_barrier, bar, times, xs):
+    # one synthesis of psi_full alone at both times of the time-domain
+    # cross-check, against each time's snapshot on the same grid
+    bar = canonical_barrier if bar is None else bar
+    if xs is None:
+        xs, guard = wp._auto_extent(canonical_packet, bar, times, 0.02)
+    else:
+        guard = xs
+    fam = ss.solve_family(bar, canonical_packet.ks)
+    full = wp._full_fields(canonical_packet, fam, times, xs, guard)
+    assert full.shape == (len(xs), len(times))
+    for col, t in zip(full.T, times):
+        want = ss.snapshot(canonical_packet, bar, t, xs=xs, fam=fam).psi_full
+        assert np.max(np.abs(col - want)) < 1e-14 * np.max(np.abs(want))
