@@ -12,8 +12,9 @@ are rejected by name.  Artifacts embed the config echo, its SHA-256, the tool
 version, units convention and tolerance profile; keys come in fixed order and
 every float is the bytes of format(x, ".17g"), with NaN written NaN and the
 infinities "Infinity" and "-Infinity" (quotes included), so identical configs
-produce byte-identical outputs.  CSV bodies are rendered column by column, all
-float columns of a file in one vectorized pass (_float_cells).
+produce byte-identical outputs.  CSV bodies go out in blocks of _CSV_BLOCK
+cells, the float columns of a block rendered in one vectorized pass
+(_float_cells), so the writer's memory does not grow with the file.
 
 Exit codes: 0 success, 2 config/usage error or undefined time, 3 numerical
 tolerance failure, 4 internal error.
@@ -82,6 +83,9 @@ def _fmt_float(x: float) -> str:
 _E_LO, _E_HI = -281, 281
 # bytes per cell: sign, d0, ".", d1..d16, "e", exponent sign, up to 3 digits
 _CELL = 24
+# cells per block of a CSV body: the writer's temporaries scale with this,
+# not with the file
+_CSV_BLOCK = 2**14
 
 
 @functools.cache
@@ -93,27 +97,32 @@ def _float_tables():
     units] as one little-endian word.  For g < 10^4: the four ASCII digits of
     g, then (at g + 10^4) the same with trailing zeros as NUL, as words.
     """
-    hi, lo, word = [], [], []
+    tens = [1]  # 10^n for n = 0 .. max |16 - E|, by repeated multiplication
+    for _ in range(max(16 - _E_LO, _E_HI - 16)):
+        tens.append(tens[-1] * 10)
+    hi, lo = [], []
     for e in range(_E_LO, _E_HI + 1):
         p = 16 - e
         if p >= 0:
-            h = float(10 ** p)
-            lo.append(float(10 ** p - int(h)))
+            h = float(tens[p])
+            lo.append(float(tens[p] - int(h)))
         else:
-            h = 1 / 10 ** -p  # correctly rounded, as every int / int
+            h = 1 / tens[-p]  # correctly rounded, as every int / int
             num, den = h.as_integer_ratio()
-            lo.append((den - num * 10 ** -p) / (den * 10 ** -p))
+            lo.append((den - num * tens[-p]) / (den * tens[-p]))
         hi.append(h)
-        s = format(e, "+03d")
-        word.append((s[0] + s[1:].rjust(3, "\0")).encode())
     hi = np.array(hi)
     c = 134217729.0 * hi  # 2^27 + 1
     big = c - (c - hi)
-    g = np.arange(10000)
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
-    shown = np.cumsum(digits[:, ::-1], axis=1)[:, ::-1] > 0
-    four = np.concatenate([digits + 48, (digits + 48) * shown]).astype(np.uint8)
-    return (hi, big, hi - big, np.array(lo), np.array(word, "S4").view("<u4"),
+    # format(E, "+03d") with the hundreds NUL below 100
+    e = np.arange(_E_LO, _E_HI + 1)
+    ae = np.abs(e)
+    word = np.stack([np.where(e < 0, 45, 43), (ae // 100 + 48) * (ae >= 100),
+                     ae // 10 % 10 + 48, ae % 10 + 48], axis=1).astype(np.uint8)
+    digits = np.stack(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1), axis=1) + np.uint8(48)
+    shown = np.logical_or.accumulate(digits[:, ::-1] != 48, axis=1)[:, ::-1]
+    four = np.concatenate([digits, digits * shown])
+    return (hi, big, hi - big, np.array(lo), word.view("<u4").ravel(),
             four.view("<u4").ravel())
 
 
@@ -295,12 +304,23 @@ def _csv_header_lines(cfg: "RunConfig") -> list[str]:
 
 def _write_csv(path: Path, cfg, columns: list[str], data):
     """One sequence per column.  Text columns pass through; all the others
-    are rendered together, column by column, by _float_cells (the bytes of
-    _fmt_float).  Cells go into one NUL-padded byte matrix, each followed by
-    "," or a newline, and the file is those bytes with the NULs dropped."""
+    are rendered by _float_cells (the bytes of _fmt_float).  The body goes
+    out in blocks of _CSV_BLOCK cells: a block's cells go into one
+    NUL-padded byte matrix, each followed by "," or a newline, and are
+    written with the NULs dropped."""
     data = [np.asarray(c) for c in data]
-    rows = len(data[0])
     nums = [i for i, c in enumerate(data) if c.dtype.kind not in "US"]
+    step = max(1, _CSV_BLOCK // len(data))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(_csv_header_lines(cfg) + [",".join(columns)]) + "\n").encode())
+        for r in range(0, len(data[0]), step):
+            fh.write(_csv_block([c[r:r + step] for c in data], nums))
+
+
+def _csv_block(data, nums) -> np.ndarray:
+    """The bytes of the rows of data (one sequence per column, nums the
+    indices of the float ones), NULs dropped."""
+    rows = len(data[0])
     cells = {}
     if nums:
         block = _float_cells(np.stack([data[i] for i in nums], axis=1).ravel())
@@ -315,9 +335,7 @@ def _write_csv(path: Path, cfg, columns: list[str], data):
         body[:, i, :c.shape[1]] = c
     body[:, :, -1] = ord(",")
     body[:, -1, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(_csv_header_lines(cfg) + [",".join(columns)]) + "\n").encode())
-        fh.write(body[body != 0])
+    return body[body != 0]
 
 
 def _write_json(path: Path, payload: dict):
@@ -557,6 +575,8 @@ def cmd_evolve(cfg: RunConfig) -> None:
             "x_min": snap.x_grid[0],  # the CSV's x column is x_min + dx * (0 .. n - 1)
             "dx": dx,
             "n": len(snap.x_grid),
+            # the span its refusals were judged on (`wavepacket._auto_extent`)
+            "guard_span": list(_auto_extent(packet, cfg.barrier, (t,), dx)[1]),
             "norm_full": snap.norm_full,
             "T_t": snap.T_t,
             "R_t": snap.R_t,
@@ -606,7 +626,8 @@ def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
             f"(dt = {dt:.6g}, {nsteps} steps, dx = {dx:.6g})"
         )
     return {"l2_vs_synthesis": l2, "dt": dt, "dx": dx, "steps": nsteps,
-            "time_error_estimate": time_error, "x_min": float(xs[0]), "n": len(xs)}
+            "time_error_estimate": time_error, "x_min": float(xs[0]), "n": len(xs),
+            "guard_span": list(guard)}
 
 
 def cmd_times(cfg: RunConfig) -> None:

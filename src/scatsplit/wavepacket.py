@@ -21,11 +21,13 @@ the weights (`_plane_sum`); only the rows inside [a, b) use the family's
 basis, with the mirror identity on fields giving the reflection field on
 those left of x_c (`_split`, which also gives the full field alone at
 several times in one pass: `_full_fields`, the time-domain cross-check's).
-An automatic grid pads the packet's reach by its initial width.  The fields
-repeat in x with the k grid's alias period 2 pi / dk, so any grid spanning
-it is refused, as is one whose end densities show it truncates the packet;
-an automatic grid is judged on a wider guard span (`_auto_extent`), whose
-ends meet an aliased copy of the packet first.
+An automatic grid spans the packet's support: its free centre and its
+sub-packets' fronts, each widened until the free density is four decades
+under the end-density gate.  The fields repeat in x with the k grid's alias
+period 2 pi / dk, so any grid spanning it is refused, as is one whose end
+densities show it truncates the packet; an automatic grid is judged on a
+wider guard span (`_auto_extent`), whose ends meet an aliased copy of the
+packet first.
 
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
@@ -371,36 +373,48 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, times,
     """Uniform grid x_c + dx * (-n_lo .. n_hi) covering the packet at each of
     the times: on each side the most nodes any one time needs.
 
-    The packet reaches x0 + k_hi t, k_hi the top of its k grid, and its
-    reflection 2 a - x0 - k_hi t; beyond each reach the grid pads by the
-    initial width, 6 sigma + 5 (k_hi t already carries the spreading), and
-    on the right it reaches b at least.  Uniformity matters: trapezoid norms
-    on piecewise-stitched grids pick up spurious boundary terms at spacing
-    jumps.  The grid is anchored so the mask point x_c falls exactly on a
-    node (the densities kink there).
+    At t the free packet is centred at c = x0 + k0 t with width sigma_t =
+    sigma sqrt(1 + (t / sigma^2)^2).  The grid spans its support: from the
+    reflected front 2 a - c - (b - a) - D sigma_t, or the free tail c - D
+    sigma_t if that lies further left, to the transmitted front c + (b - a)
+    + D sigma_t, where (b - a) bounds a sub-packet's advance and the free
+    density at D sigma_t from c is exp(-D^2) = 1e-4 of the 1e-10
+    end-density gate.  It never leaves the guard span of `_auto_extent`.
+    Uniformity matters: trapezoid norms on piecewise-stitched grids pick up
+    spurious boundary terms at spacing jumps.  The grid is anchored so the
+    mask point x_c falls exactly on a node of its lattice (the densities
+    kink there).
     """
     return _auto_extent(packet, barrier, times, dx)[0]
 
 
+# D of `auto_grid`: exp(-D^2) = 1e-4 _EDGE_DENSITY, so D is about 5.68
+_SUPPORT_D = math.sqrt(math.log(1e4 / _EDGE_DENSITY))
+
+
 def _auto_extent(packet, barrier, times, dx):
     """(xs, guard): `auto_grid`'s grid, and the two end nodes, on its
-    lattice, of the wider span the refusals judge: 6 sigma_t + 5 beyond
-    each reach and beyond b, sigma_t the packet's width at t.  A k grid too
-    coarse for the packet shows as a copy of it one alias period away, and
-    the guard's ends meet that copy first (`check_alias`, `_check_ends`)."""
+    lattice, of the wider span the refusals judge: 6 sigma_t + 5 beyond the
+    reaches x0 + k_hi t and 2 a - x0 - k_hi t, k_hi the top of the k grid,
+    and beyond b.  A k grid too coarse for the packet shows as a copy of it
+    one alias period away, and the guard's ends meet that copy first
+    (`check_alias`, `_check_ends`)."""
     if not 0 < dx < math.inf:
         raise DomainError(f"dx must be positive and finite, got {dx}")
-    k_hi, x_c, pad = float(packet.ks[-1]), barrier.x_c, 6.0 * packet.sigma + 5.0
+    k_hi, x_c, a, b = float(packet.ks[-1]), barrier.x_c, barrier.a, barrier.b
     counts = []
     for t in times:
-        lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t)
+        spread = math.sqrt(1 + (t / packet.sigma**2) ** 2)  # sigma_t / sigma
+        c, d = packet.x0 + packet.k0 * t, _SUPPORT_D * packet.sigma * spread
+        lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * a - packet.x0 - k_hi * t)
         hi = packet.x0 + k_hi * t
-        wide = 6.0 * packet.sigma * math.sqrt(1 + (t / packet.sigma**2) ** 2) + 5.0
-        counts.append([math.ceil((x_c - x) / dx) for x in (lo - pad, lo - wide)]
-                      + [math.ceil((x - x_c) / dx) for x in (max(barrier.b, hi + pad),
-                                                             max(barrier.b, hi) + wide)])
+        wide = 6.0 * packet.sigma * spread + 5.0
+        counts.append([math.ceil((x_c - x) / dx)
+                       for x in (min(2 * a - c - (b - a) - d, c - d), lo - wide)]
+                      + [math.ceil((x - x_c) / dx) for x in (c + (b - a) + d, max(b, hi) + wide)])
     n_lo, g_lo, n_hi, g_hi = map(max, zip(*counts))
-    return x_c + dx * np.arange(-n_lo, n_hi + 1), x_c + dx * np.array([-g_lo, g_hi])
+    return (x_c + dx * np.arange(-min(n_lo, g_lo), min(n_hi, g_hi) + 1),
+            x_c + dx * np.array([-g_lo, g_hi]))
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
@@ -562,9 +576,11 @@ def event_window(packet: SpectralPacket, barrier: BarrierSpec):
     fam = solve_family(barrier, packet.ks)
     t_hi = _event_spans(packet, fam)[1]
     # a sparse line of probes across the whole barrier region: single points
-    # can sit on nodes of trapped cavity modes and miss persistent density
-    probe_x = np.unique(np.concatenate([np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33),
-                                        barrier.edges]))
+    # can sit on nodes of trapped cavity modes and miss persistent density;
+    # sorted and distinct without np.unique, which imports numpy.ma
+    probe_x = np.sort(np.concatenate([np.linspace(barrier.a - 1.0, barrier.b + 1.0, 33),
+                                      barrier.edges]))
+    probe_x = probe_x[np.concatenate([[True], probe_x[1:] != probe_x[:-1]])]
     dt, s = _density_scan(fam.basis(probe_x), packet, np.ones(len(probe_x)), 0.0, t_hi)
     pk = int(np.argmax(s))
     quiet = s < 1e-9 * s[pk]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import scatsplit as ss
 from scatsplit import cli, stationary
 from scatsplit.cli import main
+from scatsplit.wavepacket import _auto_extent
 
 CANONICAL = """
 [barrier]
@@ -173,6 +174,8 @@ def test_evolve_sorts_times_and_reports_scalars(tmp_path):
     assert ts == sorted(ts) == [0.0, 30.0, 80.0]
     dk = 13.0 / 8.0 / 255  # n_k = 256 over k0 +/- 6.5/sigma
     assert meta["alias_period"] == pytest.approx(2 * np.pi / dk, rel=1e-12)
+    bar = ss.make_rectangular(0.0, 1.0, 2.0)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=256)
     for i, snap in enumerate(meta["snapshots"]):
         assert snap["file"] == f"evolve_{i:03d}.csv"
         assert (tmp_path / snap["file"]).exists()
@@ -184,6 +187,10 @@ def test_evolve_sorts_times_and_reports_scalars(tmp_path):
         assert snap["n"] * snap["dx"] < meta["alias_period"]
         grid = snap["x_min"] + snap["dx"] * np.arange(snap["n"])
         assert np.max(np.abs(x - grid)) < 1e-9 * snap["dx"]
+        # the guard span its refusals were judged on holds the grid
+        lo, hi = snap["guard_span"]
+        assert lo <= x[0] and x[-1] <= hi
+        assert [lo, hi] == list(_auto_extent(pk, bar, (snap["t"],), 0.05)[1])
 
 
 def test_evolve_strict_rejects_midevent_sample(tmp_path):
@@ -195,9 +202,9 @@ def test_evolve_strict_rejects_midevent_sample(tmp_path):
 
 
 def test_evolve_follows_the_packet_backward_in_time(tmp_path):
-    # at t = -30 the packet sits near x0 - 30 k0, and its fastest k lead it
-    # left: the snapshot grid pads around them, not around x0 (t = 20 is
-    # mid-event, so this runs on the default profile)
+    # at t = -30 the packet sits near x0 - 30 k0, spread wider than at t = 0:
+    # the snapshot grid spans it there, not around x0 (t = 20 is mid-event,
+    # so this runs on the default profile)
     ini = write(tmp_path, "run.ini", CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
                 + "[run]\ntimes = -30.0 20.0\n")
     assert main(["evolve", "--config", ini, "--out", str(tmp_path)]) == 0
@@ -219,24 +226,26 @@ def test_evolve_oracle_agrees(tmp_path):
     meta = json.loads((tmp_path / "evolve.json").read_text())
     orc = meta["oracle"]
     assert orc["l2_vs_synthesis"] < 1e-4
-    # the run's grid is the t = 4 snapshot grid at dx = 0.02, and its steps
-    # cover the span with the step error within the oracle's budget
+    # the run's grid is auto_grid's over both times at dx = 0.02, and its
+    # steps cover the span with the step error within the oracle's budget
     from scatsplit import oracle
     from scatsplit.wavepacket import auto_grid
 
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
-    xs = auto_grid(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192), bar, (4.0,),
-                   dx=oracle.CROSS_CHECK_DX)
+    pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
+    xs = auto_grid(pk, bar, (0.0, 4.0), dx=oracle.CROSS_CHECK_DX)
     assert (orc["x_min"], orc["n"]) == (xs[0], len(xs))
+    guard = _auto_extent(pk, bar, (0.0, 4.0), oracle.CROSS_CHECK_DX)[1]
+    assert orc["guard_span"] == list(guard) and guard[0] <= xs[0] and xs[-1] <= guard[1]
     assert orc["dx"] == pytest.approx(0.02, rel=1e-12)
     assert orc["steps"] * orc["dt"] == pytest.approx(4.0, rel=1e-15)
     assert 0 < orc["time_error_estimate"] <= oracle._TIME_ERROR
 
 
 def test_evolve_oracle_runs_on_the_hull_of_both_snapshot_grids(tmp_path):
-    # from t = -8 to 2 the earlier snapshot grid reaches further on both
-    # sides (the packet spreads more); the oracle runs on the hull of the two
-    # at dx = 0.02
+    # from t = -8 to 2 the earlier snapshot grid reaches further left and
+    # the later one further right; the oracle runs on the hull of the two at
+    # dx = 0.02
     from scatsplit import oracle
     from scatsplit.wavepacket import auto_grid
 
@@ -410,22 +419,60 @@ def test_unknown_section_rejected(tmp_path):
     assert main(["solve", "--config", ini, "--out", str(tmp_path)]) == 2
 
 
-def test_csv_rows_render_as_per_value_floats(tmp_path):
-    class Cfg:
-        sha256 = "0" * 64
-        tolerance_profile = "strict"
+class _Cfg:
+    sha256 = "0" * 64
+    tolerance_profile = "strict"
 
+
+def test_csv_rows_render_as_per_value_floats(tmp_path):
     x = np.array([-0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1e300, 3.0])
     y = np.array([1.0, -2.5e-310, 7.0, math.nan, 2.0, -0.0, 1 / 3, -math.inf])
     label = np.array(["odd", "degenerate", "odd", "odd", "odd", "odd", "odd", "odd"])
     n = np.arange(8)
-    cli._write_csv(tmp_path / "t.csv", Cfg, ["x", "y", "n", "branch"], [x, y, n, label])
-    lines = cli._csv_header_lines(Cfg) + ["x,y,n,branch"] + [
+    cli._write_csv(tmp_path / "t.csv", _Cfg, ["x", "y", "n", "branch"], [x, y, n, label])
+    lines = cli._csv_header_lines(_Cfg) + ["x,y,n,branch"] + [
         ",".join(v if isinstance(v, str) else cli._fmt_float(float(v)) for v in row)
         for row in zip(x, y, n, label)
     ]
     assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
     assert (tmp_path / "t.csv").read_text().splitlines()[5] == "-0,1,0,odd"
+
+
+def test_csv_blocks_join_as_per_row_floats(tmp_path):
+    # a body of three blocks and part of a fourth, with a text column: the
+    # file is the per-row join of _fmt_float cells
+    rows = 3 * (cli._CSV_BLOCK // 4) + 7
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    x[::97] = 0.0
+    x[[5, 6000, rows - 1]] = math.nan, math.inf, -0.0
+    y = np.abs(rng.standard_normal(rows)) ** 9
+    n = np.arange(rows)
+    branch = np.where(rng.random(rows) < 0.1, "degenerate", "odd")
+    cli._write_csv(tmp_path / "t.csv", _Cfg, ["x", "y", "n", "branch"], [x, y, n, branch])
+    lines = cli._csv_header_lines(_Cfg) + ["x,y,n,branch"] + [
+        ",".join([cli._fmt_float(a), cli._fmt_float(b), cli._fmt_float(float(c)), d])
+        for a, b, c, d in zip(x.tolist(), y.tolist(), n.tolist(), branch.tolist())]
+    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_memory_does_not_grow_with_rows(tmp_path):
+    # the body goes out block by block: ten times the rows, about the same
+    # traced peak (the columns themselves are allocated before tracing)
+    import tracemalloc
+
+    cli._float_tables()
+    peaks = []
+    for rows in (20_000, 200_000):
+        cols = [np.linspace(-50.0, 50.0, rows)] + [np.random.default_rng(rows).random(rows) ** 8
+                                                   for _ in range(3)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "m.csv", _Cfg, ["x", "a", "b", "c"], cols)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def _cell_text(values):
@@ -469,17 +516,19 @@ def test_float_cells_on_a_fixed_battery():
 
 
 def test_evolve_csv_is_a_per_row_g17_join(tmp_path):
-    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\ntimes = 80.0\ndx = 0.05\n")
+    # t = 120 at dx = 0.05: more rows than one block of the body holds
+    ini = write(tmp_path, "run.ini", CANONICAL + PACKET + "[run]\ntimes = 120.0\ndx = 0.05\n")
     assert main(["evolve", "--config", ini, "--out", str(tmp_path)]) == 0
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     snap = ss.snapshot(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=256), bar,
-                       80.0, dx=0.05)
+                       120.0, dx=0.05)
     cols = [snap.x_grid] + [np.abs(p) ** 2 for p in (snap.psi_full, snap.psi_tr, snap.psi_ref)]
     rows = ["%.17g,%.17g,%.17g,%.17g" % row for row in zip(*(c.tolist() for c in cols))]
     lines = (tmp_path / "evolve_000.csv").read_text().splitlines()
     assert lines[4:] == ["x,density_full,density_tr,density_ref"] + rows
     cells = ",".join(rows).split(",")
-    assert len(rows) > 5000 and "0" in cells  # exact zeros, fixed and scientific cells
+    assert len(rows) > max(5000, cli._CSV_BLOCK // 4)
+    assert "0" in cells  # exact zeros, fixed and scientific cells
     assert any("e-" in c for c in cells) and any(c.startswith("0.0") for c in cells)
 
 

@@ -343,7 +343,7 @@ def test_cross_check_fields_leave_no_subnormal():
     # about 8x per node), and the start field's smallest modulus is normal
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
-    xs = auto_grid(pk, bar, (40.0,), dx=orc.CROSS_CHECK_DX)
+    xs = auto_grid(pk, bar, (0.0, 40.0), dx=orc.CROSS_CHECK_DX)
     dt, steps, _ = orc.cross_check_plan(xs, pk.ks, pk.spectral_weight, 40.0)
     psi0 = ss.snapshot(pk, bar, 0.0, xs=xs).psi_full
     psi1 = orc.CrankNicolson(bar, xs, dt).evolve(psi0, steps)

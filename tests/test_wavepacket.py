@@ -496,22 +496,35 @@ def _guard_ends(packet, barrier, t, dx):
     return x_c - dx * math.ceil((x_c - lo) / dx), x_c + dx * math.ceil((hi - x_c) / dx)
 
 
+def _reach_grid_rows(packet, barrier, t, dx):
+    """Rows of the grid that padded the reaches x0 + k_hi t and 2 a - x0 -
+    k_hi t by the initial width 6 sigma + 5, reaching b at least: the rule
+    the packet's support replaced."""
+    k_hi, x_c, pad = packet.ks[-1], barrier.x_c, 6.0 * packet.sigma + 5.0
+    lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * barrier.a - packet.x0 - k_hi * t) - pad
+    hi = max(barrier.b, packet.x0 + k_hi * t + pad)
+    return math.ceil((x_c - lo) / dx) + math.ceil((hi - x_c) / dx) + 1
+
+
 SLOW = (ss.make_rectangular(0.0, 1.0, 2.0), (-70.0, 12.0, 0.45, 512))
 WELL = (ss.make_rectangular(0.0, 6.0, -3.0), (-40.0, 6.0, 1.5, 384))
 
 
 @pytest.mark.parametrize("case, when, most", [
     ("canonical", "start", 0.8), ("canonical", "pre", 0.8), ("canonical", "mid", 0.9),
-    ("canonical", "post", 0.9), ("slow", "start", 0.8), ("slow", "post", 0.8),
-    ("well", "mid", 0.9), ("well", "post", 0.9),
+    ("canonical", "post", 0.9), ("slow", "start", 0.8), ("slow", "pre", 0.8),
+    ("slow", "mid", 0.9), ("slow", "post", 0.8), ("well", "start", 0.8),
+    ("well", "pre", 0.8), ("well", "mid", 0.9), ("well", "post", 0.9),
 ])
 def test_auto_grid_pads_the_packet_not_the_barrier(canonical_packet, canonical_barrier,
                                                    case, when, most):
-    # the grid pads the packet's reach by its initial width, 6 sigma + 5,
-    # where the guard span, on which refusals are judged, pads max(b, reach)
-    # by 6 sigma_t + 5.  Before the event the grid has a quarter fewer rows
-    # or more; once the reach k_hi t, common to both, dominates, a tenth
-    # fewer or more.  The grid's own end densities stay under 1e-10.
+    # the grid spans the packet's support, D sigma_t beyond the free centre
+    # and the sub-packets' fronts, inside the guard span on which refusals
+    # are judged, with at most `most` of the guard's rows; its full-state
+    # end densities read four decades under the 1e-10 gate.  After the event
+    # it has a fifth fewer rows than the grid that padded the reach k_hi t,
+    # and never more rows before; on the slow packet the reflected front,
+    # (b - a) ahead of the mirror image, holds it to about 0.84
     if case == "canonical":
         pk, bar = canonical_packet, canonical_barrier
     else:
@@ -523,10 +536,14 @@ def test_auto_grid_pads_the_packet_not_the_barrier(canonical_packet, canonical_b
     assert np.array_equal(xs, wp.auto_grid(pk, bar, (t,), dx=0.05))
     assert tuple(guard) == _guard_ends(pk, bar, t, 0.05)
     assert guard[0] <= xs[0] and xs[-1] <= guard[1]
+    steps = (xs - bar.x_c) / 0.05
+    assert np.max(np.abs(steps - np.rint(steps))) < 1e-9
     assert len(xs) <= most * ((guard[1] - guard[0]) / 0.05 + 1)
+    fewer = 1.0 if when != "post" else 0.85 if case == "slow" else 0.8
+    assert len(xs) <= fewer * _reach_grid_rows(pk, bar, t, 0.05)
     snap = ss.snapshot(pk, bar, t, dx=0.05)
     assert np.array_equal(snap.x_grid, xs)
-    assert np.max(np.abs(snap.psi_full[[0, -1]]) ** 2) <= wp._EDGE_DENSITY
+    assert np.max(np.abs(snap.psi_full[[0, -1]]) ** 2) <= 1e-4 * wp._EDGE_DENSITY
 
 
 @pytest.mark.parametrize("bar, times, xs", [
