@@ -45,8 +45,8 @@ from .potentials import BarrierSpec, make_rectangular, make_symmetric
 from .stationary import solve_family
 from .times import build_time_report, dwell_tables, route_b
 from .wavepacket import (
-    _auto_extent,
     _full_fields,
+    auto_grid,
     check_alias,
     make_gaussian_packet,
     snapshot,
@@ -256,11 +256,9 @@ def _render_json(obj, indent=0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f" and len(obj):
-        # "%.17g" writes the bytes of format(x, ".17g") for finite floats; a
-        # masked entry (np.ma) is an undefined value, listed as None
+        # "%.17g" writes the bytes of format(x, ".17g") for finite floats
         fmt = "%.17g".__mod__ if np.isfinite(obj).all() else _fmt_float
-        items = (["null" if v is None else fmt(v) for v in obj.tolist()]
-                 if np.ma.is_masked(obj) else list(map(fmt, obj.tolist())))
+        items = list(map(fmt, obj.tolist()))
         return "[\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
@@ -555,10 +553,10 @@ def cmd_evolve(cfg: RunConfig) -> None:
     if not dx > 0:
         raise ConfigError(f"key 'dx' in [run] must be positive, got {dx!r}")
 
-    # the oracle's grid and steps first: a span beyond its step budget is
-    # refused at once
+    # the cross-check's step budget is held before the solve, its alias period after
     plan = _oracle_plan(cfg, packet, ts) if cfg.oracle else None
     fam = solve_family(cfg.barrier, packet.ks)
+    spans = [check_alias(packet, fam, plan[0], t) for t in (ts[0], ts[-1])] if plan else []
     scalars = []
     strict = cfg.tolerance_profile == "strict"
     for i, t in enumerate(ts):
@@ -575,8 +573,6 @@ def cmd_evolve(cfg: RunConfig) -> None:
             "x_min": snap.x_grid[0],  # the CSV's x column is x_min + dx * (0 .. n - 1)
             "dx": dx,
             "n": len(snap.x_grid),
-            # the span its refusals were judged on (`wavepacket._auto_extent`)
-            "guard_span": list(_auto_extent(packet, cfg.barrier, (t,), dx)[1]),
             "norm_full": snap.norm_full,
             "T_t": snap.T_t,
             "R_t": snap.R_t,
@@ -587,9 +583,11 @@ def cmd_evolve(cfg: RunConfig) -> None:
             {f"residual_{k}": v for k, v in snapshot_residuals(snap).items()}
         )
         scalars.append(entry)
+        spans.append(snap.alias_span)
     payload = _meta(cfg)
     payload["snapshots"] = scalars
-    payload["alias_period"] = 2 * np.pi / packet.dk  # no auto grid spans it
+    payload["alias_period"] = 2 * np.pi / packet.dk
+    payload["alias_span"] = max(spans)  # the widest that `wavepacket.check_alias` judged
     payload["packet_warnings"] = list(packet.warnings)
     if cfg.oracle:
         payload["oracle"] = _evolve_oracle(cfg, packet, fam, ts[0], plan)
@@ -597,27 +595,22 @@ def cmd_evolve(cfg: RunConfig) -> None:
 
 
 def _oracle_plan(cfg, packet, ts):
-    """(xs, guard, dt, nsteps, time_error) of the time-domain cross-check
-    from ts[0] to ts[-1], or None with fewer than two distinct times.
-
-    xs is `auto_grid`'s over both times at CROSS_CHECK_DX: the hull of their
-    snapshot grids at that step, x_c on a node alike.  guard is the hull of
-    their guard spans, on which the run is refused as a snapshot is.
-    """
+    """(xs, dt, nsteps, time_error) of the time-domain cross-check from
+    ts[0] to ts[-1], or None with fewer than two distinct times.  xs is
+    `auto_grid`'s over both times at CROSS_CHECK_DX; `cmd_evolve` holds it to
+    the alias period at both times (`check_alias`), as a snapshot is."""
     if ts[-1] <= ts[0]:
         return None
-    xs, guard = _auto_extent(packet, cfg.barrier, (ts[0], ts[-1]), CROSS_CHECK_DX)
-    plan = cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0])
-    check_alias(packet, guard, ts[-1])
-    return (xs, guard, *plan)
+    xs = auto_grid(packet, cfg.barrier, (ts[0], ts[-1]), CROSS_CHECK_DX)
+    return (xs, *cross_check_plan(xs, packet.ks, packet.spectral_weight, ts[-1] - ts[0]))
 
 
 def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
     if plan is None:
         return {"skipped": "need at least two distinct times"}
-    xs, guard, dt, nsteps, time_error = plan
+    xs, dt, nsteps, time_error = plan
     dx = float((xs[-1] - xs[0]) / (len(xs) - 1))
-    psi0, ref = _full_fields(packet, fam, (t0, t0 + nsteps * dt), xs, guard).T
+    psi0, ref = _full_fields(packet, fam, (t0, t0 + nsteps * dt), xs).T
     psi1 = CrankNicolson(cfg.barrier, xs, dt).evolve(psi0, nsteps)
     l2 = float(np.sqrt(np.sum(np.abs(psi1 - ref) ** 2) * dx))
     if cfg.tolerance_profile == "strict" and not l2 <= 1e-4:
@@ -626,8 +619,7 @@ def _evolve_oracle(cfg, packet, fam, t0, plan) -> dict:
             f"(dt = {dt:.6g}, {nsteps} steps, dx = {dx:.6g})"
         )
     return {"l2_vs_synthesis": l2, "dt": dt, "dx": dx, "steps": nsteps,
-            "time_error_estimate": time_error, "x_min": float(xs[0]), "n": len(xs),
-            "guard_span": list(guard)}
+            "time_error_estimate": time_error, "x_min": float(xs[0]), "n": len(xs)}
 
 
 def cmd_times(cfg: RunConfig) -> None:
@@ -642,7 +634,8 @@ def cmd_times(cfg: RunConfig) -> None:
     }
     payload["tau_dwell_ref"] = {
         "k": report.ks,
-        "tau": np.ma.masked_array(report.tau_dwell_ref, mask=~report.dwell_ref_defined),
+        "tau": [v if ok else None  # None: undefined
+                for v, ok in zip(report.tau_dwell_ref.tolist(), report.dwell_ref_defined)],
     }
     payload["tau_L_tr"] = {
         "routeA": report.tau_L_tr_routeA, "routeB": report.tau_L_tr_routeB,

@@ -23,11 +23,10 @@ those left of x_c (`_split`, which also gives the full field alone at
 several times in one pass: `_full_fields`, the time-domain cross-check's).
 An automatic grid spans the packet's support: its free centre and its
 sub-packets' fronts, each widened until the free density is four decades
-under the end-density gate.  The fields repeat in x with the k grid's alias
-period 2 pi / dk, so any grid spanning it is refused, as is one whose end
-densities show it truncates the packet; an automatic grid is judged on a
-wider guard span (`_auto_extent`), whose ends meet an aliased copy of the
-packet first.
+under the end-density gate.  Each plane-wave sum repeats its packet with
+the k grid's alias period 2 pi / dk, so a grid is refused where a copy would
+reach its rows (`check_alias`), or where its end densities show it
+truncates a field.
 
 Conservation scalars: the full norm and the reflection norm R_t are constant
 in t to quadrature accuracy at every instant (the reflection sub-state
@@ -198,6 +197,7 @@ class PacketSnapshot:
     R_t: float
     overlap_re: float
     overlap_im: float
+    alias_span: float  # the widest span `check_alias` judged
 
 
 def _coef(packet):
@@ -379,42 +379,29 @@ def auto_grid(packet: SpectralPacket, barrier: BarrierSpec, times,
     sigma_t if that lies further left, to the transmitted front c + (b - a)
     + D sigma_t, where (b - a) bounds a sub-packet's advance and the free
     density at D sigma_t from c is exp(-D^2) = 1e-4 of the 1e-10
-    end-density gate.  It never leaves the guard span of `_auto_extent`.
-    Uniformity matters: trapezoid norms on piecewise-stitched grids pick up
-    spurious boundary terms at spacing jumps.  The grid is anchored so the
-    mask point x_c falls exactly on a node of its lattice (the densities
-    kink there).
+    end-density gate.  Uniformity matters: trapezoid norms on
+    piecewise-stitched grids pick up spurious boundary terms at spacing
+    jumps.  The grid is anchored so the mask point x_c falls exactly on a
+    node of its lattice (the densities kink there).
     """
-    return _auto_extent(packet, barrier, times, dx)[0]
+    if not 0 < dx < math.inf:
+        raise DomainError(f"dx must be positive and finite, got {dx}")
+    x_c, a, b = barrier.x_c, barrier.a, barrier.b
+    ends = [(min(2 * a - c - (b - a) - d, c - d), c + (b - a) + d)
+            for c, d in (_support(packet, t) for t in times)]
+    return x_c + dx * np.arange(-max(math.ceil((x_c - lo) / dx) for lo, _ in ends),
+                                max(math.ceil((hi - x_c) / dx) for _, hi in ends) + 1)
 
 
 # D of `auto_grid`: exp(-D^2) = 1e-4 _EDGE_DENSITY, so D is about 5.68
 _SUPPORT_D = math.sqrt(math.log(1e4 / _EDGE_DENSITY))
 
 
-def _auto_extent(packet, barrier, times, dx):
-    """(xs, guard): `auto_grid`'s grid, and the two end nodes, on its
-    lattice, of the wider span the refusals judge: 6 sigma_t + 5 beyond the
-    reaches x0 + k_hi t and 2 a - x0 - k_hi t, k_hi the top of the k grid,
-    and beyond b.  A k grid too coarse for the packet shows as a copy of it
-    one alias period away, and the guard's ends meet that copy first
-    (`check_alias`, `_check_ends`)."""
-    if not 0 < dx < math.inf:
-        raise DomainError(f"dx must be positive and finite, got {dx}")
-    k_hi, x_c, a, b = float(packet.ks[-1]), barrier.x_c, barrier.a, barrier.b
-    counts = []
-    for t in times:
-        spread = math.sqrt(1 + (t / packet.sigma**2) ** 2)  # sigma_t / sigma
-        c, d = packet.x0 + packet.k0 * t, _SUPPORT_D * packet.sigma * spread
-        lo = min(packet.x0 + k_hi * min(t, 0.0), 2 * a - packet.x0 - k_hi * t)
-        hi = packet.x0 + k_hi * t
-        wide = 6.0 * packet.sigma * spread + 5.0
-        counts.append([math.ceil((x_c - x) / dx)
-                       for x in (min(2 * a - c - (b - a) - d, c - d), lo - wide)]
-                      + [math.ceil((x - x_c) / dx) for x in (c + (b - a) + d, max(b, hi) + wide)])
-    n_lo, g_lo, n_hi, g_hi = map(max, zip(*counts))
-    return (x_c + dx * np.arange(-min(n_lo, g_lo), min(n_hi, g_hi) + 1),
-            x_c + dx * np.array([-g_lo, g_hi]))
+def _support(packet, t):
+    """(c, D sigma_t): the free packet's centre x0 + k0 t at the time t and
+    the half-width of its support (`auto_grid`)."""
+    spread = math.sqrt(1 + (t / packet.sigma**2) ** 2)  # sigma_t / sigma
+    return packet.x0 + packet.k0 * t, _SUPPORT_D * packet.sigma * spread
 
 
 def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
@@ -422,30 +409,22 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
              strict: bool = False) -> PacketSnapshot:
     """All three fields plus conservation scalars at one time.
 
-    The grid is xs, or `auto_grid`'s at dx when xs is None.  It is refused
-    (GridRefinementError, `check_alias`) when it spans the k grid's alias
-    period 2 pi / dk or more, and (WindowError) unless it brings the end
-    densities below 1e-10.  An auto grid is judged on the wider guard span
-    of `_auto_extent` instead: its span against the period, and the
-    densities at its two ends as well as at the grid's.  strict=True also
-    holds the conservation identities (`snapshot_residuals`) to 1e-6, or
-    raises ToleranceError; they are transiently violated at the 1e-3 level
-    while the packet crosses the barrier (see the module docstring), so
-    strict mode is meant for quiet-time samples.  fam is the packet's
-    family over barrier, solved here when not given.
+    The grid is xs, or `auto_grid`'s at dx when xs is None, refused where a
+    copy of a packet one alias period away reaches its rows (`check_alias`)
+    and (WindowError) unless all three fields' end densities are at most
+    1e-10.  strict=True also holds the conservation identities
+    (`snapshot_residuals`) to 1e-6, or raises ToleranceError; they are
+    transiently violated at the 1e-3 level while the packet crosses the
+    barrier (see the module docstring), so strict mode is meant for
+    quiet-time samples.  fam is the packet's family over barrier, solved
+    here when not given.
     """
-    if xs is None:
-        xs, guard = _auto_extent(packet, barrier, (t,), dx)
-    else:
-        xs = guard = _uniform_grid(xs)
+    xs = auto_grid(packet, barrier, (t,), dx) if xs is None else _uniform_grid(xs)
     if len(xs) < 2:
         raise DomainError("snapshot grid needs at least 2 points")
-    check_alias(packet, guard, t)
-    if fam is None:
-        fam = solve_family(barrier, packet.ks)
-    w = _weights(packet, t)
-    snap = _snapshot_on(xs, fam, w, t)
-    _check_ends(fam, w[:, None], snap.psi_full[:, None], guard, (t,))
+    fam = fam or solve_family(barrier, packet.ks)
+    snap = _snapshot_on(xs, fam, _weights(packet, t), t, check_alias(packet, fam, xs, t))
+    _check_ends(xs, t, snap.psi_full, snap.psi_tr, snap.psi_ref)
     if strict:
         bad = {k: v for k, v in snapshot_residuals(snap).items()
                if not abs(v) <= _CONSERVATION_TOL}
@@ -454,38 +433,61 @@ def snapshot(packet: SpectralPacket, barrier: BarrierSpec, t: float,
     return snap
 
 
-def _full_fields(packet: SpectralPacket, fam: SolutionFamily, times, xs, guard):
+def _full_fields(packet: SpectralPacket, fam: SolutionFamily, times, xs):
     """psi_full on the grid xs at each of the times, one column each, from
-    one synthesis (`_split` without psi_ref); each column is refused as a
-    snapshot on xs with the guard span would be (`_check_ends`)."""
-    W = np.stack([_weights(packet, t) for t in times], axis=1)
-    full = _split(fam, W, xs, ref=False)[0]
-    _check_ends(fam, W, full, guard, times)
+    one synthesis (`_split` without psi_ref), its ends held as a snapshot's."""
+    full = _split(fam, np.stack([_weights(packet, t) for t in times], axis=1), xs, ref=False)[0]
+    for t, col in zip(times, full.T):
+        _check_ends(xs, t, col)
     return full
 
 
-def _check_ends(fam, W, full, guard, times):
-    """WindowError unless, for each time and its columns of the weights W and
-    fields full, the density is at most 1e-10 at the first and last rows of
-    full and at the nodes of guard (two rows of the basis)."""
-    ends = np.concatenate([full[[0, -1]], fam.basis(guard[[0, -1]]) @ W])
-    for t, edge in zip(times, np.max(np.abs(ends) ** 2, axis=0)):
-        if not edge <= _EDGE_DENSITY:
-            raise WindowError(f"snapshot grid [{guard[0]:.6g}, {guard[-1]:.6g}] truncates "
-                              f"the support at t={t}: end density {edge:.2e}")
+def _check_ends(xs, t, *fields):
+    """WindowError unless every field's density at both ends of xs is at most 1e-10."""
+    edge = float(np.max(np.abs([f[[0, -1]] for f in fields]))) ** 2
+    if not edge <= _EDGE_DENSITY:
+        raise WindowError(f"snapshot grid [{xs[0]:.6g}, {xs[-1]:.6g}] truncates "
+                          f"the support at t={t}: end density {edge:.2e}")
 
 
-def check_alias(packet: SpectralPacket, xs, t: float) -> None:
-    """GridRefinementError, naming the n_k needed, when the grid xs spans the
-    k grid's alias period 2 pi / dk or more: the fields repeat with it."""
-    span, period = xs[-1] - xs[0], _TWO_PI / packet.dk
-    if span >= period:
-        raise _refine(packet, span / period,
-                      f"the snapshot grid at t={t} spans {span:.4g}, at least "
-                      f"the k grid's alias period 2 pi/dk = {period:.4g}")
+def check_alias(packet: SpectralPacket, fam: SolutionFamily, xs, t: float) -> float:
+    """The widest span judged, or GridRefinementError naming the n_k needed:
+    each plane-wave column `_split` sums on rows of the grid xs must span,
+    with those rows, less than the alias period 2 pi / dk with which the k
+    sum repeats its packet.  Left of a the columns are the incident packet w
+    at c = x0 + k0 t, the reflected conj(w A_R) at 2 a - c and psi_ref's
+    incident part w z at c - d arg(z)/dk; right of b the transmitted w A_T
+    at c + (b - a).  Each spans D sigma_t (`auto_grid`) beyond the positions
+    of its k that count (`_event_spans`' rule), a sub-packet trailing by k
+    delay (`_delays`) and, behind that, ringing k delay / 2 ln(s^2 C /
+    1e-10), s the k's share of the peak amplitude and C = T or R.
+    """
+    bar, ks, period = fam.barrier, fam.ks, _TWO_PI / packet.dk
+    rel, delay = _delays(packet, fam)
+    c, d = _support(packet, t)
+    amp = np.abs(packet.G) * _trap_w(len(ks))
+    ring = [ks * np.maximum(delay, 0.0) / 2 * np.log(np.maximum(
+        (amp / amp.sum()) ** 2 * C / _EDGE_DENSITY, 1.0)) for C in (fam.T, fam.R)]
+    # arg z = atan(v / T) up to steps of pi where R = 0, v = Im(A_R e^{-2ik x_c} A_T*)
+    v = (fam.A_R * np.exp(-2j * ks * bar.x_c) * np.conj(fam.A_T)).imag
+    left, right = np.split(xs, np.searchsorted(xs, [bar.a, bar.b]))[::2]
+    on = rel >= _SIGNIFICANT
+    columns = {  # rows, each k's position, its extent below and above it, the k that count
+        "incident": (left, np.full_like(ks, c), 0, 0, ks > 0),
+        "reflected": (left, 2 * bar.a - c + ks * delay, 0, ring[1], on[1]),
+        "reflection's incident": (left, c - np.gradient(np.arctan2(v, fam.T), ks), 0, 0, on[1]),
+        "transmitted": (right, c + bar.b - bar.a - ks * delay, ring[0], 0, on[0]),
+    }
+    spans = {n: max(np.max((x + d + hi)[m]), rows[-1]) - min(np.min((x - d - lo)[m]), rows[0])
+             for n, (rows, x, lo, hi, m) in columns.items() if len(rows) and m.any()}
+    span, name = max(((float(s), n) for n, s in spans.items()), default=(0.0, ""))
+    if not span < period:
+        raise _refine(packet, span / period, f"the {name} packet and its rows at t={t} span "
+                      f"{span:.4g}, at least the k grid's alias period 2 pi/dk = {period:.4g}")
+    return span
 
 
-def _snapshot_on(xs, fam, w, t):
+def _snapshot_on(xs, fam, w, t, alias_span):
     full, ref = (f[:, 0] for f in _split(fam, w[:, None], xs))
     tr = full - ref
     tw = _trap_w(len(xs)) * float(xs[1] - xs[0])
@@ -495,7 +497,7 @@ def _snapshot_on(xs, fam, w, t):
     return PacketSnapshot(
         t=float(t), x_grid=xs, psi_full=full, psi_tr=tr, psi_ref=ref,
         norm_full=norm_full, T_t=norm_full - R_t - 2 * ov.real, R_t=R_t,
-        overlap_re=ov.real, overlap_im=ov.imag,
+        overlap_re=ov.real, overlap_im=ov.imag, alias_span=alias_span,
     )
 
 
@@ -512,22 +514,18 @@ def _event_spans(packet: SpectralPacket, fam: SolutionFamily):
     integrates over, from the spectrum once, and the time 2 pi / (k dk) at
     the fastest counting k after which the k sum repeats the passage.
 
-    A k counts when its share of a time integral over the passage, |G|^2 C / k
-    (C = T or R; a crossing takes a time ~ 1 / k), is 1e-10 of the largest
-    or more.  The window is the free flight to within 1 of the barrier at the
-    fastest and slowest counting k, 6.5 sigma / k0 for the Gaussian tails,
-    and tau / 2 ln(w / 1e-10) at each end for a k of weight w and group delay
-    tau (`SolutionFamily.traversal_time`): its Wigner lifetime tau / 2 (Phys.
-    Rev. 98, 145 (1955)) sets a decay and a sub-process precursor.  Refused
-    (GridRefinementError, naming the resonance and the n_k needed) when A_T's
-    phase steps by pi/2 or more between k that count in T, or the window
-    reaches the recurrence time.
+    A k counts when its share of the passage (`_delays`) is 1e-10 of the
+    largest or more.  The window is the free flight to within 1 of the
+    barrier at the fastest and slowest counting k, 6.5 sigma / k0 for the
+    Gaussian tails, and tau / 2 ln(w / 1e-10) at each end for a k of share
+    w and delay tau: its Wigner lifetime tau / 2 (Phys. Rev. 98, 145 (1955))
+    sets a decay and a sub-process precursor.  Refused (GridRefinementError,
+    naming the resonance and the n_k needed) when A_T's phase steps by pi/2
+    or more between k that count in T, or the window reaches the recurrence
+    time.
     """
-    ks, bar = fam.ks, fam.barrier
-    G2 = np.abs(packet.G) ** 2 / ks
-    rel = np.array([w / w.max() if w.max() > 0 else w for w in (G2 * fam.T, G2 * fam.R)])
-    sig = rel >= _SIGNIFICANT
-    delay = np.maximum(fam.traversal_time() - (bar.b - bar.a) / ks, 0.0)
+    ks, bar, (rel, delay) = fam.ks, fam.barrier, _delays(packet, fam)
+    sig, delay = rel >= _SIGNIFICANT, np.maximum(delay, 0.0)
     decay = delay / 2 * np.log(np.maximum(rel.max(axis=0) / _SIGNIFICANT, 1.0))
     # T > 0 wherever it counts, so there A_T is a normal number, its phase sharp
     step = np.abs(np.angle(fam.A_T[1:] * np.conj(fam.A_T[:-1]))) * (sig[0, 1:] & sig[0, :-1])
@@ -555,6 +553,15 @@ def _event_spans(packet: SpectralPacket, fam: SolutionFamily):
             f"k={ks[j]:.6g}, group delay {delay[j]:.4g}), at least the k grid's recurrence "
             f"time 2 pi/(k dk) = {recurrence:.4g} at k={k_hi:.4g}"))
     return float(t_lo), float(t_hi), float(recurrence)
+
+
+def _delays(packet: SpectralPacket, fam: SolutionFamily):
+    """(rel, delay) per k: its share |G|^2 C / k of the passage (a crossing
+    takes ~ 1 / k) over the largest, C = T in row 0 and R in row 1, and its
+    delay beyond free flight, `SolutionFamily.traversal_time` - (b - a) / k."""
+    G2 = np.abs(packet.G) ** 2 / fam.ks
+    rel = np.array([w / w.max() if w.max() > 0 else w for w in (G2 * fam.T, G2 * fam.R)])
+    return rel, fam.traversal_time() - (fam.barrier.b - fam.barrier.a) / fam.ks
 
 
 def _refine(packet, factor, why):

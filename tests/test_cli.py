@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import scatsplit as ss
 from scatsplit import cli, stationary
 from scatsplit.cli import main
-from scatsplit.wavepacket import _auto_extent
+from scatsplit.wavepacket import auto_grid, check_alias
 
 CANONICAL = """
 [barrier]
@@ -176,6 +176,8 @@ def test_evolve_sorts_times_and_reports_scalars(tmp_path):
     assert meta["alias_period"] == pytest.approx(2 * np.pi / dk, rel=1e-12)
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=256)
+    fam = ss.solve_family(bar, pk.ks)
+    spans = []
     for i, snap in enumerate(meta["snapshots"]):
         assert snap["file"] == f"evolve_{i:03d}.csv"
         assert (tmp_path / snap["file"]).exists()
@@ -187,10 +189,10 @@ def test_evolve_sorts_times_and_reports_scalars(tmp_path):
         assert snap["n"] * snap["dx"] < meta["alias_period"]
         grid = snap["x_min"] + snap["dx"] * np.arange(snap["n"])
         assert np.max(np.abs(x - grid)) < 1e-9 * snap["dx"]
-        # the guard span its refusals were judged on holds the grid
-        lo, hi = snap["guard_span"]
-        assert lo <= x[0] and x[-1] <= hi
-        assert [lo, hi] == list(_auto_extent(pk, bar, (snap["t"],), 0.05)[1])
+        assert "guard_span" not in snap
+        spans.append(check_alias(pk, fam, auto_grid(pk, bar, (snap["t"],), 0.05), snap["t"]))
+    # the widest span the alias rule judged, under the period
+    assert meta["alias_span"] == max(spans) < meta["alias_period"]
 
 
 def test_evolve_strict_rejects_midevent_sample(tmp_path):
@@ -229,14 +231,14 @@ def test_evolve_oracle_agrees(tmp_path):
     # the run's grid is auto_grid's over both times at dx = 0.02, and its
     # steps cover the span with the step error within the oracle's budget
     from scatsplit import oracle
-    from scatsplit.wavepacket import auto_grid
 
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     pk = ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192)
     xs = auto_grid(pk, bar, (0.0, 4.0), dx=oracle.CROSS_CHECK_DX)
-    assert (orc["x_min"], orc["n"]) == (xs[0], len(xs))
-    guard = _auto_extent(pk, bar, (0.0, 4.0), oracle.CROSS_CHECK_DX)[1]
-    assert orc["guard_span"] == list(guard) and guard[0] <= xs[0] and xs[-1] <= guard[1]
+    assert (orc["x_min"], orc["n"]) == (xs[0], len(xs)) and "guard_span" not in orc
+    # the cross-check's grid is held to the alias period at both times
+    fam = ss.solve_family(bar, pk.ks)
+    assert meta["alias_span"] >= max(check_alias(pk, fam, xs, t) for t in (0.0, 4.0))
     assert orc["dx"] == pytest.approx(0.02, rel=1e-12)
     assert orc["steps"] * orc["dt"] == pytest.approx(4.0, rel=1e-15)
     assert 0 < orc["time_error_estimate"] <= oracle._TIME_ERROR
@@ -247,7 +249,6 @@ def test_evolve_oracle_runs_on_the_hull_of_both_snapshot_grids(tmp_path):
     # the later one further right; the oracle runs on the hull of the two at
     # dx = 0.02
     from scatsplit import oracle
-    from scatsplit.wavepacket import auto_grid
 
     ini = write(tmp_path, "run.ini",
                 CANONICAL + PACKET.replace("n_k = 256", "n_k = 192")
@@ -552,14 +553,14 @@ def test_json_float_arrays_render_as_per_value_floats():
         '[\n  1,\n  NaN,\n  "Infinity",\n  "-Infinity",\n  -0\n]')
     assert cli._render_json([0.25, None, np.float64(-0.0)]) == "[\n  0.25,\n  null,\n  -0\n]"
     assert cli._render_json(np.array([])) == "[]"
-    # tau_dwell_ref at a transmission resonance: the undefined entry is null
+    # tau_dwell_ref at a transmission resonance, as `times` lists it: the
+    # undefined entry is null, the others render as the array does
     kres = math.sqrt(2 * 2.0 + math.pi**2)
     bar = ss.make_rectangular(0.0, 1.0, 2.0)
     _, tau_ref, defined = ss.dwell_tables(ss.solve_family(bar, [1.0, kres, 1.5]))[:3]
-    masked = np.ma.masked_array(tau_ref, mask=~defined)
-    per_value = [t if d else None for t, d in zip(tau_ref, defined)]
-    assert cli._render_json(masked, 2) == cli._render_json(per_value, 2)
-    assert cli._render_json(masked).count("null") == 1
+    listed = cli._render_json([t if d else None for t, d in zip(tau_ref.tolist(), defined)], 2)
+    assert listed.count("null") == 1 and not defined[1]
+    assert listed.replace(",\n      null", "") == cli._render_json(tau_ref[defined], 2)
 
 
 LADDER = "[run]\nomega_ladder = 0.0005 0.00025 0.000125\n"

@@ -129,3 +129,27 @@ def test_cli_import_builds_no_rendering_table():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_times_and_evolve_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs its import on the first command that touches it: an
+    # undefined dwell time goes to times.json as None, and event_window
+    # sorts its probes without np.unique
+    (tmp_path / "run.ini").write_text(
+        "[barrier]\nkind = rectangular\na = 0.0\nb = 1.0\nv0 = 2.0\n"
+        "[packet]\nx0 = -40.0\nsigma = 8.0\nk0 = 1.0\nn_k = 192\n[run]\n")
+    (tmp_path / "evolve.ini").write_text(
+        (tmp_path / "run.ini").read_text() + "times = 0.0 30.0\ndx = 0.05\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, scatsplit as ss\n"
+        "from scatsplit.cli import main\n"
+        "assert main(['times', '--config', 'run.ini', '--out', 'out']) == 0\n"
+        "bar = ss.make_rectangular(0.0, 1.0, 2.0)\n"
+        "ss.quiet_times(ss.make_gaussian_packet(-40.0, 8.0, 1.0, barrier=bar, n=192), bar)\n"
+        "assert main(['evolve', '--config', 'evolve.ini', '--out', 'out']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=tmp_path, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -30,7 +30,9 @@ import re
 import numpy as np
 
 from analytic import free_gaussian, transfer_amplitudes
-from scatsplit.cli import main
+from scatsplit import make_gaussian_packet, solve_family
+from scatsplit.cli import _parse_barrier, main
+from scatsplit.wavepacket import _full_fields, auto_grid
 
 DRAWS = 100
 COMMANDS = ("solve", "decompose", "evolve", "times", "larmor")
@@ -200,19 +202,41 @@ def test_every_refusal_is_named(tmp_path, capsys, request):
 def test_an_aliased_reflection_is_refused(tmp_path, capsys):
     # seed 9 draw 22: on 64 k the synthesized density at t = 0 misses the
     # free packet's by 4.0e-7 of its peak left of the barrier (1.9e-10 on
-    # 128 k, so the miss is aliasing).  Its end density, 1.02e-10 at the
-    # grid's left end, refuses it, with and without the cross-check.
-    ini = tmp_path / "run.ini"
-    ini.write_text(
+    # 128 k, so the miss is aliasing).  The reflected packet, delayed and
+    # ringing, and the rows left of a span more than the alias period, with
+    # and without the cross-check
+    text = (
         "[barrier]\nkind = symmetric\na = -1.785672848838217\nhalf_profile = "
         "2.1593094086694795:0.29500779779614916, 0.01629451556539142:36.74960756008596, "
         "0.02956330244899464:-7.496603520664456, 0.4117112972323485:-1.0589311898074625\n"
         "[packet]\nx0 = -90.48942370209805\nsigma = 12.909428598641373\n"
         "k0 = 0.7071266393114756\nn_k = 64\n"
         "[run]\ntimes = 0.0 41.709490482075864\ndx = 0.05\n")
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
     for flags in ([], ["--oracle"]):
         capsys.readouterr()
         assert main(["evolve", "--config", str(ini), "--out", str(tmp_path), *flags]) == 3
         assert capsys.readouterr().err.strip() == (
-            "tolerance failure: snapshot grid [-172.969, 85.9312] truncates the support "
-            "at t=0.0: end density 1.02e-10")
+            "tolerance failure: the reflected packet and its rows at t=0.0 span 399.7, at "
+            "least the k grid's alias period 2 pi/dk = 393.1; needs n_k >= 72 (now 64)")
+    # on the 72 k asked for, the full state at t = 0 matches the free packet
+    # within the fuzz's bound (1.1e-8).  psi_tr and psi_ref reach past the
+    # grid's left end at 3.5e-7 on any k grid, which the end check refuses
+    ini.write_text(text.replace("n_k = 64", "n_k = 72"))
+    capsys.readouterr()
+    assert main(["evolve", "--config", str(ini), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "tolerance failure: snapshot grid [-163.819, -11.9188] truncates the support at "
+        "t=0.0: end density 3.53e-07")
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    bar = _parse_barrier(cp)
+    x0, sigma, k0 = -90.48942370209805, 12.909428598641373, 0.7071266393114756
+    pk = make_gaussian_packet(x0, sigma, k0, barrier=bar, n=72)
+    xs = auto_grid(pk, bar, (0.0,), 0.05)
+    full = _full_fields(pk, solve_family(bar, pk.ks), (0.0,), xs)[:, 0]
+    left = xs < bar.a - 1
+    want = np.array([abs(free_gaussian(x, 0.0, x0, sigma, k0)) ** 2 for x in xs[left]])
+    miss = np.abs(np.abs(full[left]) ** 2 - want).max() * sigma * math.sqrt(math.pi)
+    assert miss <= ANSWER_TOL["evolve"]
